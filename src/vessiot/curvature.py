@@ -8,6 +8,7 @@ the flatness residual for standalone symmetric connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .errors import DegenerateMetric, NotProportional
@@ -42,6 +43,11 @@ class Metric2D:
         return self.w12
 
     def det(self) -> Expression:
+        """det(w), computed once per metric."""
+        return self._det
+
+    @cached_property
+    def _det(self) -> Expression:
         return self.w11 * self.w22 - self.w12 * self.w12
 
     def inverse_component(self, i: int, j: int) -> Expression:

@@ -29,10 +29,15 @@ class StructureReport:
     residual: Optional[Expression] = None
 
     def __post_init__(self):
-        if self.integrable:
-            assert self.residual is None
-            assert all(c.is_constant() for c in self.constants.values())
-            assert all(r.is_zero() for r in self.jacobi_residuals)
+        if not self.integrable:
+            return
+        if self.residual is not None:
+            raise ValueError("an integrable report carries no residual")
+        for name, c in self.constants.items():
+            if not c.is_constant():
+                raise ValueError(f"structure constant {name} = {c} is not constant")
+        if not all(r.is_zero() for r in self.jacobi_residuals):
+            raise ValueError("an integrable report has a nonzero Jacobi residual")
 
     def constant(self, name: str) -> Expression:
         return self.constants[name]
@@ -56,9 +61,10 @@ class EquivalenceVerdict:
     sample_point: Optional[Tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        assert self.status in (OBSTRUCTED, NECESSARY_PASS)
-        if self.status == OBSTRUCTED:
-            assert self.reasons
+        if self.status not in (OBSTRUCTED, NECESSARY_PASS):
+            raise ValueError(f"unknown verdict status {self.status!r}")
+        if self.status == OBSTRUCTED and not self.reasons:
+            raise ValueError("an Obstructed verdict needs a reason")
 
     @property
     def obstructed(self) -> bool:

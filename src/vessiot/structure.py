@@ -138,7 +138,8 @@ def product_constants(sec: GeometricSection) -> StructureReport:
     c_second = (w7.diff(1) - w8.diff(2)) / witness
     jacobi = c_prime - c_second
     if c_prime.is_constant() and c_second.is_constant():
-        assert jacobi.is_zero(), "Jacobi identity c' = c'' violated"
+        if not jacobi.is_zero():
+            raise RuntimeError("Jacobi identity c' = c'' violated")
         return StructureReport(
             kind=ObjectKind.PRODUCT_TRIPLE_2D.value,
             constants={"c": c_prime},

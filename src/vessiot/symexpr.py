@@ -1,19 +1,23 @@
 """Exact multivariate rational expressions.
 
 The scalar domain of the whole engine: quotients of multivariate polynomials
-with arbitrary-precision rational coefficients, over chart coordinates
-``x1..xn`` plus declared parameter symbols.  Every expression is kept in a
-canonical form (coprime numerator/denominator pair, integer coefficients with
-unit content across the pair, positive leading denominator coefficient under
-graded-lexicographic order), so equality, zero-testing and constancy are
-decidable by direct comparison.
+over the rationals, in chart coordinates ``x1..xn`` plus declared parameter
+symbols.  Every expression is kept in a canonical form (coprime
+numerator/denominator pair, integer coefficients with unit content across the
+pair, positive leading denominator coefficient under graded-lexicographic
+order), so equality, zero-testing and constancy are decidable by direct
+comparison.  The polynomial kernel therefore works over the integers only;
+rational numbers appear at the API, as inputs and exact values.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
+from math import isqrt
+from operator import add, gt, lt, neg, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -79,15 +83,15 @@ class Context:
     # -- convenience constructors -------------------------------------
 
     def zero(self) -> "Expression":
-        return Expression(self, _PZERO, _pconst(self.nvars, Fraction(1)))
+        return Expression(self, _PZERO, _pconst(self.nvars, 1))
 
     def one(self) -> "Expression":
         return self.rational(Fraction(1))
 
     def rational(self, value) -> "Expression":
         value = Fraction(value)
-        num = _pconst(self.nvars, Fraction(value.numerator))
-        den = _pconst(self.nvars, Fraction(value.denominator))
+        num = _pconst(self.nvars, value.numerator)
+        den = _pconst(self.nvars, value.denominator)
         return Expression(self, num, den)
 
     def coordinate(self, i: int) -> "Expression":
@@ -102,8 +106,7 @@ class Context:
 
     def _variable(self, slot: int) -> "Expression":
         mono = tuple(1 if j == slot else 0 for j in range(self.nvars))
-        num = _Poly({mono: Fraction(1)})
-        return Expression(self, num, _pconst(self.nvars, Fraction(1)))
+        return Expression(self, _Poly({mono: 1}), _pconst(self.nvars, 1))
 
     def default_point(self) -> tuple:
         """Default sample point: variable j evaluates to j + 2 (so x^i = i + 1)."""
@@ -116,7 +119,12 @@ class Context:
 
 
 class _Poly:
-    """Sparse polynomial: exponent tuple -> nonzero Fraction coefficient."""
+    """Sparse polynomial over the integers: exponent tuple -> nonzero int.
+
+    Canonical pairs always scale to integer coefficients, so the kernel holds
+    no rational coefficient; rationals appear only at the ``Expression`` API
+    (``Context.rational``, ``constant_value``, ``evaluate``).
+    """
 
     __slots__ = ("terms",)
 
@@ -139,22 +147,11 @@ class _Poly:
 
     def leading(self) -> tuple:
         """(monomial, coefficient) maximal under grlex."""
-        mono = max(self.terms, key=_grlex_key)
+        _, mono = max(zip(map(sum, self.terms), self.terms))
         return mono, self.terms[mono]
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def degree_in(self, slot: int) -> int:
-        return max((m[slot] for m in self.terms), default=0)
-
     def used_slots(self) -> set:
-        used = set()
-        for mono in self.terms:
-            for j, e in enumerate(mono):
-                if e:
-                    used.add(j)
-        return used
+        return {j for j, exps in enumerate(zip(*self.terms)) if any(exps)}
 
     def __add__(self, other: "_Poly") -> "_Poly":
         out = dict(self.terms)
@@ -191,30 +188,17 @@ class _Poly:
         if not self.terms or not other.terms:
             return _PZERO
         out: dict = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono)
-                if s is None:
-                    out[mono] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return _Poly(out)
-
-    def scale(self, factor: Fraction) -> "_Poly":
-        if not factor:
-            return _PZERO
-        return _Poly({m: c * factor for m, c in self.terms.items()})
+                mono = tuple(map(add, m1, m2))
+                out[mono] = get(mono, 0) + c1 * c2
+        return _Poly({m: c for m, c in out.items() if c})
 
     def pow(self, k: int) -> "_Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        nv = self.nvars()
-        result = _pconst(nv, Fraction(1))
+        result = _pconst(self.nvars(), 1)
         base = self
         while k:
             if k & 1:
@@ -228,11 +212,8 @@ class _Poly:
         for mono, c in self.terms.items():
             e = mono[slot]
             if e:
-                lowered = mono[:slot] + (e - 1,) + mono[slot + 1 :]
-                s = out.get(lowered)
-                nc = c * e
-                out[lowered] = nc if s is None else s + nc
-        return _Poly({m: c for m, c in out.items() if c})
+                out[mono[:slot] + (e - 1,) + mono[slot + 1 :]] = c * e
+        return _Poly(out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
@@ -245,51 +226,85 @@ class _Poly:
         return total
 
     def divexact(self, other: "_Poly") -> "_Poly":
-        """Exact division; raises ArithmeticError when not divisible."""
-        if other.is_zero():
+        """Exact quotient with integer coefficients; ArithmeticError when none.
+
+        When ``other`` is primitive, an integer quotient exists whenever any
+        rational one does (Gauss's lemma).  The remainder's terms are taken in
+        descending grlex order from a heap (Monagan & Pearce, CASC 2007), so no
+        step rescans the remainder.  Monomials are handled as keys
+        ``(-degree, -e1, ..., -en)``: ascending key order is descending grlex
+        order, and the key of a product is the sum of the keys.
+        """
+        if not other.terms:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = self
-        out: dict = {}
-        dm, dc = other.leading()
-        while not rem.is_zero():
-            rm, rc = rem.leading()
-            q = tuple(a - b for a, b in zip(rm, dm))
-            if any(e < 0 for e in q):
+        if not self.terms:
+            return _PZERO
+        (lead, lc), *tail = sorted(
+            ((-sum(m), *map(neg, m)), c) for m, c in other.terms.items()
+        )
+        # an exact quotient has exponents in 0..deg_j(self) - deg_j(other) in
+        # every slot j, and total degree deg(self) - deg(other); a quotient
+        # term outside that box proves the division inexact and bounds the walk
+        floor = tuple(map(sub, _max_degrees(other), _max_degrees(self)))
+        upper = (0,) * len(lead)
+        rem = {(-sum(m), *map(neg, m)): c for m, c in self.terms.items()}
+        heap = list(rem)
+        heapify(heap)
+        out = {}
+        while heap:
+            key = heappop(heap)
+            rc = rem.pop(key, 0)
+            if not rc:
+                continue
+            q = tuple(map(sub, key, lead))
+            if any(map(gt, q, upper)) or any(map(lt, q, floor)) or rc % lc:
                 raise ArithmeticError("inexact polynomial division")
-            coeff = rc / dc
-            out[q] = out.get(q, Fraction(0)) + coeff
-            rem = rem - _Poly({q: coeff}) * other
-        return _Poly({m: c for m, c in out.items() if c})
+            qc = rc // lc
+            out[tuple(map(neg, q[1:]))] = qc
+            for tk, tc in tail:
+                k = tuple(map(add, q, tk))
+                s = rem.get(k)
+                if s is None:
+                    rem[k] = -qc * tc
+                    heappush(heap, k)
+                else:
+                    s -= qc * tc
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
+        return _Poly(out)
 
 
 def _grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
+def _max_degrees(p: _Poly) -> tuple:
+    """(total degree, degree in each slot), for a nonzero polynomial."""
+    return (max(map(sum, p.terms)), *map(max, zip(*p.terms)))
+
+
 _PZERO = _Poly({})
 
 
-def _pconst(nvars: int, value: Fraction) -> _Poly:
+def _pconst(nvars: int, value: int) -> _Poly:
     if not value:
         return _PZERO
     return _Poly({(0,) * nvars: value})
 
 
-def _int_normalize(p: _Poly) -> _Poly:
-    """Scale to integer coefficients with content 1 and positive leading coeff."""
-    if p.is_zero():
-        return p
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = _igcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    factor = Fraction(den_lcm, num_gcd)
-    p = p.scale(factor)
+def _primitive(p: _Poly, *cofactors: _Poly) -> tuple:
+    """Divide nonzero p, and its cofactors, by the integer gcd of all their
+    coefficients, signed so that p gets a positive leading coefficient."""
+    content = _igcd(*p.terms.values(), *(c for f in cofactors for c in f.terms.values()))
     if p.leading()[1] < 0:
-        p = -p
-    return p
+        content = -content
+    if content == 1:
+        return (p, *cofactors)
+    return tuple(
+        _Poly({m: c // content for m, c in f.terms.items()}) for f in (p, *cofactors)
+    )
 
 
 # -- multivariate gcd (primitive pseudo-remainder sequences) ----------
@@ -303,23 +318,20 @@ def _poly_gcd(a: _Poly, b: _Poly) -> _Poly:
     sequences as the deterministic fallback.
     """
     if a.is_zero():
-        return _int_normalize(b) if not b.is_zero() else _PZERO
+        return _primitive(b)[0] if not b.is_zero() else _PZERO
     if b.is_zero():
-        return _int_normalize(a)
+        return _primitive(a)[0]
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _monomial_gcd(a, b)
     if a.terms == b.terms:
-        return _int_normalize(a)
-    a = _int_normalize(a)
-    b = _int_normalize(b)
-    used = a.used_slots() | b.used_slots()
-    if not used:
-        return _pconst(a.nvars(), Fraction(1))
+        return _primitive(a)[0]
+    a = _primitive(a)[0]
+    b = _primitive(b)[0]
     heuristic = _heu_gcd(a, b)
     if heuristic is not None:
         return heuristic
-    v = min(used)
-    return _int_normalize(_gcd_in(a, b, v))
+    v = min(a.used_slots() | b.used_slots())
+    return _primitive(_gcd_in(a, b, v))[0]
 
 
 def _monomial_gcd(a: _Poly, b: _Poly) -> _Poly:
@@ -332,7 +344,7 @@ def _monomial_gcd(a: _Poly, b: _Poly) -> _Poly:
                 if shared is None
                 else [min(s, e) for s, e in zip(shared, mono)]
             )
-    return _Poly({tuple(shared): Fraction(1)})
+    return _Poly({tuple(shared): 1})
 
 
 # -- heuristic gcd over integer coefficients ---------------------------
@@ -340,73 +352,56 @@ def _monomial_gcd(a: _Poly, b: _Poly) -> _Poly:
 _HEU_TRIES = 6
 
 
-def _heu_gcd(a: _Poly, b: _Poly) -> Optional[_Poly]:
-    """Evaluation/interpolation gcd; None when the heuristic gives up."""
-    fa = {m: int(c) for m, c in a.terms.items()}
-    fb = {m: int(c) for m, c in b.terms.items()}
-    h = _heu_gcd_int(fa, fb)
-    if h is None:
-        return None
-    return _int_normalize(_Poly({m: Fraction(c) for m, c in h.items()}))
+def _heu_gcd(f: _Poly, g: _Poly) -> Optional[_Poly]:
+    """GCDHEU (Char, Geddes & Gonnet 1989); None when the heuristic gives up.
 
-
-def _heu_gcd_int(f: dict, g: dict) -> Optional[dict]:
-    # gcd splits as igcd of the integer contents times gcd of the primitive
+    Evaluates one variable at an integer xi, recurses on the images, lifts
+    the image gcd back by balanced base-xi digits, and keeps the candidate
+    only when it divides both inputs exactly.
+    """
+    # gcd splits as the igcd of all coefficients times gcd of the primitive
     # parts; the content must come off before evaluating, or the digit
     # interpolation at the outer level sees spurious integer factors
-    cont_f = 0
-    for c in f.values():
-        cont_f = _igcd(cont_f, abs(c))
-    cont_g = 0
-    for c in g.values():
-        cont_g = _igcd(cont_g, abs(c))
-    ground = _igcd(cont_f, cont_g)
-    if cont_f != 1:
-        f = {m: c // cont_f for m, c in f.items()}
-    if cont_g != 1:
-        g = {m: c // cont_g for m, c in g.items()}
-    used = set()
-    for p in (f, g):
-        for mono in p:
-            for j, e in enumerate(mono):
-                if e:
-                    used.add(j)
-    nv = len(next(iter(f)))
+    ground = _igcd(*f.terms.values(), *g.terms.values())
+    (f,) = _primitive(f)
+    (g,) = _primitive(g)
+    used = f.used_slots() | g.used_slots()
     if not used:
-        return {(0,) * nv: ground}
+        return _pconst(f.nvars(), ground)
     v = min(used)
-    xi = 2 * min(_int_max_norm(f), _int_max_norm(g)) + 29
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
     for _ in range(_HEU_TRIES):
-        fe = _int_eval_at(f, v, xi)
-        ge = _int_eval_at(g, v, xi)
-        if fe and ge:
-            h = _heu_gcd_int(fe, ge)
+        fe = _eval_at(f, v, xi)
+        ge = _eval_at(g, v, xi)
+        if fe.terms and ge.terms:
+            h = _heu_gcd(fe, ge)
             if h is not None:
-                cand = _int_primitive(_int_interp(h, v, xi))
-                if _int_divides(cand, f) and _int_divides(cand, g):
+                cand = _primitive(_interp(h, v, xi))[0]
+                try:
+                    f.divexact(cand)
+                    g.divexact(cand)
+                except ArithmeticError:
+                    pass
+                else:
                     if ground != 1:
-                        cand = {m: c * ground for m, c in cand.items()}
+                        cand = _Poly({m: c * ground for m, c in cand.terms.items()})
                     return cand
         xi = xi * 73794 // 27011
     return None
 
 
-def _int_max_norm(f: dict) -> int:
-    return max(abs(c) for c in f.values())
-
-
-def _int_eval_at(f: dict, v: int, xi: int) -> dict:
+def _eval_at(f: _Poly, v: int, xi: int) -> _Poly:
     out: dict = {}
-    for mono, c in f.items():
+    for mono, c in f.terms.items():
         key = mono[:v] + (0,) + mono[v + 1 :]
         out[key] = out.get(key, 0) + c * xi ** mono[v]
-    return {m: c for m, c in out.items() if c}
+    return _Poly({m: c for m, c in out.items() if c})
 
 
-def _int_interp(h: dict, v: int, xi: int) -> dict:
+def _interp(h: _Poly, v: int, xi: int) -> _Poly:
     """Recover the variable-v dependence from base-xi balanced digits."""
     out: dict = {}
-    cur = h
+    cur = h.terms
     e = 0
     half = xi // 2
     while cur:
@@ -422,47 +417,7 @@ def _int_interp(h: dict, v: int, xi: int) -> dict:
                 nxt[mono] = q
         cur = nxt
         e += 1
-    return out
-
-
-def _int_primitive(f: dict) -> dict:
-    if not f:
-        return f
-    content = 0
-    for c in f.values():
-        content = _igcd(content, abs(c))
-    lead = max(f, key=_grlex_key)
-    if f[lead] < 0:
-        content = -content
-    if content != 1:
-        f = {m: c // content for m, c in f.items()}
-    return f
-
-
-def _int_divides(h: dict, f: dict) -> bool:
-    """Exact sparse division test over the integers."""
-    if not h:
-        return not f
-    hm = max(h, key=_grlex_key)
-    hc = h[hm]
-    rem = dict(f)
-    for _ in range(100000):
-        if not rem:
-            return True
-        rm = max(rem, key=_grlex_key)
-        rc = rem[rm]
-        q = tuple(a - b for a, b in zip(rm, hm))
-        if any(e < 0 for e in q) or rc % hc:
-            return False
-        qc = rc // hc
-        for mono, c in h.items():
-            key = tuple(a + b for a, b in zip(mono, q))
-            s = rem.get(key, 0) - qc * c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return not rem
+    return _Poly(out)
 
 
 def _gcd_in(a: _Poly, b: _Poly, v: int) -> _Poly:
@@ -486,11 +441,8 @@ def _to_univ(p: _Poly, v: int) -> dict:
     """View as univariate in slot v: degree -> coefficient polynomial."""
     out: dict = {}
     for mono, c in p.terms.items():
-        d = mono[v]
-        stripped = mono[:v] + (0,) + mono[v + 1 :]
-        bucket = out.setdefault(d, {})
-        bucket[stripped] = bucket.get(stripped, Fraction(0)) + c
-    return {d: _Poly({m: c for m, c in bucket.items() if c}) for d, bucket in out.items()}
+        out.setdefault(mono[v], {})[mono[:v] + (0,) + mono[v + 1 :]] = c
+    return {d: _Poly(bucket) for d, bucket in out.items()}
 
 
 def _from_univ(u: dict, v: int) -> _Poly:
@@ -519,7 +471,6 @@ def _make_primitive(u: dict) -> dict:
 
 def _pseudo_rem(ua: dict, ub: dict) -> dict:
     """Pseudo-remainder of the univariate views (coefficients are polynomials)."""
-    da = max(ua)
     db = max(ub)
     lc_b = ub[db]
     rem = dict(ua)
@@ -543,57 +494,35 @@ def _pseudo_rem(ua: dict, ub: dict) -> dict:
 
 
 def _poly_sqrt(p: _Poly) -> Optional[_Poly]:
-    """Exact square root, or None when p is not a perfect polynomial square."""
+    """Exact square root with positive leading coefficient, or None when p is
+    not a perfect polynomial square.
+
+    The root of an integer square has integer coefficients (Gauss's lemma),
+    so a root coefficient that is not an integer means there is no root.
+    """
     if p.is_zero():
         return p
     mono, coeff = p.leading()
     if coeff < 0 or any(e % 2 for e in mono):
         return None
-    root = _frac_sqrt(coeff)
-    if root is None:
+    root = isqrt(coeff)
+    if root * root != coeff:
         return None
-    s = _Poly({tuple(e // 2 for e in mono): root})
-    lead2 = s.leading()
+    lead = tuple(e // 2 for e in mono)
+    twice = 2 * root
+    s = _Poly({lead: root})
     rem = p - s * s
     for _ in range(len(p.terms) * (len(p.terms) + 2) + 4):
         if rem.is_zero():
             return s
         rm, rc = rem.leading()
-        q = tuple(a - b for a, b in zip(rm, lead2[0]))
-        if any(e < 0 for e in q):
+        q = tuple(a - b for a, b in zip(rm, lead))
+        if any(e < 0 for e in q) or rc % twice:
             return None
-        t = _Poly({q: rc / (2 * lead2[1])})
+        t = _Poly({q: rc // twice})
+        # p - (s + t)^2 = rem - (2s + t) t
+        rem = rem - (s + s + t) * t
         s = s + t
-        rem = p - s * s
-    return None
-
-
-def _frac_sqrt(value: Fraction) -> Optional[Fraction]:
-    if value < 0:
-        return None
-    num = _isqrt_exact(value.numerator)
-    den = _isqrt_exact(value.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(k: int) -> Optional[int]:
-    r = int(k**0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == k:
-            return c
-    # fallback for large ints where float sqrt is off
-    lo, hi = 0, k
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        sq = mid * mid
-        if sq == k:
-            return mid
-        if sq < k:
-            lo = mid + 1
-        else:
-            hi = mid - 1
     return None
 
 
@@ -630,19 +559,20 @@ class Expression:
         return self == self.context.one()
 
     def is_constant(self) -> bool:
-        """True iff every coordinate partial derivative vanishes.
+        """True iff no coordinate x1..xn occurs in the numerator or denominator.
 
-        Parameters count as constants; only x1..xn derivatives are probed.
+        Parameters count as constants.  Because the stored pair is coprime,
+        this is the same as every coordinate partial derivative vanishing.
         """
-        return all(self.diff(i).is_zero() for i in range(1, self.context.n + 1))
+        n = self.context.n
+        return not any(any(m[:n]) for p in (self.num, self.den) for m in p.terms)
 
     def constant_value(self) -> Optional[Fraction]:
         """The value as an exact rational, when no variable appears at all."""
         if self.num.used_slots() or self.den.used_slots():
             return None
-        num = self.num.terms.get((0,) * self.context.nvars, Fraction(0))
-        den = self.den.terms[(0,) * self.context.nvars]
-        return num / den
+        one = (0,) * self.context.nvars
+        return Fraction(self.num.terms.get(one, 0), self.den.terms[one])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -736,9 +666,6 @@ class Expression:
         e = d.divexact(g)
         return Expression(self.context, n.diff(slot) * e - n * dd.divexact(g), d * e)
 
-    def diff_param(self, name: str) -> "Expression":
-        return self._diff_slot(self.context.var_index(name))
-
     def sqrt(self) -> Optional["Expression"]:
         """Rational square root with positive leading coefficient, if one exists."""
         num = _poly_sqrt(self.num)
@@ -818,31 +745,7 @@ def _canonical_pair(num: _Poly, den: _Poly):
     if not _is_unit_poly(g):
         num = num.divexact(g)
         den = den.divexact(g)
-    return _int_pair_normalize(num, den)
-
-
-def _int_pair_normalize(num: _Poly, den: _Poly):
-    """Scale a coprime pair to integer coefficients with joint content 1 and
-    positive leading denominator coefficient."""
-    if num.is_zero():
-        return _PZERO, _unit_like(den)
-    den_lcm = 1
-    for c in num.terms.values():
-        den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
-    for c in den.terms.values():
-        den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in num.terms.values():
-        num_gcd = _igcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    for c in den.terms.values():
-        num_gcd = _igcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    factor = Fraction(den_lcm, num_gcd)
-    if factor != 1:
-        num = num.scale(factor)
-        den = den.scale(factor)
-    if den.leading()[1] < 0:
-        num = -num
-        den = -den
+    den, num = _primitive(den, num)
     return num, den
 
 
@@ -850,7 +753,10 @@ def _from_reduced(context: Context, num: _Poly, den: _Poly) -> "Expression":
     """Build an Expression from an already-coprime numerator/denominator pair."""
     if den.is_zero():
         raise DivisionByZero("zero denominator")
-    num, den = _int_pair_normalize(num, den)
+    if num.is_zero():
+        den = _unit_like(den)
+    else:
+        den, num = _primitive(den, num)
     expr = object.__new__(Expression)
     object.__setattr__(expr, "context", context)
     object.__setattr__(expr, "num", num)
@@ -859,7 +765,7 @@ def _from_reduced(context: Context, num: _Poly, den: _Poly) -> "Expression":
 
 
 def _unit_like(den: _Poly) -> _Poly:
-    return _pconst(den.nvars(), Fraction(1))
+    return _pconst(den.nvars(), 1)
 
 
 def _is_unit_poly(p: _Poly) -> bool:
@@ -876,7 +782,7 @@ def _is_atom(p: _Poly, names) -> bool:
     (mono, coeff), = p.terms.items()
     nz = [(j, e) for j, e in enumerate(mono) if e]
     if not nz:
-        return coeff > 0 and coeff.denominator == 1
+        return coeff > 0
     return coeff == 1 and len(nz) == 1 and nz[0][1] == 1
 
 

@@ -149,6 +149,7 @@ class TestMetricConstants:
         assert report.constant("c1").is_zero()
         assert report.constant("c2").is_zero()
         assert metric.det() == CTX.rational(-1)
+        assert metric.det() is metric.det()
 
     def test_non_constant_curvature_flagged(self):
         metric = Metric2D(ONE, parse_in("x1 + 3", CTX), ZERO)

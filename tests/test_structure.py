@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from helpers import (
     random_nonzero_rational,
     random_product_section,
 )
+import vessiot
 from vessiot.errors import (
     DegeneratePair,
     DegenerateSection,
@@ -19,6 +24,7 @@ from vessiot.errors import (
 )
 from vessiot.forms import one_form, two_form_cyclic
 from vessiot.lieops import ObjectKind, section
+from vessiot.reports import EquivalenceVerdict, StructureReport
 from vessiot.structure import (
     affine_constant_1d,
     contact_constants,
@@ -380,3 +386,40 @@ class TestContactConstants:
         assert report.constant("c_prime") == two
         assert report.constant("c_second").is_zero()
         assert (report.constant("c_prime") * report.constant("c_second")).is_zero()
+
+
+class TestReportInvariants:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"constants": {"c": parse_in("x1", CTX2)}},
+            {"constants": {}, "residual": CTX2.one()},
+            {"constants": {}, "jacobi_residuals": [CTX2.one()]},
+        ],
+    )
+    def test_integrable_report_rejects(self, fields):
+        with pytest.raises(ValueError):
+            StructureReport(kind="PRODUCT_TRIPLE_2D", **fields)
+
+    def test_verdict_rejects(self):
+        with pytest.raises(ValueError):
+            EquivalenceVerdict(status="Maybe")
+        with pytest.raises(ValueError):
+            EquivalenceVerdict(status="Obstructed")
+
+    def test_enforced_under_python_O(self):
+        # python -O strips assert statements; the invariants must not be asserts
+        code = (
+            "from vessiot.reports import StructureReport\n"
+            "from vessiot.symexpr import parse\n"
+            "try:\n"
+            "    StructureReport(kind='PRODUCT_TRIPLE_2D', constants={'c': parse('x1', 2)})\n"
+            "except ValueError:\n"
+            "    print('rejected')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(vessiot.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout == "rejected\n"

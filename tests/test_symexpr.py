@@ -188,6 +188,9 @@ class TestSqrt:
         assert parse("2*x1^2", 1).sqrt() is None
         assert parse("x1", 1).sqrt() is None
 
+    def test_coefficient_beyond_float_range(self):
+        assert parse("10^400*x1^2", 1).sqrt() == parse("10^200*x1", 1)
+
     def test_square_round_trip(self):
         rng = random.Random(3)
         ctx = Context(2)
