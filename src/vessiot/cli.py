@@ -11,13 +11,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import curvature as curvature_mod
 from . import jetcalc, lieops, structure
 from .errors import NotIntegrable, VessiotError
-from .lieops import GeometricSection, ObjectKind
-from .reports import StructureReport
+from .lieops import ObjectKind
 
 PASS_EXIT = 0
 OBSTRUCTION_EXIT = 1
@@ -98,7 +97,7 @@ def run(argv: Optional[List[str]] = None) -> None:
 
 def _cmd_compute(args) -> Tuple[dict, int]:
     sec, extras = lieops.load_section(args.section)
-    report, residuals = _structure_report(sec, extras)
+    report, residuals = structure.structure_report(sec, extras)
     payload = _payload(
         "compute",
         {"section": args.section},
@@ -107,55 +106,6 @@ def _cmd_compute(args) -> Tuple[dict, int]:
         "integrable" if report.integrable else "non-integrable",
     )
     return payload, PASS_EXIT if report.integrable else OBSTRUCTION_EXIT
-
-
-def _structure_report(
-    sec: GeometricSection, extras: Dict[str, object]
-) -> Tuple[StructureReport, List[str]]:
-    ctx = sec.context
-    kind = sec.kind
-    if kind is ObjectKind.PRODUCT_TRIPLE_2D:
-        report = structure.product_constants(sec)
-        return report, [str(r) for r in report.jacobi_residuals]
-    if kind is ObjectKind.METRIC_2D:
-        report = curvature_mod.metric_constants(curvature_mod.Metric2D.from_section(sec))
-        return report, []
-    if kind is ObjectKind.ONE_FORM_1D:
-        gamma = extras.get("gamma", ctx.zero())
-        report = structure.affine_constant_1d(sec.components[0], gamma)
-        return report, []
-    if kind is ObjectKind.CHRISTOFFEL_1D:
-        nu = extras.get("nu", ctx.zero())
-        residual = structure.projective_residual_1d(sec.components[0], nu)
-        if residual.is_zero():
-            report = StructureReport(kind="PROJECTIVE_1D", constants={}, integrable=True)
-        else:
-            report = StructureReport(
-                kind="PROJECTIVE_1D", constants={}, integrable=False, residual=residual
-            )
-        return report, []
-    if kind is ObjectKind.CHRISTOFFEL_2D:
-        data = curvature_mod.affine_flatness(curvature_mod.Connection2D.from_section(sec))
-        nonzero = [
-            f"r{k}_{l},{i}{j} = {c}"
-            for (k, l, i, j), c in sorted(data.riemann.items())
-            if not c.is_zero()
-        ]
-        if data.is_flat():
-            report = StructureReport(kind="AFFINE_2D", constants={}, integrable=True)
-        else:
-            first = next(
-                c for _, c in sorted(data.riemann.items()) if not c.is_zero()
-            )
-            report = StructureReport(
-                kind="AFFINE_2D", constants={}, integrable=False, residual=first
-            )
-        return report, nonzero
-    if kind is ObjectKind.CONTACT_PAIR_3D:
-        alpha, beta = structure.contact_pair_forms(sec)
-        report = structure.contact_constants(alpha, beta)
-        return report, [str(r) for r in report.jacobi_residuals]
-    raise VessiotError(f"no compute pipeline for kind {kind.value}")
 
 
 def _cmd_equivalence(args) -> Tuple[dict, int]:
@@ -192,7 +142,7 @@ def _cmd_check_cc(args) -> Tuple[dict, int]:
     residual = jetcalc.check_cc_identity(system, cc, max_order=args.max_order)
     zero = residual.is_zero()
     result = {
-        "labels": list(sec.kind.equation_labels),
+        "labels": list(sec.kind.spec.labels),
         "zero": zero,
         "residual_equation": str(residual),
     }
@@ -230,13 +180,8 @@ def _cmd_curvature(args) -> Tuple[dict, int]:
         )
         flat = data.is_flat()
         result = {"curvature": data.to_json_dict(), "flat": flat}
-        residuals = [
-            f"r{k}_{l},{i}{j} = {c}"
-            for (k, l, i, j), c in sorted(data.riemann.items())
-            if not c.is_zero()
-        ]
         payload = _payload(
-            "curvature", inputs, result, residuals, "flat" if flat else "nonflat"
+            "curvature", inputs, result, data.residual_lines(), "flat" if flat else "nonflat"
         )
         return payload, PASS_EXIT if flat else OBSTRUCTION_EXIT
     raise VessiotError(

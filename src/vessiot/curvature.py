@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateMetric, NotProportional
-from .lieops import GeometricSection, ObjectKind
+from .lieops import CHRISTOFFEL_2D_INDICES, GeometricSection, ObjectKind
 from .reports import StructureReport
 from .symexpr import Context, Expression
 
@@ -78,17 +78,7 @@ class Connection2D:
     def from_section(cls, sec: GeometricSection) -> "Connection2D":
         if sec.kind is not ObjectKind.CHRISTOFFEL_2D:
             raise ValueError("expected a CHRISTOFFEL_2D section")
-        c = sec.components
-        return cls(
-            {
-                (1, 1, 1): c[0],
-                (1, 1, 2): c[1],
-                (1, 2, 2): c[2],
-                (2, 1, 1): c[3],
-                (2, 1, 2): c[4],
-                (2, 2, 2): c[5],
-            }
-        )
+        return cls(dict(zip(CHRISTOFFEL_2D_INDICES, sec.components)))
 
     @property
     def context(self) -> Context:
@@ -118,6 +108,14 @@ class CurvatureData:
 
     def is_flat(self) -> bool:
         return all(c.is_zero() for c in self.riemann.values())
+
+    def residual_lines(self) -> List[str]:
+        """``rk_l,ij = value`` for each nonzero Riemann component, in key order."""
+        return [
+            f"r{k}_{l},{i}{j} = {c}"
+            for (k, l, i, j), c in sorted(self.riemann.items())
+            if not c.is_zero()
+        ]
 
     def to_json_dict(self) -> Dict[str, object]:
         return {

@@ -258,7 +258,7 @@ def symbol_dimension(
         return len(variables)
     if generic:
         matrix = [[eq.coefficient(jv, context) for jv in variables] for eq in rows]
-        rank = linalg.rank_expression(matrix)
+        rank = linalg.rank_rational(matrix, Expression.is_zero)
     else:
         point = (
             tuple(Fraction(v) for v in sample_point)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateSection, InputFormatError, KindMismatch
 from .jetcalc import JetVariable, LinearJetEquation, mi_bump, mi_zero
@@ -26,54 +26,29 @@ class ObjectKind(enum.Enum):
     CONTACT_PAIR_3D = "CONTACT_PAIR_3D"
 
     @property
-    def ambient_dim(self) -> int:
-        return _KIND_DIM[self]
-
-    @property
-    def component_keys(self) -> Tuple[str, ...]:
-        return _KIND_KEYS[self]
-
-    @property
-    def component_count(self) -> int:
-        return len(_KIND_KEYS[self])
-
-    @property
-    def equation_labels(self) -> Tuple[str, ...]:
-        return _KIND_LABELS[self]
+    def spec(self) -> "KindSpec":
+        return _SPECS[self]
 
 
-_KIND_DIM = {
-    ObjectKind.ONE_FORM_1D: 1,
-    ObjectKind.CHRISTOFFEL_1D: 1,
-    ObjectKind.METRIC_2D: 2,
-    ObjectKind.PRODUCT_TRIPLE_2D: 2,
-    ObjectKind.CHRISTOFFEL_2D: 2,
-    ObjectKind.CONTACT_PAIR_3D: 3,
-}
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything the engine knows about one structure kind.
 
-_KIND_KEYS = {
-    ObjectKind.ONE_FORM_1D: ("alpha",),
-    ObjectKind.CHRISTOFFEL_1D: ("gamma",),
-    ObjectKind.METRIC_2D: ("w11", "w22", "w12"),
-    ObjectKind.PRODUCT_TRIPLE_2D: ("w1", "w2", "w3"),
-    ObjectKind.CHRISTOFFEL_2D: ("g1_11", "g1_12", "g1_22", "g2_11", "g2_12", "g2_22"),
-    ObjectKind.CONTACT_PAIR_3D: ("a1", "a2", "a3", "b23", "b31", "b12"),
-}
+    ``witness`` maps (components, context) to the nondegeneracy witness; None
+    means the kind has no nondegeneracy condition.  ``scaled_constant`` names
+    the structure constant that rescales as c/a under the kind's one-parameter
+    rescaling (None: no scaling law, no equivalence gate); ``sign_test`` asks
+    the gate to compare the witness signs at a sample point.
+    """
 
-_KIND_LABELS = {
-    ObjectKind.ONE_FORM_1D: ("1",),
-    ObjectKind.CHRISTOFFEL_1D: ("1",),
-    ObjectKind.METRIC_2D: ("11", "22", "12"),
-    ObjectKind.PRODUCT_TRIPLE_2D: ("1", "2", "3"),
-    ObjectKind.CHRISTOFFEL_2D: ("1_11", "1_12", "1_22", "2_11", "2_12", "2_22"),
-    ObjectKind.CONTACT_PAIR_3D: ("a1", "a2", "a3", "b23", "b31", "b12"),
-}
-
-# extra named expressions a section file may carry beyond the kind components
-_KIND_EXTRAS = {
-    ObjectKind.ONE_FORM_1D: ("gamma",),
-    ObjectKind.CHRISTOFFEL_1D: ("nu",),
-}
+    dim: int
+    keys: Tuple[str, ...]
+    labels: Tuple[str, ...]
+    template: Callable[["GeometricSection"], List[LinearJetEquation]]
+    witness: Optional[Callable[[Tuple[Expression, ...], Context], Expression]] = None
+    extras: Tuple[str, ...] = ()  # extra named expressions a section file may carry
+    scaled_constant: Optional[str] = None
+    sign_test: bool = False
 
 
 @dataclass(frozen=True)
@@ -85,14 +60,12 @@ class GeometricSection:
     n: int
 
     def __post_init__(self):
-        if self.n != self.kind.ambient_dim:
+        spec = self.kind.spec
+        if self.n != spec.dim:
+            raise ValueError(f"{self.kind.value} lives in dimension {spec.dim}, got n={self.n}")
+        if len(self.components) != len(spec.keys):
             raise ValueError(
-                f"{self.kind.value} lives in dimension {self.kind.ambient_dim}, got n={self.n}"
-            )
-        if len(self.components) != self.kind.component_count:
-            raise ValueError(
-                f"{self.kind.value} needs {self.kind.component_count} components,"
-                f" got {len(self.components)}"
+                f"{self.kind.value} needs {len(spec.keys)} components, got {len(self.components)}"
             )
         ctx = self.components[0].context
         if ctx.n != self.n or any(c.context != ctx for c in self.components):
@@ -103,29 +76,19 @@ class GeometricSection:
         return self.components[0].context
 
     def component(self, key: str) -> Expression:
-        return self.components[self.kind.component_keys.index(key)]
+        return self.components[self.kind.spec.keys.index(key)]
 
 
 def section(kind: ObjectKind, components: Sequence[Expression]) -> GeometricSection:
-    return GeometricSection(kind, tuple(components), kind.ambient_dim)
+    return GeometricSection(kind, tuple(components), kind.spec.dim)
 
 
 def nondegeneracy(sec: GeometricSection) -> Expression:
     """The kind's nondegeneracy witness (not checked for vanishing here)."""
-    ctx = sec.context
-    c = sec.components
-    kind = sec.kind
-    if kind is ObjectKind.ONE_FORM_1D:
-        return c[0]
-    if kind is ObjectKind.METRIC_2D:
-        return c[0] * c[1] - c[2] * c[2]
-    if kind is ObjectKind.PRODUCT_TRIPLE_2D:
-        return c[2] * (ctx.one() - c[0] * c[1])
-    if kind is ObjectKind.CONTACT_PAIR_3D:
-        a1, a2, a3, b23, b31, b12 = c
-        return a1 * b23 + a2 * b31 + a3 * b12
-    # connections carry no nondegeneracy condition
-    return ctx.one()
+    witness = sec.kind.spec.witness
+    if witness is None:
+        return sec.context.one()
+    return witness(sec.components, sec.context)
 
 
 def _require_nondegenerate(sec: GeometricSection) -> None:
@@ -142,12 +105,11 @@ def medolaghi_equations(sec: GeometricSection) -> List[LinearJetEquation]:
     coefficients depend only on the section and its first derivatives.
     """
     _require_nondegenerate(sec)
-    builder = _TEMPLATES[sec.kind]
-    return builder(sec)
+    return sec.kind.spec.template(sec)
 
 
 def labeled_medolaghi(sec: GeometricSection) -> Dict[str, LinearJetEquation]:
-    return dict(zip(sec.kind.equation_labels, medolaghi_equations(sec)))
+    return dict(zip(sec.kind.spec.labels, medolaghi_equations(sec)))
 
 
 def _jv(k: int, n: int, *coords: int) -> JetVariable:
@@ -232,8 +194,13 @@ def _product_triple_2d(sec: GeometricSection) -> List[LinearJetEquation]:
     return [LinearJetEquation(t1), LinearJetEquation(t2), LinearJetEquation(t3)]
 
 
+# (k, i, j) of gamma^k_ij for each CHRISTOFFEL_2D component, in key order
+CHRISTOFFEL_2D_INDICES = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2))
+
+
 def _christoffel_2d(sec: GeometricSection) -> List[LinearJetEquation]:
-    g = _christoffel_map(sec)
+    g = dict(zip(CHRISTOFFEL_2D_INDICES, sec.components))
+    g.update({(k, j, i): v for (k, i, j), v in g.items() if i != j})
     ctx = sec.context
     out = []
     for k in (1, 2):
@@ -247,21 +214,6 @@ def _christoffel_2d(sec: GeometricSection) -> List[LinearJetEquation]:
                 _add(terms, _jv(r, 2), g[(k, i, j)].diff(r))
             out.append(LinearJetEquation(terms))
     return out
-
-
-def _christoffel_map(sec: GeometricSection) -> Dict[Tuple[int, int, int], Expression]:
-    c = sec.components
-    g = {
-        (1, 1, 1): c[0],
-        (1, 1, 2): c[1],
-        (1, 2, 2): c[2],
-        (2, 1, 1): c[3],
-        (2, 1, 2): c[4],
-        (2, 2, 2): c[5],
-    }
-    g[(1, 2, 1)] = g[(1, 1, 2)]
-    g[(2, 2, 1)] = g[(2, 1, 2)]
-    return g
 
 
 def _contact_pair_3d(sec: GeometricSection) -> List[LinearJetEquation]:
@@ -296,13 +248,40 @@ def _contact_pair_3d(sec: GeometricSection) -> List[LinearJetEquation]:
     return out
 
 
-_TEMPLATES = {
-    ObjectKind.ONE_FORM_1D: _one_form_1d,
-    ObjectKind.CHRISTOFFEL_1D: _christoffel_1d,
-    ObjectKind.METRIC_2D: _metric_2d,
-    ObjectKind.PRODUCT_TRIPLE_2D: _product_triple_2d,
-    ObjectKind.CHRISTOFFEL_2D: _christoffel_2d,
-    ObjectKind.CONTACT_PAIR_3D: _contact_pair_3d,
+_SPECS = {
+    ObjectKind.ONE_FORM_1D: KindSpec(
+        1, ("alpha",), ("1",), _one_form_1d,
+        witness=lambda c, ctx: c[0],
+        extras=("gamma",),
+    ),
+    ObjectKind.CHRISTOFFEL_1D: KindSpec(
+        1, ("gamma",), ("1",), _christoffel_1d,
+        extras=("nu",),
+    ),
+    ObjectKind.METRIC_2D: KindSpec(
+        2, ("w11", "w22", "w12"), ("11", "22", "12"), _metric_2d,
+        witness=lambda c, ctx: c[0] * c[1] - c[2] * c[2],
+        scaled_constant="c1",
+        sign_test=True,
+    ),
+    ObjectKind.PRODUCT_TRIPLE_2D: KindSpec(
+        2, ("w1", "w2", "w3"), ("1", "2", "3"), _product_triple_2d,
+        witness=lambda c, ctx: c[2] * (ctx.one() - c[0] * c[1]),
+        scaled_constant="c",
+    ),
+    ObjectKind.CHRISTOFFEL_2D: KindSpec(
+        2,
+        ("g1_11", "g1_12", "g1_22", "g2_11", "g2_12", "g2_22"),
+        ("1_11", "1_12", "1_22", "2_11", "2_12", "2_22"),
+        _christoffel_2d,
+    ),
+    ObjectKind.CONTACT_PAIR_3D: KindSpec(
+        3,
+        ("a1", "a2", "a3", "b23", "b31", "b12"),
+        ("a1", "a2", "a3", "b23", "b31", "b12"),
+        _contact_pair_3d,
+        witness=lambda c, ctx: c[0] * c[3] + c[1] * c[4] + c[2] * c[5],
+    ),
 }
 
 
@@ -349,28 +328,27 @@ def parse_section_text(text: str) -> Tuple[GeometricSection, Dict[str, Expressio
         known = ", ".join(k.value for k in ObjectKind)
         raise InputFormatError(f"unknown kind {kind_name!r} (known: {known})") from exc
 
-    n_text = entries.pop("n", str(kind.ambient_dim))
+    spec = kind.spec
+    n_text = entries.pop("n", str(spec.dim))
     try:
         n = int(n_text)
     except ValueError as exc:
         raise InputFormatError(f"n must be an integer, got {n_text!r}") from exc
-    if n != kind.ambient_dim:
-        raise InputFormatError(
-            f"{kind.value} requires n = {kind.ambient_dim}, file says {n}"
-        )
+    if n != spec.dim:
+        raise InputFormatError(f"{kind.value} requires n = {spec.dim}, file says {n}")
 
     params_text = entries.pop("params", "")
     params = tuple(p.strip() for p in params_text.split(",") if p.strip())
     context = Context(n, params)
 
     components = []
-    for key in kind.component_keys:
+    for key in spec.keys:
         if key not in entries:
             raise InputFormatError(f"{kind.value} section is missing component {key!r}")
         components.append(parse_in(entries.pop(key), context))
 
     extras: Dict[str, Expression] = {}
-    for key in _KIND_EXTRAS.get(kind, ()):
+    for key in spec.extras:
         if key in entries:
             extras[key] = parse_in(entries.pop(key), context)
     if entries:

@@ -2,68 +2,50 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from .symexpr import Expression
+
+
+def _reduce(m: list, ncols: int, is_zero: Callable[[object], bool]) -> int:
+    """Gauss-Jordan elimination of the rows of ``m`` in place; returns the rank.
+
+    Pivots are taken only in the first ``ncols`` columns (an augmented right-hand
+    side never holds one); pivot rows move to the top and are scaled to 1.
+    """
+    rank = 0
+    for col in range(ncols):
+        if rank == len(m):
+            break
+        pivot = next((r for r in range(rank, len(m)) if not is_zero(m[r][col])), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = m[rank][col]
+        m[rank] = [v / inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and not is_zero(m[r][col]):
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
 def solve_square(matrix: List[List[Expression]], rhs: List[Expression]) -> List[Expression]:
     """Gaussian elimination over the expression field; unique solution required."""
     m = [row[:] + [b] for row, b in zip(matrix, rhs)]
     size = len(m)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            raise ArithmeticError("singular linear system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [entry / inv for entry in m[col]]
-        for r in range(size):
-            if r != col and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    if _reduce(m, size, Expression.is_zero) < size:
+        raise ArithmeticError("singular linear system")
     return [m[r][size] for r in range(size)]
 
 
-def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank_rational(
+    rows: Sequence[Sequence[Fraction]], is_zero: Callable[[object], bool] = operator.not_
+) -> int:
+    """Exact rank over the rationals; pass ``Expression.is_zero`` for the rank
+    over the rational-function field."""
     m = [list(row) for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col]
-        m[rank] = [v / inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def rank_expression(rows: Sequence[Sequence[Expression]]) -> int:
-    """Rank over the rational-function field (exact, generic)."""
-    m = [list(row) for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col]
-        m[rank] = [v / inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return _reduce(m, len(m[0]) if m else 0, is_zero)

@@ -10,12 +10,13 @@ error.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import curvature
 from .errors import (
     DegenerateSection,
     DegeneratePair,
+    InputFormatError,
     KindMismatch,
     NotAPerfectSquare,
     NotIntegrable,
@@ -160,20 +161,16 @@ def product_constants(sec: GeometricSection) -> StructureReport:
 # scaling law and the equivalence gate
 # ----------------------------------------------------------------------
 
-_SCALED_CONSTANT = {
-    ObjectKind.PRODUCT_TRIPLE_2D.value: "c",
-    ObjectKind.METRIC_2D.value: "c1",
-}
-
 
 def scaling_law(report: StructureReport, a: ScaleLike) -> StructureReport:
     """Report for the rescaled section: the scalable constant is divided by a.
 
-    Covers the two kinds whose sections admit a one-parameter rescaling with
+    Covers the kinds whose sections admit a one-parameter rescaling with
     unchanged Lie equations (w3 -> a*w3 for the product triple, w -> a*w for
     a metric).
     """
-    name = _SCALED_CONSTANT.get(report.kind)
+    kind = ObjectKind.__members__.get(report.kind)
+    name = kind and kind.spec.scaled_constant
     if name is None:
         raise KindMismatch(f"no scaling law for kind {report.kind}")
     if not report.integrable:
@@ -210,68 +207,50 @@ def equivalence_gate(
 ) -> EquivalenceVerdict:
     """Necessary-condition gate for the equivalence problem between two sections.
 
-    Obstructions detected: a structure constant that is zero on exactly one
-    side (no rescaling can match them), and, for metrics, opposite
-    determinant signs at a sample point (pullback multiplies det by a
-    square).  Passing the gate never claims the problem is solvable.
+    Obstructions detected: for metrics, opposite determinant signs at a
+    sample point (pullback multiplies det by a square; a point where either
+    determinant vanishes decides nothing), and a rescaling constant that is
+    zero on exactly one side (no rescaling can match them).  Passing the gate
+    never claims the problem is solvable.
     """
     if left.kind is not right.kind or left.n != right.n:
         raise KindMismatch(
             f"cannot compare {left.kind.value} with {right.kind.value}"
         )
-    if left.kind is ObjectKind.PRODUCT_TRIPLE_2D:
-        return _gate_product(left, right)
-    if left.kind is ObjectKind.METRIC_2D:
-        return _gate_metric(left, right, sample_point)
-    raise KindMismatch(
-        f"equivalence gate supports METRIC_2D and PRODUCT_TRIPLE_2D, not {left.kind.value}"
-    )
-
-
-def _gate_product(left: GeometricSection, right: GeometricSection) -> EquivalenceVerdict:
-    cl = _require_constant(product_constants(left), "c", "left")
-    cr = _require_constant(product_constants(right), "c", "right")
+    spec = left.kind.spec
+    name = spec.scaled_constant
+    if name is None:
+        raise KindMismatch(
+            f"equivalence gate supports METRIC_2D and PRODUCT_TRIPLE_2D, not {left.kind.value}"
+        )
+    if sample_point is not None and len(sample_point) != left.n:
+        raise InputFormatError(
+            f"sample point {_point_str(sample_point)} needs {left.n} coordinates,"
+            f" got {len(sample_point)}"
+        )
+    cl = _require_constant(structure_report(left, {})[0], name, "left")
+    cr = _require_constant(structure_report(right, {})[0], name, "right")
     reasons = []
+    point = None
+    if spec.sign_test:
+        ctx = left.context
+        point = (
+            tuple(Fraction(v) for v in sample_point)
+            if sample_point is not None
+            else ctx.default_point()[: ctx.n]
+        )
+        det_l = nondegeneracy(left).evaluate(_full_point(ctx, point))
+        det_r = nondegeneracy(right).evaluate(_full_point(right.context, point))
+        if det_l * det_r < 0:
+            reasons.append(
+                f"determinant signs differ at sample point {_point_str(point)}:"
+                f" det = {det_l} vs {det_r}, but pullback forces det(w)*Delta^2 = det(w_bar)"
+            )
     if cl.is_zero() != cr.is_zero():
         zero_side = "left" if cl.is_zero() else "right"
         reasons.append(
-            f"constant c is 0 on the {zero_side} side only ({cl} vs {cr}):"
-            " c rescales as c/a, so 0 = a*c is impossible for a != 0"
-        )
-    status = OBSTRUCTED if reasons else NECESSARY_PASS
-    return EquivalenceVerdict(status=status, reasons=reasons)
-
-
-def _gate_metric(
-    left: GeometricSection,
-    right: GeometricSection,
-    sample_point: Optional[Sequence[Fraction]],
-) -> EquivalenceVerdict:
-    ml = curvature.Metric2D.from_section(left)
-    mr = curvature.Metric2D.from_section(right)
-    cl = _require_constant(curvature.metric_constants(ml), "c1", "left")
-    cr = _require_constant(curvature.metric_constants(mr), "c1", "right")
-    ctx = ml.context
-    point = (
-        tuple(Fraction(v) for v in sample_point)
-        if sample_point is not None
-        else ctx.default_point()[: ctx.n]
-    )
-    full_left = _full_point(ml.context, point)
-    full_right = _full_point(mr.context, point)
-    det_l = ml.det().evaluate(full_left)
-    det_r = mr.det().evaluate(full_right)
-    reasons = []
-    if (det_l > 0) != (det_r > 0):
-        reasons.append(
-            f"determinant signs differ at sample point {_point_str(point)}:"
-            f" det = {det_l} vs {det_r}, but pullback forces det(w)*Delta^2 = det(w_bar)"
-        )
-    if cl.is_zero() != cr.is_zero():
-        zero_side = "left" if cl.is_zero() else "right"
-        reasons.append(
-            f"constant c1 is 0 on the {zero_side} side only ({cl} vs {cr}):"
-            " c1 rescales as c1/a, so 0 = a*c1 is impossible for a != 0"
+            f"constant {name} is 0 on the {zero_side} side only ({cl} vs {cr}):"
+            f" {name} rescales as {name}/a, so 0 = a*{name} is impossible for a != 0"
         )
     status = OBSTRUCTED if reasons else NECESSARY_PASS
     return EquivalenceVerdict(status=status, reasons=reasons, sample_point=point)
@@ -361,3 +340,67 @@ def contact_pair_forms(sec: GeometricSection) -> Tuple[DifferentialForm, Differe
         raise KindMismatch("expected a CONTACT_PAIR_3D section")
     a1, a2, a3, b23, b31, b12 = sec.components
     return one_form(sec.context, [a1, a2, a3]), two_form_cyclic(sec.context, b23, b31, b12)
+
+
+# ----------------------------------------------------------------------
+# the compute pipeline of each kind
+# ----------------------------------------------------------------------
+#
+# Each builder maps (section, extra expressions of the section file) to the
+# structure report and the residual lines of ``vessiot compute``.  Engine
+# functions are looked up by name at call time, so that wrappers installed on
+# this module or on ``curvature`` see every call.
+
+
+def _product_report(sec, extras):
+    report = product_constants(sec)
+    return report, [str(r) for r in report.jacobi_residuals]
+
+
+def _metric_report(sec, extras):
+    return curvature.metric_constants(curvature.Metric2D.from_section(sec)), []
+
+
+def _affine_1d_report(sec, extras):
+    gamma = extras.get("gamma", sec.context.zero())
+    return affine_constant_1d(sec.components[0], gamma), []
+
+
+def _projective_1d_report(sec, extras):
+    nu = extras.get("nu", sec.context.zero())
+    return _residual_report("PROJECTIVE_1D", projective_residual_1d(sec.components[0], nu)), []
+
+
+def _affine_2d_report(sec, extras):
+    data = curvature.affine_flatness(curvature.Connection2D.from_section(sec))
+    first = next((c for _, c in sorted(data.riemann.items()) if not c.is_zero()), None)
+    return _residual_report("AFFINE_2D", first), data.residual_lines()
+
+
+def _contact_report(sec, extras):
+    report = contact_constants(*contact_pair_forms(sec))
+    return report, [str(r) for r in report.jacobi_residuals]
+
+
+def _residual_report(kind: str, residual: Optional[Expression]) -> StructureReport:
+    """A constant-free report, integrable iff the residual vanishes."""
+    if residual is None or residual.is_zero():
+        return StructureReport(kind=kind, constants={}, integrable=True)
+    return StructureReport(kind=kind, constants={}, integrable=False, residual=residual)
+
+
+_BUILDERS = {
+    ObjectKind.ONE_FORM_1D: _affine_1d_report,
+    ObjectKind.CHRISTOFFEL_1D: _projective_1d_report,
+    ObjectKind.METRIC_2D: _metric_report,
+    ObjectKind.PRODUCT_TRIPLE_2D: _product_report,
+    ObjectKind.CHRISTOFFEL_2D: _affine_2d_report,
+    ObjectKind.CONTACT_PAIR_3D: _contact_report,
+}
+
+
+def structure_report(
+    sec: GeometricSection, extras: Dict[str, Expression]
+) -> Tuple[StructureReport, List[str]]:
+    """The structure report of a section and its residual lines, by kind."""
+    return _BUILDERS[sec.kind](sec, extras)

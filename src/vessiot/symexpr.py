@@ -840,17 +840,29 @@ def _tokenize(text: str) -> Iterator[tuple]:
     yield ("end", None, len(text))
 
 
+# Each nesting level costs the recursive descent at most five stack frames, so
+# this cap keeps a parse far below the interpreter's default recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
     Precedence: ``^`` > unary ``-`` > ``*``/``/`` > ``+``/``-``, all binary
     operators left-associative; ``^`` only takes integer literal exponents.
+    Parentheses and unary minus nest at most ``MAX_NESTING`` deep.
     """
 
     def __init__(self, text: str, context: Context):
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.context = context
+        self.depth = 0
+
+    def nest(self, at: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", at)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -903,10 +915,13 @@ class _Parser:
                 return left
 
     def unary(self) -> Expression:
-        kind, val, _ = self.peek()
+        kind, val, at = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return -self.unary()
+            self.nest(at)
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> Expression:
@@ -938,8 +953,10 @@ class _Parser:
             return -val
         if kind == "op" and val == "(":
             self.advance()
+            self.nest(at)
             value = self.exponent()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ExprSyntaxError("expected integer exponent", at)
 
@@ -955,8 +972,10 @@ class _Parser:
                 return self.context.parameter(val)
             raise UnknownIdentifier(f"unknown identifier {val!r}", at)
         if kind == "op" and val == "(":
+            self.nest(at)
             expr = self.sum()
             self.expect_op(")")
+            self.depth -= 1
             return expr
         raise ExprSyntaxError(
             "expected integer, identifier or parenthesized expression", at

@@ -150,6 +150,41 @@ class TestEquivalence:
         assert code == 1
         assert json.loads(out)["result"]["sample_point"] == ["5", "7"]
 
+    def test_zero_determinant_at_sample_point_passes(self, capsys, tmp_path):
+        # det(w) = x1 - 1 vanishes at (1, 3): no sign can be read there
+        path = write(
+            tmp_path, "shifted.section", "kind = METRIC_2D\nw11 = x1 - 1\nw22 = 1\nw12 = 0\n"
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "equivalence",
+            "--left",
+            path,
+            "--right",
+            str(SECTIONS / "metric_euclidean.section"),
+            "--sample-point",
+            "1,3",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "NecessaryConditionsPass"
+        assert payload["result"]["sample_point"] == ["1", "3"]
+
+    def test_sample_point_wrong_length_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "equivalence",
+            "--left",
+            str(SECTIONS / "metric_euclidean.section"),
+            "--right",
+            str(SECTIONS / "metric_half_plane.section"),
+            "--sample-point",
+            "1,2,3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "needs 2 coordinates" in err
+
     def test_not_integrable_input(self, capsys, tmp_path):
         path = write(
             tmp_path,
@@ -166,6 +201,18 @@ class TestEquivalence:
         )
         assert code == 1
         assert json.loads(out)["verdict"] == "NotIntegrable"
+
+
+class TestHostileInput:
+    def test_deep_parentheses_exit_two(self, capsys, tmp_path):
+        w3 = "(" * 3000 + "1" + ")" * 3000
+        path = write(
+            tmp_path, "deep.section", f"kind = PRODUCT_TRIPLE_2D\nw1 = 0\nw2 = 0\nw3 = {w3}\n"
+        )
+        code, out, err = run_cli(capsys, "compute", "--section", path)
+        assert code == 2
+        assert out == ""
+        assert "nesting" in err
 
 
 class TestDims:

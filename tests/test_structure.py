@@ -16,6 +16,7 @@ import vessiot
 from vessiot.errors import (
     DegeneratePair,
     DegenerateSection,
+    InputFormatError,
     KindMismatch,
     NotAPerfectSquare,
     NotIntegrable,
@@ -330,6 +331,26 @@ class TestEquivalenceGate:
         )
         assert verdict.obstructed
         assert verdict.sample_point == (Fraction(5), Fraction(-1))
+
+    def test_zero_determinant_never_obstructs(self):
+        shifted = section(ObjectKind.METRIC_2D, [parse_in("x1 - 1", CTX2), CTX2.one(), CTX2.zero()])
+        for point in ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(3))):
+            verdict = equivalence_gate(shifted, euclidean_metric(), sample_point=point)
+            assert not verdict.obstructed
+            assert verdict.sample_point == point
+        verdict = equivalence_gate(
+            shifted, indefinite_metric(), sample_point=(Fraction(1), Fraction(3))
+        )
+        assert not verdict.obstructed
+
+    def test_sample_point_length_checked(self):
+        for point in ((Fraction(1),), (Fraction(1), Fraction(2), Fraction(3))):
+            for left, right in (
+                (euclidean_metric(), indefinite_metric()),
+                (flat_product(), projective_product()),
+            ):
+                with pytest.raises(InputFormatError):
+                    equivalence_gate(left, right, sample_point=point)
 
     def test_not_integrable_rejected(self):
         w3 = parse_in("1/(x2 - x1)^3", CTX2)

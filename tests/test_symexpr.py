@@ -66,6 +66,22 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("2x1", 2)
 
+    def test_deep_parentheses_rejected(self):
+        assert parse("(" * 100 + "x1" + ")" * 100, 2) == parse("x1", 2)
+        assert parse("x1^" + "(" * 100 + "2" + ")" * 100, 2) == parse("x1^2", 2)
+        for depth in (101, 3000):
+            with pytest.raises(ExprSyntaxError, match="nesting"):
+                parse("(" * depth + "1" + ")" * depth, 2)
+        with pytest.raises(ExprSyntaxError, match="nesting"):
+            parse("x1^" + "(" * 3000 + "2" + ")" * 3000, 2)
+
+    def test_long_unary_minus_chain_rejected(self):
+        assert parse("- " * 100 + "1", 2) == parse("1", 2)
+        with pytest.raises(ExprSyntaxError, match="nesting"):
+            parse("- " * 3000 + "1", 2)
+        with pytest.raises(ExprSyntaxError, match="nesting"):
+            parse("-(" * 51 + "1" + ")" * 51, 2)
+
 
 class TestArithmetic:
     def test_additive_inverse(self):
