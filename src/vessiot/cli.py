@@ -8,6 +8,7 @@ section, and 2 on broken input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from . import curvature as curvature_mod
 from . import jetcalc, lieops, structure
-from .errors import NotIntegrable, VessiotError
+from .errors import InputFormatError, NotIntegrable, VessiotError
 from .lieops import ObjectKind
 
 PASS_EXIT = 0
@@ -23,7 +24,9 @@ OBSTRUCTION_EXIT = 1
 USAGE_EXIT = 2
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="vessiot",
         description="Structure constants and equivalence obstructions of geometric structures.",
@@ -128,6 +131,8 @@ def _cmd_equivalence(args) -> Tuple[dict, int]:
 
 
 def _cmd_dims(args) -> Tuple[dict, int]:
+    if args.n < 1:
+        raise InputFormatError(f"--n must be at least 1, got {args.n}")
     table = jetcalc.dim_table(args.n, args.f1)
     payload = _payload(
         "dims", {"f1": table.f1, "n": args.n}, table.to_json_dict(), [], "ok"

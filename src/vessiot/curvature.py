@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import DegenerateMetric, NotProportional
 from .lieops import CHRISTOFFEL_2D_INDICES, GeometricSection, ObjectKind
 from .reports import StructureReport
-from .symexpr import Context, Expression
+from .symexpr import Context, Expression, common_denominator
 
 IJ = ((1, 1), (2, 2), (1, 2))
 
@@ -130,25 +130,32 @@ class CurvatureData:
 
 
 def christoffel(metric: Metric2D) -> Connection2D:
-    """Levi-Civita connection gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij)."""
-    det = metric.det()
+    """Levi-Civita connection gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij).
+
+    With the metric over its common denominator d, w = W/d, each component is
+    one quotient sum_r adj(W)^{kr} N_rij / (2 det(W) d) of polynomials, where
+    N_rij = d (d_i W_rj + d_j W_ir - d_r W_ij) - (W_rj d_i d + W_ir d_j d - W_ij d_r d).
+    """
+    d = common_denominator((metric.w11, metric.w22, metric.w12))
+    poly = metric.scaled(d)
+    det = poly.det()
     if det.is_zero():
         raise DegenerateMetric("det(w) is identically zero")
-    ctx = metric.context
-    half = ctx.rational("1/2")
-    out: Dict[Tuple[int, int, int], Expression] = {}
-    for k in (1, 2):
-        for i, j in IJ:
-            total = ctx.zero()
-            for r in (1, 2):
-                inner = (
-                    metric.component(r, j).diff(i)
-                    + metric.component(i, r).diff(j)
-                    - metric.component(i, j).diff(r)
-                )
-                total = total + metric.inverse_component(k, r) * inner
-            out[(k, i, j)] = half * total
-    return Connection2D(out)
+    W = poly.component
+    dd = {i: d.diff(i) for i in (1, 2)}
+    numer = {
+        (r, i, j): d * (W(r, j).diff(i) + W(i, r).diff(j) - W(i, j).diff(r))
+        - (W(r, j) * dd[i] + W(i, r) * dd[j] - W(i, j) * dd[r])
+        for r in (1, 2)
+        for i, j in IJ
+    }
+    adj = {(1, 1): poly.w22, (2, 2): poly.w11, (1, 2): -poly.w12, (2, 1): -poly.w12}
+    denom = metric.context.rational(2) * det * d
+    return Connection2D({
+        (k, i, j): (adj[(k, 1)] * numer[(1, i, j)] + adj[(k, 2)] * numer[(2, i, j)]) / denom
+        for k in (1, 2)
+        for i, j in IJ
+    })
 
 
 def riemann(conn: Connection2D) -> CurvatureData:
@@ -156,30 +163,33 @@ def riemann(conn: Connection2D) -> CurvatureData:
 
     rho^k_{l,ij} = d_i g^k_lj - d_j g^k_li + g^r_lj g^k_ri - g^r_li g^k_rj,
     Ricci rho_ij = rho^r_{i,rj}, and the n = 2 split (phi, sym) of Ricci.
+    With e the common denominator of the connection and G = e*g polynomial,
+    e^2 rho^k_{l,ij} = d_i G^k_lj e - G^k_lj d_i e - d_j G^k_li e + G^k_li d_j e
+    + G^r_lj G^k_ri - G^r_li G^k_rj, and only the division by e^2 reduces.
     """
-    ctx = conn.context
+    e = common_denominator(conn.components.values())
+    de = {i: e.diff(i) for i in (1, 2)}
+    e2 = e * e
+    G = Connection2D({key: c * e for key, c in conn.components.items()}).gamma
 
     def rho(k: int, l: int, i: int, j: int) -> Expression:
-        total = conn.gamma(k, l, j).diff(i) - conn.gamma(k, l, i).diff(j)
+        a, b = G(k, l, j), G(k, l, i)
+        total = a.diff(i) * e - a * de[i] - b.diff(j) * e + b * de[j]
         for r in (1, 2):
-            total = total + conn.gamma(r, l, j) * conn.gamma(k, r, i)
-            total = total - conn.gamma(r, l, i) * conn.gamma(k, r, j)
-        return total
+            total = total + G(r, l, j) * G(k, r, i) - G(r, l, i) * G(k, r, j)
+        return total / e2
 
     riem = {(k, l, 1, 2): rho(k, l, 1, 2) for k in (1, 2) for l in (1, 2)}
 
-    def rho_any(k, l, i, j):
-        if i == j:
-            return ctx.zero()
-        return riem[(k, l, 1, 2)] if (i, j) == (1, 2) else -riem[(k, l, 1, 2)]
-
+    # rho^k_{l,ii} = 0, so each Ricci component is one stored component
     ricci = {
-        (i, j): rho_any(1, i, 1, j) + rho_any(2, i, 2, j)
-        for i in (1, 2)
-        for j in (1, 2)
+        (1, 1): -riem[(2, 1, 1, 2)],
+        (1, 2): riem[(1, 1, 1, 2)],
+        (2, 1): -riem[(2, 2, 1, 2)],
+        (2, 2): riem[(1, 2, 1, 2)],
     }
     phi_12 = ricci[(1, 2)] - ricci[(2, 1)]
-    half = ctx.rational("1/2")
+    half = conn.context.rational("1/2")
     sym = {
         (1, 1): ricci[(1, 1)],
         (2, 2): ricci[(2, 2)],
@@ -195,9 +205,6 @@ def metric_constants(metric: Metric2D) -> StructureReport:
     det(w)^(1/2) against phi_12/2 and is forced to 0 because the Levi-Civita
     connection makes phi vanish identically (checked, not assumed).
     """
-    det = metric.det()
-    if det.is_zero():
-        raise DegenerateMetric("det(w) is identically zero")
     ctx = metric.context
     data = riemann(christoffel(metric))
 

@@ -339,7 +339,10 @@ def parse_section_text(text: str) -> Tuple[GeometricSection, Dict[str, Expressio
 
     params_text = entries.pop("params", "")
     params = tuple(p.strip() for p in params_text.split(",") if p.strip())
-    context = Context(n, params)
+    try:
+        context = Context(n, params)
+    except ValueError as exc:
+        raise InputFormatError(f"bad params header: {exc}") from exc
 
     components = []
     for key in spec.keys:

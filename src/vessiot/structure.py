@@ -96,7 +96,12 @@ def solve_intermediate_product(
         d1 w2 = w9 - w2*w8      d2 w2 = w8 - w2*w7
         d1 w3 = w3*(w4 + w8)    d2 w3 = w3*(w5 + w7)
 
-    The 6x6 system is solvable exactly because the witness w3*(1 - w1*w2)
+    w5, w6, w8 and w9 each enter one relation with coefficient -1 and are
+    eliminated; the remaining 2x2 system in (w4, w7),
+
+        [[1, w2], [w1, 1]] (w4, w7) = (d1 w3/w3 - d2 w2, d2 w3/w3 - d1 w1),
+
+    has determinant 1 - w1*w2, nonzero because the witness w3*(1 - w1*w2)
     does not vanish identically.
     """
     if sec.kind is not ObjectKind.PRODUCT_TRIPLE_2D:
@@ -104,26 +109,15 @@ def solve_intermediate_product(
     if nondegeneracy(sec).is_zero():
         raise DegenerateSection("w3*(1 - w1*w2) is identically zero")
     w1, w2, w3 = sec.components
-    ctx = sec.context
-    one, zero = ctx.one(), ctx.zero()
-    # unknown order: w4, w5, w6, w7, w8, w9
-    matrix = [
-        [w1, -one, zero, zero, zero, zero],
-        [zero, w1, -one, zero, zero, zero],
-        [zero, zero, zero, zero, w2, -one],
-        [zero, zero, zero, w2, -one, zero],
-        [w3, zero, zero, zero, w3, zero],
-        [zero, w3, zero, w3, zero, zero],
-    ]
-    rhs = [
-        -w1.diff(1),
-        -w1.diff(2),
-        -w2.diff(1),
-        -w2.diff(2),
-        w3.diff(1),
-        w3.diff(2),
-    ]
-    return tuple(solve_square(matrix, rhs))
+    one = sec.context.one()
+    d1w1, d2w1, d1w2, d2w2 = w1.diff(1), w1.diff(2), w2.diff(1), w2.diff(2)
+    w4, w7 = solve_square(
+        [[one, w2], [w1, one]],
+        [w3.diff(1) / w3 - d2w2, w3.diff(2) / w3 - d1w1],
+    )
+    w5 = d1w1 + w1 * w4
+    w8 = d2w2 + w2 * w7
+    return w4, w5, d2w1 + w1 * w5, w7, w8, d1w2 + w2 * w8
 
 
 def product_constants(sec: GeometricSection) -> StructureReport:

@@ -335,16 +335,17 @@ def _poly_gcd(a: _Poly, b: _Poly) -> _Poly:
 
 
 def _monomial_gcd(a: _Poly, b: _Poly) -> _Poly:
-    """gcd when at least one operand is a single term: the shared monomial part."""
+    """gcd when at least one operand is a single term: the shared monomial part.
+
+    The single term is scanned first, so a constant operand returns 1 at once.
+    """
     shared = None
-    for p in (a, b):
+    for p in (a, b) if len(a.terms) == 1 else (b, a):
         for mono in p.terms:
-            shared = (
-                list(mono)
-                if shared is None
-                else [min(s, e) for s, e in zip(shared, mono)]
-            )
-    return _Poly({tuple(shared): 1})
+            shared = mono if shared is None else tuple(map(min, shared, mono))
+            if not any(shared):
+                return _Poly({shared: 1})
+    return _Poly({shared: 1})
 
 
 # -- heuristic gcd over integer coefficients ---------------------------
@@ -734,6 +735,19 @@ class Expression:
 
     def __repr__(self) -> str:
         return f"Expression({str(self)!r})"
+
+
+def common_denominator(exprs: Iterable[Expression]) -> Expression:
+    """The lcm of the denominators of one or more expressions, as a polynomial.
+
+    Multiplying each expression by it gives a polynomial, and polynomial
+    arithmetic needs no gcd, so a chain can stay polynomial and reduce once.
+    """
+    exprs = list(exprs)
+    lcm = exprs[0].den
+    for e in exprs[1:]:
+        lcm = lcm * e.den.divexact(_poly_gcd(lcm, e.den))
+    return _from_reduced(exprs[0].context, lcm, _unit_like(lcm))
 
 
 def _canonical_pair(num: _Poly, den: _Poly):

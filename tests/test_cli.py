@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from vessiot.cli import main
+import pytest
+
+from vessiot.cli import build_parser, main
 from vessiot.symexpr import parse
 
 SECTIONS = Path(__file__).resolve().parent.parent / "sections"
@@ -214,8 +216,26 @@ class TestHostileInput:
         assert out == ""
         assert "nesting" in err
 
+    @pytest.mark.parametrize("params", ["x1", "1a"])
+    def test_bad_params_header_exit_two(self, capsys, tmp_path, params):
+        path = write(
+            tmp_path, "params.section",
+            f"kind = PRODUCT_TRIPLE_2D\nparams = {params}\nw1 = 0\nw2 = 0\nw3 = 1\n",
+        )
+        code, out, err = run_cli(capsys, "compute", "--section", path)
+        assert code == 2
+        assert out == ""
+        assert "params" in err and "Traceback" not in err
+
 
 class TestDims:
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_exit_two(self, capsys, n):
+        code, out, err = run_cli(capsys, "dims", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "--n must be at least 1" in err
+
     def test_dimension_diagram(self, capsys):
         code, out, _ = run_cli(capsys, "dims", "--n", "2")
         assert code == 0
@@ -372,6 +392,12 @@ class TestReportHygiene:
 
     def test_unknown_command_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_built_once(self, capsys):
+        parser = build_parser()
+        assert main(["frobnicate"]) == 2
+        assert run_cli(capsys, "dims", "--n", "2")[0] == 0
+        assert build_parser() is parser
 
     def test_degenerate_section_exit_two(self, capsys, tmp_path):
         path = write(

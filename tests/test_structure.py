@@ -24,6 +24,7 @@ from vessiot.errors import (
     ZeroScale,
 )
 from vessiot.forms import one_form, two_form_cyclic
+from vessiot.linalg import solve_square
 from vessiot.lieops import ObjectKind, section
 from vessiot.reports import EquivalenceVerdict, StructureReport
 from vessiot.structure import (
@@ -183,6 +184,35 @@ class TestIntermediateProduct:
         bad = section(ObjectKind.PRODUCT_TRIPLE_2D, [CTX2.one(), CTX2.one(), CTX2.one()])
         with pytest.raises(DegenerateSection):
             solve_intermediate_product(bad)
+
+    @pytest.mark.parametrize("components", [("x1", "0", "0"), ("x1", "1/x1", "x2")])
+    def test_zero_witness_rejected(self, components):
+        bad = section(ObjectKind.PRODUCT_TRIPLE_2D, [parse_in(c, CTX2) for c in components])
+        with pytest.raises(DegenerateSection):
+            solve_intermediate_product(bad)
+
+    def test_matches_six_by_six_solve(self):
+        # reference: the six relations as one 6x6 system in (w4, ..., w9)
+        rng = random.Random(43)
+        sections = [random_product_section(rng) for _ in range(8)]
+        for sec in sections[:4]:
+            w1, w2, w3 = sec.components
+            # w1 = 0 or w2 = 0 changes the pivot order of the 6x6 elimination
+            sections.append(section(ObjectKind.PRODUCT_TRIPLE_2D, [CTX2.zero(), w2, w3]))
+            sections.append(section(ObjectKind.PRODUCT_TRIPLE_2D, [w1, CTX2.zero(), w3]))
+        one, zero = CTX2.one(), CTX2.zero()
+        for sec in sections:
+            w1, w2, w3 = sec.components
+            matrix = [
+                [w1, -one, zero, zero, zero, zero],
+                [zero, w1, -one, zero, zero, zero],
+                [zero, zero, zero, zero, w2, -one],
+                [zero, zero, zero, w2, -one, zero],
+                [w3, zero, zero, zero, w3, zero],
+                [zero, w3, zero, w3, zero, zero],
+            ]
+            rhs = [-w1.diff(1), -w1.diff(2), -w2.diff(1), -w2.diff(2), w3.diff(1), w3.diff(2)]
+            assert list(solve_intermediate_product(sec)) == solve_square(matrix, rhs)
 
 
 class TestProductConstants:
