@@ -2,7 +2,8 @@
 
 Every command prints one report (JSON by default, sorted keys) and exits 0 on
 an integrable/passing outcome, 1 on a computed obstruction or non-integrable
-section, and 2 on broken input or usage errors.
+section, 2 on broken input or usage errors, and 3 when the engine itself fails
+(a violated internal invariant: a bug, never a verdict on the input).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .lieops import ObjectKind
 PASS_EXIT = 0
 OBSTRUCTION_EXIT = 1
 USAGE_EXIT = 2
+INTERNAL_EXIT = 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,6 +87,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (VessiotError, OSError) as exc:
         print(f"vessiot: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except Exception as exc:
+        print(f"vessiot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
     _emit(payload, args.format)
     return code
 
@@ -167,10 +172,9 @@ def _cmd_curvature(args) -> Tuple[dict, int]:
     inputs = {"section": args.section}
     if sec.kind is ObjectKind.METRIC_2D:
         metric = curvature_mod.Metric2D.from_section(sec)
-        data = curvature_mod.riemann(curvature_mod.christoffel(metric))
         report = curvature_mod.metric_constants(metric)
         result = {
-            "curvature": data.to_json_dict(),
+            "curvature": metric.curvature().to_json_dict(),
             "det": str(metric.det()),
             "report": report.to_json_dict(),
         }

@@ -50,6 +50,14 @@ class Metric2D:
     def _det(self) -> Expression:
         return self.w11 * self.w22 - self.w12 * self.w12
 
+    def curvature(self) -> "CurvatureData":
+        """Curvature of the Levi-Civita connection, computed once per metric."""
+        return self._curvature
+
+    @cached_property
+    def _curvature(self) -> "CurvatureData":
+        return riemann(christoffel(self))
+
     def inverse_component(self, i: int, j: int) -> Expression:
         det = self.det()
         if det.is_zero():
@@ -206,7 +214,7 @@ def metric_constants(metric: Metric2D) -> StructureReport:
     connection makes phi vanish identically (checked, not assumed).
     """
     ctx = metric.context
-    data = riemann(christoffel(metric))
+    data = metric.curvature()
 
     quotient: Optional[Expression] = None
     for i, j in IJ:

@@ -260,13 +260,7 @@ def symbol_dimension(
         matrix = [[eq.coefficient(jv, context) for jv in variables] for eq in rows]
         rank = linalg.rank_rational(matrix, Expression.is_zero)
     else:
-        point = (
-            tuple(Fraction(v) for v in sample_point)
-            if sample_point is not None
-            else context.default_point()
-        )
-        if len(point) < context.nvars:
-            point = point + context.default_point()[len(point):]
+        point = context.complete_point(sample_point)
         matrix = [
             [eq.coefficient(jv, context).evaluate(point) for jv in variables]
             for eq in rows

@@ -227,14 +227,9 @@ def equivalence_gate(
     reasons = []
     point = None
     if spec.sign_test:
-        ctx = left.context
-        point = (
-            tuple(Fraction(v) for v in sample_point)
-            if sample_point is not None
-            else ctx.default_point()[: ctx.n]
-        )
-        det_l = nondegeneracy(left).evaluate(_full_point(ctx, point))
-        det_r = nondegeneracy(right).evaluate(_full_point(right.context, point))
+        point = left.context.complete_point(sample_point)[: left.n]
+        det_l = nondegeneracy(left).evaluate(left.context.complete_point(point))
+        det_r = nondegeneracy(right).evaluate(right.context.complete_point(point))
         if det_l * det_r < 0:
             reasons.append(
                 f"determinant signs differ at sample point {_point_str(point)}:"
@@ -248,13 +243,6 @@ def equivalence_gate(
         )
     status = OBSTRUCTED if reasons else NECESSARY_PASS
     return EquivalenceVerdict(status=status, reasons=reasons, sample_point=point)
-
-
-def _full_point(ctx: Context, point: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    point = tuple(Fraction(v) for v in point)
-    if len(point) < ctx.nvars:
-        point = point + ctx.default_point()[len(point):]
-    return point
 
 
 def _point_str(point: Sequence[Fraction]) -> str:

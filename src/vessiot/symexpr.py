@@ -112,6 +112,12 @@ class Context:
         """Default sample point: variable j evaluates to j + 2 (so x^i = i + 1)."""
         return tuple(Fraction(j + 2) for j in range(self.nvars))
 
+    def complete_point(self, point: Optional[Sequence] = None) -> tuple:
+        """The given values as Fractions, followed by the default point's values
+        for the variables they leave out; the default point when none is given."""
+        point = () if point is None else tuple(Fraction(v) for v in point)
+        return point + self.default_point()[len(point):]
+
 
 # ----------------------------------------------------------------------
 # sparse multivariate polynomials (internal)
@@ -323,10 +329,10 @@ def _poly_gcd(a: _Poly, b: _Poly) -> _Poly:
         return _primitive(a)[0]
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _monomial_gcd(a, b)
-    if a.terms == b.terms:
-        return _primitive(a)[0]
     a = _primitive(a)[0]
     b = _primitive(b)[0]
+    if a.terms == b.terms:  # equal up to a constant factor, sign included
+        return a
     heuristic = _heu_gcd(a, b)
     if heuristic is not None:
         return heuristic
@@ -543,10 +549,9 @@ class Expression:
     __slots__ = ("context", "num", "den")
 
     def __init__(self, context: Context, num: _Poly, den: _Poly):
-        num, den = _canonical_pair(num, den)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if num.terms and den.terms:  # _fill settles a zero num or den
+            num, den, _ = _cancel(num, den)
+        _fill(self, context, num, den)
 
     def __setattr__(self, *args):
         raise AttributeError("Expression is immutable")
@@ -587,20 +592,12 @@ class Expression:
         self._check(other)
         na, da, nb, db = self.num, self.den, other.num, other.den
         if da == db:
-            t = na + nb
-            g2 = _poly_gcd(t, da)
-            if _is_unit_poly(g2) or t.is_zero():
-                return _from_reduced(self.context, t, da)
-            return _from_reduced(self.context, t.divexact(g2), da.divexact(g2))
-        g = _poly_gcd(da, db)
-        if _is_unit_poly(g):
-            return _from_reduced(self.context, na * db + nb * da, da * db)
-        s = da.divexact(g)
-        t = na * db.divexact(g) + nb * s
-        g2 = _poly_gcd(t, g)
-        if _is_unit_poly(g2) or t.is_zero():
-            return _from_reduced(self.context, t, s * db)
-        return _from_reduced(self.context, t.divexact(g2), s * db.divexact(g2))
+            t, d, _ = _cancel(na + nb, da)
+            return _from_reduced(self.context, t, d)
+        # da = s*g and db = e*g; of g, only the part coprime to t stays
+        s, e, g = _cancel(da, db)
+        t, h, _ = _cancel(na * e + nb * s, g)
+        return _from_reduced(self.context, t, s * (e * h))
 
     def __sub__(self, other: "Expression") -> "Expression":
         return self + (-other)
@@ -610,31 +607,15 @@ class Expression:
 
     def __mul__(self, other: "Expression") -> "Expression":
         self._check(other)
-        na, da, nb, db = self.num, self.den, other.num, other.den
-        g1 = _poly_gcd(na, db)
-        if not _is_unit_poly(g1):
-            na = na.divexact(g1)
-            db = db.divexact(g1)
-        g2 = _poly_gcd(nb, da)
-        if not _is_unit_poly(g2):
-            nb = nb.divexact(g2)
-            da = da.divexact(g2)
+        na, db, _ = _cancel(self.num, other.den)
+        nb, da, _ = _cancel(other.num, self.den)
         return _from_reduced(self.context, na * nb, da * db)
 
     def __truediv__(self, other: "Expression") -> "Expression":
         self._check(other)
         if other.num.is_zero():
             raise DivisionByZero("division by an expression that normalizes to 0")
-        na, da, nb, db = self.num, self.den, other.num, other.den
-        g1 = _poly_gcd(na, nb)
-        if not _is_unit_poly(g1):
-            na = na.divexact(g1)
-            nb = nb.divexact(g1)
-        g2 = _poly_gcd(db, da)
-        if not _is_unit_poly(g2):
-            db = db.divexact(g2)
-            da = da.divexact(g2)
-        return _from_reduced(self.context, na * db, da * nb)
+        return self * _from_reduced(self.context, other.den, other.num)
 
     def __pow__(self, k: int) -> "Expression":
         if not isinstance(k, int):
@@ -661,11 +642,8 @@ class Expression:
         if dd.is_zero():
             return Expression(self.context, n.diff(slot), d)
         # deflate the shared factor of d and d' before the quotient rule
-        g = _poly_gcd(d, dd)
-        if _is_unit_poly(g):
-            return Expression(self.context, n.diff(slot) * d - n * dd, d * d)
-        e = d.divexact(g)
-        return Expression(self.context, n.diff(slot) * e - n * dd.divexact(g), d * e)
+        e, de, _ = _cancel(d, dd)
+        return Expression(self.context, n.diff(slot) * e - n * de, d * e)
 
     def sqrt(self) -> Optional["Expression"]:
         """Rational square root with positive leading coefficient, if one exists."""
@@ -746,40 +724,37 @@ def common_denominator(exprs: Iterable[Expression]) -> Expression:
     exprs = list(exprs)
     lcm = exprs[0].den
     for e in exprs[1:]:
-        lcm = lcm * e.den.divexact(_poly_gcd(lcm, e.den))
-    return _from_reduced(exprs[0].context, lcm, _unit_like(lcm))
+        lcm = lcm * _cancel(lcm, e.den)[1]
+    return _from_reduced(exprs[0].context, lcm, _pconst(lcm.nvars(), 1))
 
 
-def _canonical_pair(num: _Poly, den: _Poly):
-    if den.is_zero():
-        raise DivisionByZero("zero denominator")
-    if num.is_zero():
-        return _PZERO, _unit_like(den)
-    g = _poly_gcd(num, den)
-    if not _is_unit_poly(g):
-        num = num.divexact(g)
-        den = den.divexact(g)
-    den, num = _primitive(den, num)
-    return num, den
+def _cancel(a: _Poly, b: _Poly) -> tuple:
+    """(a/g, b/g, g) for the primitive gcd g of a and b; a and b themselves
+    when g is 1.  The one place where a common factor is divided out."""
+    g = _poly_gcd(a, b)
+    if _is_unit_poly(g):
+        return a, b, g
+    return a.divexact(g), b.divexact(g), g
 
 
 def _from_reduced(context: Context, num: _Poly, den: _Poly) -> "Expression":
     """Build an Expression from an already-coprime numerator/denominator pair."""
+    return _fill(object.__new__(Expression), context, num, den)
+
+
+def _fill(expr: "Expression", context: Context, num: _Poly, den: _Poly) -> "Expression":
+    """Store a coprime pair in expr, scaled to unit content across the pair and
+    a positive leading denominator coefficient."""
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
-        den = _unit_like(den)
+        den = _pconst(den.nvars(), 1)
     else:
         den, num = _primitive(den, num)
-    expr = object.__new__(Expression)
     object.__setattr__(expr, "context", context)
     object.__setattr__(expr, "num", num)
     object.__setattr__(expr, "den", den)
     return expr
-
-
-def _unit_like(den: _Poly) -> _Poly:
-    return _pconst(den.nvars(), 1)
 
 
 def _is_unit_poly(p: _Poly) -> bool:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from vessiot import curvature, structure
 from vessiot.cli import build_parser, main
 from vessiot.symexpr import parse
 
@@ -340,6 +341,47 @@ class TestCurvature:
         assert code == 2
         assert "METRIC_2D" in err
 
+    def test_chain_runs_once(self, capsys, monkeypatch):
+        # the curvature data and the constants share one Christoffel->Riemann chain
+        calls = []
+        original = curvature.riemann
+
+        def counting(conn):
+            calls.append(conn)
+            return original(conn)
+
+        monkeypatch.setattr(curvature, "riemann", counting)
+        path = str(SECTIONS / "metric_half_plane.section")
+        code, out, _ = run_cli(capsys, "curvature", "--section", path)
+        assert code == 0
+        assert len(calls) == 1
+        k = "-1/(x2^2)"
+        expected = {
+            "command": "curvature",
+            "inputs": {"section": path},
+            "residuals": [],
+            "result": {
+                "curvature": {
+                    "phi_12": "0",
+                    "ricci": {"r11": k, "r12": "0", "r21": "0", "r22": k},
+                    "riemann": {
+                        "r1_1,12": "0", "r1_2,12": k, "r2_1,12": "1/(x2^2)", "r2_2,12": "0",
+                    },
+                    "sym": {"s11": k, "s12": "0", "s22": k},
+                },
+                "det": "1/(x2^4)",
+                "report": {
+                    "constants": {"c1": "-1", "c2": "0"},
+                    "integrable": True,
+                    "jacobi_residuals": [],
+                    "kind": "METRIC_2D",
+                    "residual": None,
+                },
+            },
+            "verdict": "integrable",
+        }
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 class TestReportHygiene:
     def test_byte_determinism(self, capsys):
@@ -389,6 +431,19 @@ class TestReportHygiene:
         )
         code, _, err = run_cli(capsys, "compute", "--section", path)
         assert code == 2
+
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        def broken(sec, extras):
+            raise RuntimeError("Jacobi identity c' = c'' violated")
+
+        monkeypatch.setattr(structure, "structure_report", broken)
+        code, out, err = run_cli(
+            capsys, "compute", "--section", str(SECTIONS / "product_flat.section")
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "vessiot: internal error: RuntimeError: Jacobi identity c' = c'' violated\n"
+        assert "Traceback" not in err
 
     def test_unknown_command_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -82,6 +82,29 @@ class TestArithmetic:
         assert_same_function(e / f, sympy.cancel(expr_sympy(e) / expr_sympy(f)))
 
 
+# denominators with a repeated factor, so that d and d' share a factor
+_X1 = _Poly({(1, 0, 0): 1})
+_X1_PLUS_X2 = _Poly({(1, 0, 0): 1, (0, 1, 0): 1})
+_multilinear = _polys(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), 1)
+repeated_denominators = st.one_of(
+    st.just(_X1_PLUS_X2.pow(3) * _X1.pow(2)),
+    st.builds(lambda f, k, g: f.pow(k) * g, _multilinear, st.integers(2, 3), _multilinear),
+)
+diff_operands = st.one_of(
+    expressions,
+    st.builds(lambda n, d: Expression(CTX, n, d), _polys(_monomials), repeated_denominators),
+)
+
+
+class TestDiff:
+    @ORACLE
+    @given(diff_operands, st.sampled_from([1, 2]))
+    def test_against_sympy(self, e, i):
+        reference = sympy.cancel(sympy.diff(expr_sympy(e), SYMS[i - 1]))
+        # also asserts that the result pair is coprime
+        assert_same_function(e.diff(i), reference)
+
+
 class TestGcd:
     @ORACLE
     @given(nonzero_polys, nonzero_polys, nonzero_polys)

@@ -1,0 +1,41 @@
+"""The engine is standard-library only: every absolute import in
+``src/vessiot`` names a module of the Python standard library.
+
+Relative imports (``from . import``, ``from .errors import``) stay inside the
+package and are not checked.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vessiot"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def top_level_imports(source: str) -> set:
+    """Top-level module names of the absolute imports in Python source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_modules_found():
+    assert SRC / "symexpr.py" in MODULES
+
+
+def test_checker_sees_absolute_imports_only():
+    source = "import os.path\nfrom sympy import cancel\nfrom . import cli\nfrom .errors import X\n"
+    assert top_level_imports(source) == {"os", "sympy"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_stdlib_only(path):
+    imported = top_level_imports(path.read_text(encoding="utf-8"))
+    assert imported - sys.stdlib_module_names == set()

@@ -196,6 +196,22 @@ class TestProperties:
             e.evaluate([Fraction(1)])
 
 
+class TestCompletePoint:
+    def test_padding(self):
+        ctx = Context(2, ["a"])
+        assert ctx.complete_point() == ctx.default_point() == (2, 3, 4)
+        assert ctx.complete_point([5]) == (5, 3, 4)
+        assert ctx.complete_point(["1/2", 7, 0]) == (Fraction(1, 2), 7, 0)
+        assert all(type(v) is Fraction for v in ctx.complete_point([1]))
+
+    def test_long_point_kept_for_evaluate_to_refuse(self):
+        ctx = Context(1)
+        point = ctx.complete_point([1, 2])
+        assert point == (1, 2)
+        with pytest.raises(ValueError):
+            ctx.coordinate(1).evaluate(point)
+
+
 class TestSqrt:
     def test_reciprocal_square(self):
         assert parse("1/x1^2", 1).sqrt() == parse("1/x1", 1)
