@@ -138,6 +138,8 @@ def _cmd_equivalence(args) -> Tuple[dict, int]:
 def _cmd_dims(args) -> Tuple[dict, int]:
     if args.n < 1:
         raise InputFormatError(f"--n must be at least 1, got {args.n}")
+    if args.f1 is not None and args.f1 < 0:
+        raise InputFormatError(f"--f1 must be at least 0, got {args.f1}")
     table = jetcalc.dim_table(args.n, args.f1)
     payload = _payload(
         "dims", {"f1": table.f1, "n": args.n}, table.to_json_dict(), [], "ok"

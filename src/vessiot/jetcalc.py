@@ -103,37 +103,12 @@ class LinearJetEquation:
     def __add__(self, other: "LinearJetEquation") -> "LinearJetEquation":
         out = dict(self.terms)
         for jv, c in other.terms.items():
-            if jv in out:
-                out[jv] = out[jv] + c
-            else:
-                out[jv] = c
-        return LinearJetEquation(out)
-
-    def __sub__(self, other: "LinearJetEquation") -> "LinearJetEquation":
-        out = dict(self.terms)
-        for jv, c in other.terms.items():
-            if jv in out:
-                out[jv] = out[jv] - c
-            else:
-                out[jv] = -c
+            add_term(out, jv, c)
         return LinearJetEquation(out)
 
     def leading(self) -> Tuple[JetVariable, Expression]:
         jv = max(self.terms, key=JetVariable.sort_key)
         return jv, self.terms[jv]
-
-    def normalized(self) -> "LinearJetEquation":
-        """Scale so the highest jet variable has coefficient 1."""
-        if self.is_zero():
-            return self
-        _, lead = self.leading()
-        return self.scaled(lead.context.one() / lead)
-
-    def canonical_key(self) -> tuple:
-        return tuple(
-            (jv, str(c))
-            for jv, c in sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearJetEquation) and self.terms == other.terms
@@ -160,19 +135,43 @@ class LinearJetEquation:
         return " + ".join(parts).replace("+ -", "- ") + " = 0"
 
 
+def add_term(terms: Dict[JetVariable, Expression], jv: JetVariable, coeff: Expression) -> None:
+    """terms[jv] += coeff, inserting jv when absent."""
+    if jv in terms:
+        terms[jv] = terms[jv] + coeff
+    else:
+        terms[jv] = coeff
+
+
+def proportional(a: LinearJetEquation, b: LinearJetEquation) -> bool:
+    """True iff a = f*b for a nonzero rational function f: the duplicate rule.
+
+    Decided without division: equal supports, then equal terms or every
+    coefficient cross-multiplied against the other side's leading one.
+    """
+    if a.terms.keys() != b.terms.keys():
+        return False
+    if a.terms == b.terms:
+        return True
+    lead, la = a.leading()
+    lb = b.terms[lead]
+    return all(c * lb == b.terms[jv] * la for jv, c in a.terms.items())
+
+
+def system_context(system: Iterable[LinearJetEquation]) -> Context:
+    """The context of a system's coefficients (ValueError if it has none)."""
+    for eq in system:
+        for coeff in eq.terms.values():
+            return coeff.context
+    raise ValueError("a system without nonzero equations has no context")
+
+
 def formal_derivative(eq: LinearJetEquation, i: int) -> LinearJetEquation:
     """Formal total derivative d_i: a*xi^k_mu -> (d_i a)*xi^k_mu + a*xi^k_{mu+1_i}."""
     out: Dict[JetVariable, Expression] = {}
-
-    def bump(jv: JetVariable, c: Expression) -> None:
-        if jv in out:
-            out[jv] = out[jv] + c
-        else:
-            out[jv] = c
-
     for jv, coeff in eq.terms.items():
-        bump(jv, coeff.diff(i))
-        bump(JetVariable(jv.component, mi_bump(jv.index, i)), coeff)
+        add_term(out, jv, coeff.diff(i))
+        add_term(out, JetVariable(jv.component, mi_bump(jv.index, i)), coeff)
     return LinearJetEquation(out)
 
 
@@ -186,42 +185,28 @@ def formal_derivative_multi(eq: LinearJetEquation, mu: MultiIndex) -> LinearJetE
 def prolong(system: Sequence[LinearJetEquation], r: int) -> List[LinearJetEquation]:
     """The system together with all formal derivatives d_mu, |mu| <= r.
 
-    Deduplicated by canonical form after leading-coefficient normalization;
-    zero equations are dropped.
+    Each d_mu is formed once, by applying d_i only after d_j with j <= i.
+    Zero equations and equations proportional to an earlier one are dropped.
     """
     if r < 0:
         raise ValueError("prolongation order must be >= 0")
-    n = _ambient_dim(system)
+    n = system_context(system).n
     out: List[LinearJetEquation] = []
-    seen = set()
+    kept: Dict[frozenset, List[LinearJetEquation]] = {}  # support -> kept equations
 
-    def push(eq: LinearJetEquation) -> None:
-        if eq.is_zero():
-            return
-        key = eq.normalized().canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(eq)
+    def push(level: List[Tuple[LinearJetEquation, int]]) -> None:
+        for eq, _ in level:
+            bucket = kept.setdefault(frozenset(eq.terms), [])
+            if eq.terms and not any(proportional(eq, k) for k in bucket):
+                bucket.append(eq)
+                out.append(eq)
 
-    for eq in system:
-        push(eq)
-    level = list(system)
+    level = [(eq, 1) for eq in system]  # (d_mu E, largest i in mu)
+    push(level)
     for _ in range(r):
-        nxt = []
-        for eq in level:
-            for i in range(1, n + 1):
-                deq = formal_derivative(eq, i)
-                nxt.append(deq)
-                push(deq)
-        level = nxt
+        level = [(formal_derivative(eq, i), i) for eq, j in level for i in range(j, n + 1)]
+        push(level)
     return out
-
-
-def _ambient_dim(system: Sequence[LinearJetEquation]) -> int:
-    for eq in system:
-        for jv, coeff in eq.terms.items():
-            return coeff.context.n
-    raise ValueError("empty system has no ambient dimension")
 
 
 def symbol_dimension(
@@ -235,15 +220,7 @@ def symbol_dimension(
     Coefficients are evaluated at the sample point (default: variable j at
     j + 2) unless ``generic`` asks for exact rank over the function field.
     """
-    context = None
-    for eq in system:
-        for coeff in eq.terms.values():
-            context = coeff.context
-            break
-        if context:
-            break
-    if context is None:
-        raise ValueError("cannot size the symbol of an empty system")
+    context = system_context(system)
     n = context.n
     for eq in system:
         if eq.order > at_order:
@@ -372,7 +349,6 @@ def check_cc_identity(
     """
     ceiling = max_order if max_order is not None else max_jet_order()
     acc: Optional[LinearJetEquation] = None
-    context = None
     for coeff, mu, label in cc:
         if label not in system:
             raise InputFormatError(f"CC references unknown equation label {label!r}")
@@ -381,13 +357,10 @@ def check_cc_identity(
             raise OrderOverflow(
                 f"d_{mu} of an order-{eq.order} equation exceeds max jet order {ceiling}"
             )
-        for c in eq.terms.values():
-            context = c.context
-            break
-        if context is None:
+        if eq.is_zero():
             continue
         derived = formal_derivative_multi(eq, mu)
-        scaled = derived.scaled(context.rational(coeff))
+        scaled = derived.scaled(system_context([eq]).rational(coeff))
         acc = scaled if acc is None else acc + scaled
     if acc is None:
         raise InputFormatError("CC combination is empty")

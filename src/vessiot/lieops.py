@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateSection, InputFormatError, KindMismatch
-from .jetcalc import JetVariable, LinearJetEquation, mi_bump, mi_zero
+from .jetcalc import JetVariable, LinearJetEquation, add_term, mi_bump, mi_zero, proportional
 from .symexpr import Context, Expression, parse_in
 
 
@@ -38,7 +38,7 @@ class KindSpec:
     means the kind has no nondegeneracy condition.  ``scaled_constant`` names
     the structure constant that rescales as c/a under the kind's one-parameter
     rescaling (None: no scaling law, no equivalence gate); ``sign_test`` asks
-    the gate to compare the witness signs at a sample point.
+    the gate to compare the witnesses' fixed signs.
     """
 
     dim: int
@@ -119,18 +119,11 @@ def _jv(k: int, n: int, *coords: int) -> JetVariable:
     return JetVariable(k, mu)
 
 
-def _add(terms: dict, jv: JetVariable, coeff: Expression) -> None:
-    if jv in terms:
-        terms[jv] = terms[jv] + coeff
-    else:
-        terms[jv] = coeff
-
-
 def _one_form_1d(sec: GeometricSection) -> List[LinearJetEquation]:
     alpha = sec.components[0]
     terms: dict = {}
-    _add(terms, _jv(1, 1, 1), alpha)
-    _add(terms, _jv(1, 1), alpha.diff(1))
+    add_term(terms, _jv(1, 1, 1), alpha)
+    add_term(terms, _jv(1, 1), alpha.diff(1))
     return [LinearJetEquation(terms)]
 
 
@@ -138,9 +131,9 @@ def _christoffel_1d(sec: GeometricSection) -> List[LinearJetEquation]:
     gamma = sec.components[0]
     ctx = sec.context
     terms: dict = {}
-    _add(terms, _jv(1, 1, 1, 1), ctx.one())
-    _add(terms, _jv(1, 1, 1), gamma)
-    _add(terms, _jv(1, 1), gamma.diff(1))
+    add_term(terms, _jv(1, 1, 1, 1), ctx.one())
+    add_term(terms, _jv(1, 1, 1), gamma)
+    add_term(terms, _jv(1, 1), gamma.diff(1))
     return [LinearJetEquation(terms)]
 
 
@@ -155,9 +148,9 @@ def _metric_2d(sec: GeometricSection) -> List[LinearJetEquation]:
     for i, j in ((1, 1), (2, 2), (1, 2)):
         terms: dict = {}
         for r in (1, 2):
-            _add(terms, _jv(r, 2, i), w[(r, j)])
-            _add(terms, _jv(r, 2, j), w[(i, r)])
-            _add(terms, _jv(r, 2), w[(i, j)].diff(r))
+            add_term(terms, _jv(r, 2, i), w[(r, j)])
+            add_term(terms, _jv(r, 2, j), w[(i, r)])
+            add_term(terms, _jv(r, 2), w[(i, j)].diff(r))
         out.append(LinearJetEquation(terms))
     return out
 
@@ -168,28 +161,28 @@ def _product_triple_2d(sec: GeometricSection) -> List[LinearJetEquation]:
     one = ctx.one()
 
     t1: dict = {}
-    _add(t1, _jv(1, 2, 2), one)
-    _add(t1, _jv(2, 2, 2), w1)
-    _add(t1, _jv(1, 2, 1), -w1)
-    _add(t1, _jv(2, 2, 1), -(w1 * w1))
-    _add(t1, _jv(1, 2), w1.diff(1))
-    _add(t1, _jv(2, 2), w1.diff(2))
+    add_term(t1, _jv(1, 2, 2), one)
+    add_term(t1, _jv(2, 2, 2), w1)
+    add_term(t1, _jv(1, 2, 1), -w1)
+    add_term(t1, _jv(2, 2, 1), -(w1 * w1))
+    add_term(t1, _jv(1, 2), w1.diff(1))
+    add_term(t1, _jv(2, 2), w1.diff(2))
 
     t2: dict = {}
-    _add(t2, _jv(2, 2, 1), one)
-    _add(t2, _jv(1, 2, 1), w2)
-    _add(t2, _jv(2, 2, 2), -w2)
-    _add(t2, _jv(1, 2, 2), -(w2 * w2))
-    _add(t2, _jv(1, 2), w2.diff(1))
-    _add(t2, _jv(2, 2), w2.diff(2))
+    add_term(t2, _jv(2, 2, 1), one)
+    add_term(t2, _jv(1, 2, 1), w2)
+    add_term(t2, _jv(2, 2, 2), -w2)
+    add_term(t2, _jv(1, 2, 2), -(w2 * w2))
+    add_term(t2, _jv(1, 2), w2.diff(1))
+    add_term(t2, _jv(2, 2), w2.diff(2))
 
     t3: dict = {}
-    _add(t3, _jv(1, 2, 1), w3)
-    _add(t3, _jv(2, 2, 2), w3)
-    _add(t3, _jv(2, 2, 1), w1 * w3)
-    _add(t3, _jv(1, 2, 2), w2 * w3)
-    _add(t3, _jv(1, 2), w3.diff(1))
-    _add(t3, _jv(2, 2), w3.diff(2))
+    add_term(t3, _jv(1, 2, 1), w3)
+    add_term(t3, _jv(2, 2, 2), w3)
+    add_term(t3, _jv(2, 2, 1), w1 * w3)
+    add_term(t3, _jv(1, 2, 2), w2 * w3)
+    add_term(t3, _jv(1, 2), w3.diff(1))
+    add_term(t3, _jv(2, 2), w3.diff(2))
 
     return [LinearJetEquation(t1), LinearJetEquation(t2), LinearJetEquation(t3)]
 
@@ -206,12 +199,12 @@ def _christoffel_2d(sec: GeometricSection) -> List[LinearJetEquation]:
     for k in (1, 2):
         for i, j in ((1, 1), (1, 2), (2, 2)):
             terms: dict = {}
-            _add(terms, _jv(k, 2, i, j), ctx.one())
+            add_term(terms, _jv(k, 2, i, j), ctx.one())
             for r in (1, 2):
-                _add(terms, _jv(r, 2, i), g[(k, r, j)])
-                _add(terms, _jv(r, 2, j), g[(k, i, r)])
-                _add(terms, _jv(k, 2, r), -g[(r, i, j)])
-                _add(terms, _jv(r, 2), g[(k, i, j)].diff(r))
+                add_term(terms, _jv(r, 2, i), g[(k, r, j)])
+                add_term(terms, _jv(r, 2, j), g[(k, i, r)])
+                add_term(terms, _jv(k, 2, r), -g[(r, i, j)])
+                add_term(terms, _jv(r, 2), g[(k, i, j)].diff(r))
             out.append(LinearJetEquation(terms))
     return out
 
@@ -235,15 +228,15 @@ def _contact_pair_3d(sec: GeometricSection) -> List[LinearJetEquation]:
     for i in (1, 2, 3):
         terms: dict = {}
         for r in (1, 2, 3):
-            _add(terms, _jv(r, 3, i), a[r])
-            _add(terms, _jv(r, 3), a[i].diff(r))
+            add_term(terms, _jv(r, 3, i), a[r])
+            add_term(terms, _jv(r, 3), a[i].diff(r))
         out.append(LinearJetEquation(terms))
     for i, j in ((2, 3), (3, 1), (1, 2)):
         terms = {}
         for r in (1, 2, 3):
-            _add(terms, _jv(r, 3, i), b[(r, j)])
-            _add(terms, _jv(r, 3, j), b[(i, r)])
-            _add(terms, _jv(r, 3), b[(i, j)].diff(r))
+            add_term(terms, _jv(r, 3, i), b[(r, j)])
+            add_term(terms, _jv(r, 3, j), b[(i, r)])
+            add_term(terms, _jv(r, 3), b[(i, j)].diff(r))
         out.append(LinearJetEquation(terms))
     return out
 
@@ -286,12 +279,23 @@ _SPECS = {
 
 
 def same_equations(a: GeometricSection, b: GeometricSection) -> bool:
-    """True iff the two Medolaghi systems agree after per-equation normalization."""
+    """True iff each Medolaghi equation of either section is proportional to
+    one of the other's, compared in one context holding both parameter sets."""
     if a.kind is not b.kind or a.n != b.n:
         raise KindMismatch(f"cannot compare {a.kind.value} with {b.kind.value}")
-    sys_a = {eq.normalized().canonical_key() for eq in medolaghi_equations(a)}
-    sys_b = {eq.normalized().canonical_key() for eq in medolaghi_equations(b)}
-    return sys_a == sys_b
+    context = Context(a.n, a.context.params + b.context.params)
+    sys_a, sys_b = (
+        [
+            LinearJetEquation({jv: c.in_context(context) for jv, c in eq.terms.items()})
+            for eq in medolaghi_equations(sec)
+        ]
+        for sec in (a, b)
+    )
+
+    def covered(xs, ys) -> bool:
+        return all(any(proportional(x, y) for y in ys) for x in xs)
+
+    return covered(sys_a, sys_b) and covered(sys_b, sys_a)
 
 
 # ----------------------------------------------------------------------

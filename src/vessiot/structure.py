@@ -201,11 +201,11 @@ def equivalence_gate(
 ) -> EquivalenceVerdict:
     """Necessary-condition gate for the equivalence problem between two sections.
 
-    Obstructions detected: for metrics, opposite determinant signs at a
-    sample point (pullback multiplies det by a square; a point where either
-    determinant vanishes decides nothing), and a rescaling constant that is
-    zero on exactly one side (no rescaling can match them).  Passing the gate
-    never claims the problem is solvable.
+    Obstructions detected: for metrics, determinants of fixed, opposite sign
+    (``Expression.fixed_sign``; pullback multiplies det by a square, but at the
+    image point, so a determinant that may change sign decides nothing), and
+    a rescaling constant that is zero on exactly one side (no rescaling can
+    match them).  Passing the gate never claims the problem is solvable.
     """
     if left.kind is not right.kind or left.n != right.n:
         raise KindMismatch(
@@ -228,9 +228,10 @@ def equivalence_gate(
     point = None
     if spec.sign_test:
         point = left.context.complete_point(sample_point)[: left.n]
-        det_l = nondegeneracy(left).evaluate(left.context.complete_point(point))
-        det_r = nondegeneracy(right).evaluate(right.context.complete_point(point))
-        if det_l * det_r < 0:
+        wl, wr = nondegeneracy(left), nondegeneracy(right)
+        if wl.fixed_sign() * wr.fixed_sign() < 0:
+            det_l = wl.evaluate(left.context.complete_point(point))
+            det_r = wr.evaluate(right.context.complete_point(point))
             reasons.append(
                 f"determinant signs differ at sample point {_point_str(point)}:"
                 f" det = {det_l} vs {det_r}, but pullback forces det(w)*Delta^2 = det(w_bar)"

@@ -580,6 +580,22 @@ class Expression:
         one = (0,) * self.context.nvars
         return Fraction(self.num.terms.get(one, 0), self.den.terms[one])
 
+    def fixed_sign(self) -> int:
+        """+1 or -1 when the value has that sign wherever it is defined and
+        nonzero, for every real value of every variable (parameters too);
+        0 when no such certificate is found.
+
+        Certified: numerator and denominator each have even exponents only
+        and coefficients of one sign.  Nonzero constants are the base case.
+        """
+        sign = 1
+        for p in (self.num, self.den):
+            signs = {c > 0 for c in p.terms.values()}
+            if len(signs) != 1 or any(e % 2 for m in p.terms for e in m):
+                return 0
+            sign = sign if signs.pop() else -sign
+        return sign
+
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "Expression") -> None:

@@ -188,6 +188,17 @@ class TestEquivalence:
         assert out == ""
         assert "needs 2 coordinates" in err
 
+    def test_reflected_metric_passes(self, capsys, tmp_path):
+        # det = x1 vs -x1 differ in sign at (2, 3), yet (x1, x2) -> (-x1, x2)
+        # pulls one metric back to the other
+        left = write(tmp_path, "left.section", "kind = METRIC_2D\nw11 = x1\nw22 = 1\nw12 = 0\n")
+        right = write(tmp_path, "right.section", "kind = METRIC_2D\nw11 = -x1\nw22 = 1\nw12 = 0\n")
+        code, out, _ = run_cli(capsys, "equivalence", "--left", left, "--right", right)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "NecessaryConditionsPass"
+        assert payload["result"]["sample_point"] == ["2", "3"]
+
     def test_not_integrable_input(self, capsys, tmp_path):
         path = write(
             tmp_path,
@@ -249,6 +260,13 @@ class TestDims:
         code, out, _ = run_cli(capsys, "dims", "--n", "2", "--f1", "4")
         assert code == 0
         assert json.loads(out)["result"]["dim_F2"] == 4 * 3 - 8
+
+    def test_negative_f1_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "dims", "--n", "2", "--f1", "-5")
+        assert code == 2
+        assert out == ""
+        assert "--f1 must be at least 0" in err
+        assert run_cli(capsys, "dims", "--n", "2", "--f1", "0")[0] == 0
 
 
 class TestCheckCC:

@@ -11,7 +11,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from vessiot.symexpr import Context, Expression, _Poly, _poly_gcd  # noqa: E402
@@ -19,7 +19,12 @@ from vessiot.symexpr import Context, Expression, _Poly, _poly_gcd  # noqa: E402
 CTX = Context(2, ["a"])
 SYMS = sympy.symbols(" ".join(CTX.names))
 
-ORACLE = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+# no shrinking: a failing example reports at once instead of after minutes of
+# sympy calls on ever smaller candidates
+ORACLE = settings(
+    max_examples=40, derandomize=True, database=None, deadline=None,
+    phases=(Phase.explicit, Phase.generate),
+)
 
 
 def _polys(monomials, min_size=0):

@@ -147,6 +147,19 @@ class TestSameEquations:
         with pytest.raises(KindMismatch):
             same_equations(euclidean(), flat_product())
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("params = a\nw11 = a\nw22 = a\nw12 = 0", True),
+            ("params = a\nw11 = a\nw22 = 1\nw12 = 0", False),
+            ("params = a, b\nw11 = a\nw22 = a\nw12 = b", False),
+        ],
+    )
+    def test_across_contexts(self, text, expected):
+        other, _ = parse_section_text("kind = METRIC_2D\n" + text)
+        assert same_equations(other, euclidean()) is expected
+        assert same_equations(euclidean(), other) is expected
+
 
 class TestNondegeneracy:
     def test_euclidean_witness(self):

@@ -25,7 +25,7 @@ from vessiot.errors import (
 )
 from vessiot.forms import one_form, two_form_cyclic
 from vessiot.linalg import solve_square
-from vessiot.lieops import ObjectKind, section
+from vessiot.lieops import ObjectKind, parse_section_text, section
 from vessiot.reports import EquivalenceVerdict, StructureReport
 from vessiot.structure import (
     affine_constant_1d,
@@ -59,6 +59,11 @@ def euclidean_metric():
 
 def indefinite_metric():
     return section(ObjectKind.METRIC_2D, [CTX2.zero(), CTX2.zero(), CTX2.one()])
+
+
+def diagonal_metric(header):
+    """METRIC_2D with the given w11 line (and headers), w22 = 1 and w12 = 0."""
+    return parse_section_text(f"kind = METRIC_2D\n{header}\nw22 = 1\nw12 = 0")[0]
 
 
 class TestAffine1D:
@@ -372,6 +377,31 @@ class TestEquivalenceGate:
             shifted, indefinite_metric(), sample_point=(Fraction(1), Fraction(3))
         )
         assert not verdict.obstructed
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("w11 = x1", "w11 = -x1"),  # (x1, x2) -> (-x1, x2) maps one to the other
+            ("w11 = x1^2", "w11 = x1^2 - 9"),
+            ("params = a\nw11 = a", "w11 = -1"),
+        ],
+    )
+    def test_sign_changing_determinant_never_obstructs(self, left, right):
+        # pullback fixes sign det at the image point, not at a shared one
+        for sample_point in (None, (Fraction(5), Fraction(7))):
+            verdict = equivalence_gate(
+                diagonal_metric(left), diagonal_metric(right), sample_point=sample_point
+            )
+            assert not verdict.obstructed
+
+    def test_fixed_sign_determinants_obstruct(self):
+        verdict = equivalence_gate(diagonal_metric("w11 = x1^2 + 1"), diagonal_metric("w11 = -1"))
+        assert verdict.obstructed
+        assert verdict.reasons == [
+            "determinant signs differ at sample point (2, 3): det = 5 vs -1,"
+            " but pullback forces det(w)*Delta^2 = det(w_bar)"
+        ]
+        assert verdict.sample_point == (Fraction(2), Fraction(3))
 
     def test_sample_point_length_checked(self):
         for point in ((Fraction(1),), (Fraction(1), Fraction(2), Fraction(3))):

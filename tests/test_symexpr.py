@@ -139,6 +139,26 @@ class TestIsConstant:
         assert e.constant_value() == 2
 
 
+class TestFixedSign:
+    @pytest.mark.parametrize(
+        "text, sign",
+        [
+            ("-2", -1),
+            ("x1^2 + 1", 1),
+            ("-x1^2*x2^4 - 3", -1),
+            ("a^2", 1),
+            ("-(x1^2 + 1)/(x2^2 + a^4)", -1),
+            ("x1", 0),
+            ("x1^2 - 9", 0),
+            ("a", 0),  # a parameter has no known sign
+            ("x1^2/(x2^2 - 1)", 0),
+            ("0", 0),
+        ],
+    )
+    def test_certificate(self, text, sign):
+        assert parse(text, 2, ["a"]).fixed_sign() == sign
+
+
 class TestProperties:
     def test_field_and_derivation_laws(self):
         rng = random.Random(7)
