@@ -66,9 +66,6 @@ class Metric2D:
             return (self.w22 if i == 1 else self.w11) / det
         return -self.w12 / det
 
-    def scaled(self, factor: Expression) -> "Metric2D":
-        return Metric2D(self.w11 * factor, self.w22 * factor, self.w12 * factor)
-
 
 @dataclass(frozen=True)
 class Connection2D:
@@ -144,8 +141,8 @@ def christoffel(metric: Metric2D) -> Connection2D:
     one quotient sum_r adj(W)^{kr} N_rij / (2 det(W) d) of polynomials, where
     N_rij = d (d_i W_rj + d_j W_ir - d_r W_ij) - (W_rj d_i d + W_ir d_j d - W_ij d_r d).
     """
-    d = common_denominator((metric.w11, metric.w22, metric.w12))
-    poly = metric.scaled(d)
+    d, scaled = common_denominator((metric.w11, metric.w22, metric.w12))
+    poly = Metric2D(*scaled)
     det = poly.det()
     if det.is_zero():
         raise DegenerateMetric("det(w) is identically zero")
@@ -175,10 +172,10 @@ def riemann(conn: Connection2D) -> CurvatureData:
     e^2 rho^k_{l,ij} = d_i G^k_lj e - G^k_lj d_i e - d_j G^k_li e + G^k_li d_j e
     + G^r_lj G^k_ri - G^r_li G^k_rj, and only the division by e^2 reduces.
     """
-    e = common_denominator(conn.components.values())
+    e, scaled = common_denominator(conn.components.values())
     de = {i: e.diff(i) for i in (1, 2)}
     e2 = e * e
-    G = Connection2D({key: c * e for key, c in conn.components.items()}).gamma
+    G = Connection2D(dict(zip(conn.components, scaled))).gamma
 
     def rho(k: int, l: int, i: int, j: int) -> Expression:
         a, b = G(k, l, j), G(k, l, i)

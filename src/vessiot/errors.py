@@ -25,6 +25,10 @@ class DivisionByZeroLiteral(DivisionByZero):
     """Division by a literal zero inside expression text."""
 
 
+class InputTooLarge(VessiotError):
+    """An expression would grow past the engine's input budget."""
+
+
 class SingularPoint(VessiotError):
     """A denominator vanishes at the requested evaluation point."""
 

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import not_
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
@@ -93,9 +94,6 @@ class LinearJetEquation:
     def order(self) -> int:
         """Max |mu| over stored terms; 0 for the zero equation."""
         return max((jv.order for jv in self.terms), default=0)
-
-    def coefficient(self, jv: JetVariable, context: Context) -> Expression:
-        return self.terms.get(jv, context.zero())
 
     def scaled(self, factor: Expression) -> "LinearJetEquation":
         return LinearJetEquation({jv: c * factor for jv, c in self.terms.items()})
@@ -233,17 +231,22 @@ def symbol_dimension(
     rows = [eq for eq in system if not eq.is_zero() and eq.order == at_order]
     if not rows:
         return len(variables)
+    column = {jv: i for i, jv in enumerate(variables)}
+    entries = [[(column[jv], c) for jv, c in eq.terms.items() if jv in column] for eq in rows]
+    distinct = {c for row in entries for _, c in row}
     if generic:
-        matrix = [[eq.coefficient(jv, context) for jv in variables] for eq in rows]
-        rank = linalg.rank_rational(matrix, Expression.is_zero)
+        zero, is_zero, value = context.zero(), Expression.is_zero, {c: c for c in distinct}
     else:
+        # each distinct coefficient is evaluated once
         point = context.complete_point(sample_point)
-        matrix = [
-            [eq.coefficient(jv, context).evaluate(point) for jv in variables]
-            for eq in rows
-        ]
-        rank = linalg.rank_rational(matrix)
-    return len(variables) - rank
+        zero, is_zero, value = Fraction(0), not_, {c: c.evaluate(point) for c in distinct}
+    matrix = []
+    for row in entries:
+        line = [zero] * len(variables)
+        for i, c in row:
+            line[i] = value[c]
+        matrix.append(line)
+    return len(variables) - linalg.rank_rational(matrix, is_zero)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import (
     NotAPerfectSquare,
     NotIntegrable,
     NotProportional,
+    SingularPoint,
     ZeroScale,
 )
 from .forms import DifferentialForm, exterior_derivative, wedge
@@ -229,12 +230,19 @@ def equivalence_gate(
     if spec.sign_test:
         point = left.context.complete_point(sample_point)[: left.n]
         wl, wr = nondegeneracy(left), nondegeneracy(right)
-        if wl.fixed_sign() * wr.fixed_sign() < 0:
-            det_l = wl.evaluate(left.context.complete_point(point))
-            det_r = wr.evaluate(right.context.complete_point(point))
+        sign_l, sign_r = wl.fixed_sign(), wr.fixed_sign()
+        if sign_l * sign_r < 0:
+            det_l = _nonzero_value(wl, left.context.complete_point(point))
+            det_r = _nonzero_value(wr, right.context.complete_point(point))
+            if det_l is None or det_r is None:
+                # the point shows no sign, so the reason quotes the certificates
+                signs = f"{_SIGN_WORDS[sign_l]} vs {_SIGN_WORDS[sign_r]}"
+                where = f": det is {signs} wherever defined and nonzero"
+            else:
+                where = f" at sample point {_point_str(point)}: det = {det_l} vs {det_r}"
             reasons.append(
-                f"determinant signs differ at sample point {_point_str(point)}:"
-                f" det = {det_l} vs {det_r}, but pullback forces det(w)*Delta^2 = det(w_bar)"
+                f"determinant signs differ{where},"
+                " but pullback forces det(w)*Delta^2 = det(w_bar)"
             )
     if cl.is_zero() != cr.is_zero():
         zero_side = "left" if cl.is_zero() else "right"
@@ -244,6 +252,17 @@ def equivalence_gate(
         )
     status = OBSTRUCTED if reasons else NECESSARY_PASS
     return EquivalenceVerdict(status=status, reasons=reasons, sample_point=point)
+
+
+_SIGN_WORDS = {1: "positive", -1: "negative"}
+
+
+def _nonzero_value(expr: Expression, point: Sequence[Fraction]) -> Optional[Fraction]:
+    """The value at the point; None at a pole or a zero."""
+    try:
+        return expr.evaluate(point) or None
+    except SingularPoint:
+        return None
 
 
 def _point_str(point: Sequence[Fraction]) -> str:

@@ -24,6 +24,7 @@ from .errors import (
     DivisionByZero,
     DivisionByZeroLiteral,
     ExprSyntaxError,
+    InputTooLarge,
     SingularPoint,
     UnknownIdentifier,
 )
@@ -193,6 +194,14 @@ class _Poly:
     def __mul__(self, other: "_Poly") -> "_Poly":
         if not self.terms or not other.terms:
             return _PZERO
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            single, p = (self, other) if len(self.terms) == 1 else (other, self)
+            ((shift, c),) = single.terms.items()
+            if any(shift):
+                return _Poly({tuple(map(add, m, shift)): v * c for m, v in p.terms.items()})
+            if c == 1:
+                return p
+            return _Poly({m: v * c for m, v in p.terms.items()})
         out: dict = {}
         get = out.get
         for m1, c1 in self.terms.items():
@@ -204,6 +213,11 @@ class _Poly:
     def pow(self, k: int) -> "_Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
+        degree = k * max(map(sum, self.terms), default=0)
+        if degree > MAX_POWER_DEGREE:
+            raise InputTooLarge(
+                f"power of total degree {degree} exceeds the limit of {MAX_POWER_DEGREE}"
+            )
         result = _pconst(self.nvars(), 1)
         base = self
         while k:
@@ -301,57 +315,71 @@ def _pconst(nvars: int, value: int) -> _Poly:
 
 
 def _primitive(p: _Poly, *cofactors: _Poly) -> tuple:
-    """Divide nonzero p, and its cofactors, by the integer gcd of all their
-    coefficients, signed so that p gets a positive leading coefficient."""
+    """(content, p/content, *cofactors/content) for nonzero p: the content is
+    the integer gcd of all their coefficients, signed so that p/content gets a
+    positive leading coefficient."""
     content = _igcd(*p.terms.values(), *(c for f in cofactors for c in f.terms.values()))
     if p.leading()[1] < 0:
         content = -content
     if content == 1:
-        return (p, *cofactors)
-    return tuple(
+        return (1, p, *cofactors)
+    return (content, *(
         _Poly({m: c // content for m, c in f.terms.items()}) for f in (p, *cofactors)
-    )
+    ))
 
 
-# -- multivariate gcd (primitive pseudo-remainder sequences) ----------
+# -- multivariate gcd ---------------------------------------------------
 
 
-def _poly_gcd(a: _Poly, b: _Poly) -> _Poly:
-    """Primitive gcd with positive leading coefficient; 1 for coprime inputs.
+def _cancel(a: _Poly, b: _Poly) -> tuple:
+    """(a/g, b/g, g) for the gcd g of a and b (not both zero): primitive, with
+    a positive leading coefficient, and 1 for coprime inputs, which come back
+    unchanged.  The one gcd entry point, and the one place where a common
+    factor is divided out.
 
-    Fast path: heuristic gcd by integer evaluation and balanced-digit
-    interpolation, verified by exact division; primitive pseudo-remainder
-    sequences as the deterministic fallback.
+    Each path takes the quotients from its own construction of g: a zero or
+    single-term operand, equal primitive parts, then the heuristic gcd, whose
+    verified candidate comes with both cofactors.  Primitive pseudo-remainder
+    sequences are the deterministic fallback and divide afterwards.
     """
-    if a.is_zero():
-        return _primitive(b)[0] if not b.is_zero() else _PZERO
-    if b.is_zero():
-        return _primitive(a)[0]
+    if not a.terms:
+        cb, g = _primitive(b)
+        return a, _pconst(b.nvars(), cb), g
+    if not b.terms:
+        ca, g = _primitive(a)
+        return _pconst(a.nvars(), ca), b, g
     if len(a.terms) == 1 or len(b.terms) == 1:
-        return _monomial_gcd(a, b)
-    a = _primitive(a)[0]
-    b = _primitive(b)[0]
-    if a.terms == b.terms:  # equal up to a constant factor, sign included
-        return a
-    heuristic = _heu_gcd(a, b)
-    if heuristic is not None:
-        return heuristic
-    v = min(a.used_slots() | b.used_slots())
-    return _primitive(_gcd_in(a, b, v))[0]
+        shared = _monomial_gcd(a, b)
+        if any(shared):
+            a, b = (_Poly({tuple(map(sub, m, shared)): c for m, c in p.terms.items()})
+                    for p in (a, b))
+        return a, b, _Poly({shared: 1})
+    nvars = a.nvars()
+    ca, pa = _primitive(a)
+    cb, pb = _primitive(b)
+    if pa.terms == pb.terms:  # equal up to a constant factor, sign included
+        return _pconst(nvars, ca), _pconst(nvars, cb), pa
+    found = _heu_gcd(pa, pb)
+    if found is not None:
+        g, qa, qb = found
+        return qa * _pconst(nvars, ca), qb * _pconst(nvars, cb), g
+    _, g = _primitive(_gcd_in(pa, pb, min(pa.used_slots() | pb.used_slots())))
+    if _is_unit_poly(g):
+        return a, b, g
+    return a.divexact(g), b.divexact(g), g
 
 
-def _monomial_gcd(a: _Poly, b: _Poly) -> _Poly:
-    """gcd when at least one operand is a single term: the shared monomial part.
-
-    The single term is scanned first, so a constant operand returns 1 at once.
-    """
+def _monomial_gcd(a: _Poly, b: _Poly) -> Monomial:
+    """Exponents of the gcd when at least one operand is a single term: the
+    shared monomial part.  The single term is scanned first, so a constant
+    operand returns at once."""
     shared = None
     for p in (a, b) if len(a.terms) == 1 else (b, a):
         for mono in p.terms:
             shared = mono if shared is None else tuple(map(min, shared, mono))
             if not any(shared):
-                return _Poly({shared: 1})
-    return _Poly({shared: 1})
+                return shared
+    return shared
 
 
 # -- heuristic gcd over integer coefficients ---------------------------
@@ -359,40 +387,39 @@ def _monomial_gcd(a: _Poly, b: _Poly) -> _Poly:
 _HEU_TRIES = 6
 
 
-def _heu_gcd(f: _Poly, g: _Poly) -> Optional[_Poly]:
-    """GCDHEU (Char, Geddes & Gonnet 1989); None when the heuristic gives up.
+def _heu_gcd(f: _Poly, g: _Poly) -> Optional[tuple]:
+    """GCDHEU (Char, Geddes & Gonnet 1989) on primitive f and g with positive
+    leading coefficients: (h, f/h, g/h) for their gcd h, or None when the
+    heuristic gives up.
 
-    Evaluates one variable at an integer xi, recurses on the images, lifts
-    the image gcd back by balanced base-xi digits, and keeps the candidate
-    only when it divides both inputs exactly.
+    Evaluates one variable at an integer xi, recurses on the images (their
+    gcd keeps its integer content, which the digits need), lifts the image gcd
+    back by balanced base-xi digits, and keeps the candidate only when it
+    divides both inputs exactly; those two divisions are the cofactors.  The
+    candidate 1 divides everything and is taken unchecked.
     """
-    # gcd splits as the igcd of all coefficients times gcd of the primitive
-    # parts; the content must come off before evaluating, or the digit
-    # interpolation at the outer level sees spurious integer factors
-    ground = _igcd(*f.terms.values(), *g.terms.values())
-    (f,) = _primitive(f)
-    (g,) = _primitive(g)
     used = f.used_slots() | g.used_slots()
     if not used:
-        return _pconst(f.nvars(), ground)
+        return f, f, g  # primitive constants: f = g = 1
+    nvars = f.nvars()
     v = min(used)
     xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
     for _ in range(_HEU_TRIES):
         fe = _eval_at(f, v, xi)
         ge = _eval_at(g, v, xi)
         if fe.terms and ge.terms:
-            h = _heu_gcd(fe, ge)
-            if h is not None:
-                cand = _primitive(_interp(h, v, xi))[0]
+            cfe, fe = _primitive(fe)
+            cge, ge = _primitive(ge)
+            image = _heu_gcd(fe, ge)
+            if image is not None:
+                h = image[0] * _pconst(nvars, _igcd(cfe, cge))
+                _, cand = _primitive(_interp(h, v, xi))
+                if _is_unit_poly(cand):
+                    return cand, f, g
                 try:
-                    f.divexact(cand)
-                    g.divexact(cand)
+                    return cand, f.divexact(cand), g.divexact(cand)
                 except ArithmeticError:
                     pass
-                else:
-                    if ground != 1:
-                        cand = _Poly({m: c * ground for m, c in cand.terms.items()})
-                    return cand
         xi = xi * 73794 // 27011
     return None
 
@@ -427,21 +454,18 @@ def _interp(h: _Poly, v: int, xi: int) -> _Poly:
     return _Poly(out)
 
 
+# -- primitive pseudo-remainder sequences (fallback) --------------------
+
+
 def _gcd_in(a: _Poly, b: _Poly, v: int) -> _Poly:
-    ua = _to_univ(a, v)
-    ub = _to_univ(b, v)
-    cont_a = _coeff_gcd(ua)
-    cont_b = _coeff_gcd(ub)
-    cont = _poly_gcd(cont_a, cont_b)
-    ua = {d: c.divexact(cont_a) for d, c in ua.items()}
-    ub = {d: c.divexact(cont_b) for d, c in ub.items()}
+    cont_a, ua = _univ_primitive(_to_univ(a, v))
+    cont_b, ub = _univ_primitive(_to_univ(b, v))
     if max(ua) < max(ub):
         ua, ub = ub, ua
     while ub:
         rem = _pseudo_rem(ua, ub)
-        ua, ub = ub, _make_primitive(rem)
-    g = _from_univ(ua, v)
-    return cont * g
+        ua, ub = ub, (_univ_primitive(rem)[1] if rem else rem)
+    return _cancel(cont_a, cont_b)[2] * _from_univ(ua, v)
 
 
 def _to_univ(p: _Poly, v: int) -> dict:
@@ -461,19 +485,15 @@ def _from_univ(u: dict, v: int) -> _Poly:
     return _Poly(out)
 
 
-def _coeff_gcd(u: dict) -> _Poly:
-    g = _PZERO
+def _univ_primitive(u: dict) -> tuple:
+    """(content, u/content) of a nonzero univariate view, the content being
+    the gcd of its coefficient polynomials."""
+    cont = _PZERO
     for coeff in u.values():
-        g = _poly_gcd(g, coeff)
-    return g
-
-
-def _make_primitive(u: dict) -> dict:
-    u = {d: c for d, c in u.items() if not c.is_zero()}
-    if not u:
-        return u
-    cont = _coeff_gcd(u)
-    return {d: c.divexact(cont) for d, c in u.items()}
+        cont = _cancel(cont, coeff)[2]
+    if _is_unit_poly(cont):
+        return cont, u
+    return cont, {d: c.divexact(cont) for d, c in u.items()}
 
 
 def _pseudo_rem(ua: dict, ub: dict) -> dict:
@@ -612,7 +632,10 @@ class Expression:
             return _from_reduced(self.context, t, d)
         # da = s*g and db = e*g; of g, only the part coprime to t stays
         s, e, g = _cancel(da, db)
-        t, h, _ = _cancel(na * e + nb * s, g)
+        t = na * e + nb * s
+        if _is_unit_poly(g):
+            return _from_reduced(self.context, t, s * e)
+        t, h, _ = _cancel(t, g)
         return _from_reduced(self.context, t, s * (e * h))
 
     def __sub__(self, other: "Expression") -> "Expression":
@@ -623,15 +646,20 @@ class Expression:
 
     def __mul__(self, other: "Expression") -> "Expression":
         self._check(other)
-        na, db, _ = _cancel(self.num, other.den)
-        nb, da, _ = _cancel(other.num, self.den)
-        return _from_reduced(self.context, na * nb, da * db)
+        return self._times(other.num, other.den)
 
     def __truediv__(self, other: "Expression") -> "Expression":
         self._check(other)
         if other.num.is_zero():
             raise DivisionByZero("division by an expression that normalizes to 0")
-        return self * _from_reduced(self.context, other.den, other.num)
+        # the swapped pair is coprime too; its content and sign settle in _fill
+        return self._times(other.den, other.num)
+
+    def _times(self, nb: _Poly, db: _Poly) -> "Expression":
+        """self * nb/db for a coprime pair nb, db (db nonzero)."""
+        na, db, _ = _cancel(self.num, db)
+        nb, da, _ = _cancel(nb, self.den)
+        return _from_reduced(self.context, na * nb, da * db)
 
     def __pow__(self, k: int) -> "Expression":
         if not isinstance(k, int):
@@ -731,26 +759,27 @@ class Expression:
         return f"Expression({str(self)!r})"
 
 
-def common_denominator(exprs: Iterable[Expression]) -> Expression:
-    """The lcm of the denominators of one or more expressions, as a polynomial.
+def common_denominator(exprs: Iterable[Expression]) -> tuple:
+    """(e, [e*x for each x]): the lcm e of the denominators of one or more
+    expressions, and each expression over it, all as polynomials.
 
-    Multiplying each expression by it gives a polynomial, and polynomial
-    arithmetic needs no gcd, so a chain can stay polynomial and reduce once.
+    Polynomial arithmetic needs no gcd, so a chain can stay polynomial and
+    reduce once.  Each e*x is num * (e/den), and the cofactor e/den comes from
+    the lcm's own construction: no further gcd and no division.
     """
     exprs = list(exprs)
     lcm = exprs[0].den
-    for e in exprs[1:]:
-        lcm = lcm * _cancel(lcm, e.den)[1]
-    return _from_reduced(exprs[0].context, lcm, _pconst(lcm.nvars(), 1))
-
-
-def _cancel(a: _Poly, b: _Poly) -> tuple:
-    """(a/g, b/g, g) for the primitive gcd g of a and b; a and b themselves
-    when g is 1.  The one place where a common factor is divided out."""
-    g = _poly_gcd(a, b)
-    if _is_unit_poly(g):
-        return a, b, g
-    return a.divexact(g), b.divexact(g), g
+    one = _pconst(lcm.nvars(), 1)
+    cofactors = [one]
+    for x in exprs[1:]:
+        # lcm = rest*g and x.den = grow*g, so the new lcm is lcm*grow = x.den*rest
+        rest, grow, _ = _cancel(lcm, x.den)
+        cofactors = [c * grow for c in cofactors] + [rest]
+        lcm = lcm * grow
+    context = exprs[0].context
+    return _from_reduced(context, lcm, one), [
+        _from_reduced(context, x.num * c, one) for x, c in zip(exprs, cofactors)
+    ]
 
 
 def _from_reduced(context: Context, num: _Poly, den: _Poly) -> "Expression":
@@ -766,7 +795,7 @@ def _fill(expr: "Expression", context: Context, num: _Poly, den: _Poly) -> "Expr
     if num.is_zero():
         den = _pconst(den.nvars(), 1)
     else:
-        den, num = _primitive(den, num)
+        _, den, num = _primitive(den, num)
     object.__setattr__(expr, "context", context)
     object.__setattr__(expr, "num", num)
     object.__setattr__(expr, "den", den)
@@ -836,6 +865,10 @@ def _tokenize(text: str) -> Iterator[tuple]:
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
         if m.group(1) is not None:
+            if len(m.group(1)) > MAX_LITERAL_DIGITS:
+                raise ExprSyntaxError(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", m.start(1)
+                )
             yield ("int", int(m.group(1)), m.start(1))
         elif m.group(2) is not None:
             yield ("ident", m.group(2), m.start(2))
@@ -845,9 +878,15 @@ def _tokenize(text: str) -> Iterator[tuple]:
     yield ("end", None, len(text))
 
 
-# Each nesting level costs the recursive descent at most five stack frames, so
-# this cap keeps a parse far below the interpreter's default recursion limit.
+# Input budget.  Each nesting level costs the recursive descent at most five
+# stack frames, so MAX_NESTING keeps a parse far below the interpreter's default
+# recursion limit.  The interpreter refuses to convert integer text longer than
+# 4,300 digits, and a power expands before anything else runs on it:
+# (x1+x2+1)^100 already has 5,151 terms.
 MAX_NESTING = 100
+MAX_LITERAL_DIGITS = 1000
+MAX_EXPONENT = 1000
+MAX_POWER_DEGREE = 100
 
 
 class _Parser:
@@ -936,6 +975,8 @@ class _Parser:
             if kind == "op" and val == "^":
                 self.advance()
                 exp = self.exponent()
+                if abs(exp) > MAX_EXPONENT:
+                    raise ExprSyntaxError(f"exponent beyond +-{MAX_EXPONENT}", at)
                 if exp < 0 and base.is_zero():
                     raise DivisionByZeroLiteral(
                         f"zero raised to a negative power (at position {at})"

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,25 @@ class TestHostileInput:
         assert code == 2
         assert out == ""
         assert "nesting" in err
+
+    @pytest.mark.parametrize(
+        "w3, message",
+        [
+            ("(x1 + x2 + 1)^3000", "exponent"),
+            ("(x1 + x2 + 1)^1000", "degree"),
+            ("1" * 10_000, "literal"),
+        ],
+    )
+    def test_input_budget_exit_two(self, capsys, tmp_path, w3, message):
+        path = write(
+            tmp_path, "big.section", f"kind = PRODUCT_TRIPLE_2D\nw1 = 0\nw2 = 0\nw3 = {w3}\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "compute", "--section", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("params", ["x1", "1a"])
     def test_bad_params_header_exit_two(self, capsys, tmp_path, params):

@@ -168,7 +168,8 @@ class TestMetricConstants:
         hp = half_plane()
         for _ in range(4):
             lam = random_nonzero_rational(rng)
-            scaled = metric_constants(hp.scaled(CTX.rational(lam)))
+            factor = CTX.rational(lam)
+            scaled = metric_constants(Metric2D(hp.w11 * factor, hp.w22 * factor, hp.w12 * factor))
             assert scaled.constant("c1") == CTX.rational(Fraction(-1) / lam)
 
 

@@ -22,7 +22,7 @@ from vessiot.jetcalc import (
     symbol_dimension,
 )
 from vessiot.lieops import ObjectKind, labeled_medolaghi, medolaghi_equations, section
-from vessiot.symexpr import Context, parse_in
+from vessiot.symexpr import Context, Expression, parse_in
 
 CTX = Context(2)
 ONE = CTX.one()
@@ -166,6 +166,21 @@ class TestSymbolDimension:
     def test_generic_rank_agrees(self):
         system = flat_product()
         assert symbol_dimension(system, 1, generic=True) == 1
+
+    def test_each_distinct_coefficient_evaluated_once(self, monkeypatch):
+        x1 = parse_in("x1", CTX)
+        system = [
+            LinearJetEquation({jv(1, (1, 0)): x1, jv(2, (0, 1)): x1, jv(1, (0, 0)): TWO}),
+            LinearJetEquation({jv(1, (0, 1)): x1 + ONE, jv(2, (1, 0)): x1}),
+        ]
+        evaluated = []
+        evaluate = Expression.evaluate
+        monkeypatch.setattr(
+            Expression, "evaluate", lambda e, point: evaluated.append(e) or evaluate(e, point)
+        )
+        assert symbol_dimension(system, 1) == 2
+        # x1 and x1 + 1; the order-0 coefficient 2 and the absent variables are not evaluated
+        assert sorted(map(str, evaluated)) == ["x1", "x1 + 1"]
 
     def test_singular_sample_point(self):
         coeff = parse_in("1/(x1 - 2)", CTX)

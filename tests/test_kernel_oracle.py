@@ -11,10 +11,13 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
+from unittest import mock  # noqa: E402
+
 from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from vessiot.symexpr import Context, Expression, _Poly, _poly_gcd  # noqa: E402
+from vessiot import symexpr  # noqa: E402
+from vessiot.symexpr import Context, Expression, _cancel, _Poly, _primitive  # noqa: E402
 
 CTX = Context(2, ["a"])
 SYMS = sympy.symbols(" ".join(CTX.names))
@@ -90,7 +93,8 @@ class TestArithmetic:
 # denominators with a repeated factor, so that d and d' share a factor
 _X1 = _Poly({(1, 0, 0): 1})
 _X1_PLUS_X2 = _Poly({(1, 0, 0): 1, (0, 1, 0): 1})
-_multilinear = _polys(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), 1)
+_multilinear_monomials = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
+_multilinear = _polys(_multilinear_monomials, 1)
 repeated_denominators = st.one_of(
     st.just(_X1_PLUS_X2.pow(3) * _X1.pow(2)),
     st.builds(lambda f, k, g: f.pow(k) * g, _multilinear, st.integers(2, 3), _multilinear),
@@ -115,10 +119,52 @@ class TestGcd:
     @given(nonzero_polys, nonzero_polys, nonzero_polys)
     def test_against_sympy_up_to_constant(self, common, p, q):
         f, g = common * p, common * q
-        ours = poly_sympy(_poly_gcd(f, g))
+        ours = poly_sympy(_cancel(f, g)[2])
         theirs = sympy.gcd(poly_sympy(f), poly_sympy(g))
         ratio = sympy.cancel(ours / theirs)
         assert ratio.is_number and ratio != 0
+
+
+def _cancel_pairs(monomials):
+    """Operands with a shared factor and non-unit, possibly negative, content;
+    the first one may be zero."""
+    contents = st.integers(-6, 6).filter(bool)
+    return st.builds(
+        lambda common, p, q, k, m: (common * p * _const(k), common * q * _const(m)),
+        _polys(monomials, 1), _polys(monomials), _polys(monomials, 1), contents, contents,
+    )
+
+
+def _const(k: int) -> _Poly:
+    return _Poly({(0, 0, 0): k})
+
+
+class TestCancel:
+    """_cancel(a, b) == (a/g, b/g, g), whichever path builds the quotients."""
+
+    @staticmethod
+    def check(a, b):
+        qa, qb, g = _cancel(a, b)
+        assert qa * g == a and qb * g == b
+        # g is primitive with a positive leading coefficient
+        assert _primitive(g)[0] == 1
+        theirs = sympy.gcd(poly_sympy(a), poly_sympy(b))
+        ratio = sympy.cancel(poly_sympy(g) / theirs)
+        assert ratio.is_number and ratio != 0
+        assert sympy.gcd(poly_sympy(qa), poly_sympy(qb)).is_number
+
+    @ORACLE
+    @given(_cancel_pairs(_monomials))
+    def test_against_sympy(self, pair):
+        self.check(*pair)
+
+    # pseudo-remainder sequences on the full operand range can run for minutes
+    @ORACLE
+    @given(_cancel_pairs(_multilinear_monomials))
+    def test_fallback_against_sympy(self, pair):
+        # with the heuristic giving up, pseudo-remainder sequences decide
+        with mock.patch.object(symexpr, "_heu_gcd", lambda f, g: None):
+            self.check(*pair)
 
 
 class TestDivexact:

@@ -403,6 +403,24 @@ class TestEquivalenceGate:
         ]
         assert verdict.sample_point == (Fraction(2), Fraction(3))
 
+    @pytest.mark.parametrize(
+        "left",
+        [
+            "w11 = x1^2",  # det = 0 at the point
+            "w11 = 1/x1^2",  # det has a pole at the point
+        ],
+    )
+    def test_fixed_sign_obstruction_where_the_point_shows_no_sign(self, left):
+        verdict = equivalence_gate(
+            diagonal_metric(left), diagonal_metric("w11 = -1"),
+            sample_point=(Fraction(0), Fraction(3)),
+        )
+        assert verdict.obstructed
+        assert verdict.reasons == [
+            "determinant signs differ: det is positive vs negative wherever defined"
+            " and nonzero, but pullback forces det(w)*Delta^2 = det(w_bar)"
+        ]
+
     def test_sample_point_length_checked(self):
         for point in ((Fraction(1),), (Fraction(1), Fraction(2), Fraction(3))):
             for left, right in (

@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_expression, random_expression_with_history, random_point
+from vessiot import symexpr
+from vessiot.curvature import Metric2D
 from vessiot.errors import (
     DivisionByZero,
     DivisionByZeroLiteral,
     ExprSyntaxError,
+    InputTooLarge,
     SingularPoint,
     UnknownIdentifier,
 )
-from vessiot.symexpr import Context, parse, parse_in
+from vessiot.symexpr import Context, _cancel, _is_unit_poly, _Poly, parse, parse_in
 
 
 class TestParse:
@@ -81,6 +84,24 @@ class TestParse:
             parse("- " * 3000 + "1", 2)
         with pytest.raises(ExprSyntaxError, match="nesting"):
             parse("-(" * 51 + "1" + ")" * 51, 2)
+
+
+    def test_input_budget(self):
+        assert parse("10^1000", 1) == parse("10", 1) ** 1000
+        assert parse("9" * 1000, 1) == parse("10^1000 - 1", 1)
+        assert parse("(x1 + 1)^50 * (x1 - 1)^-50", 1) == parse("((x1 + 1)/(x1 - 1))^50", 1)
+        for text, match in [
+            ("2^1001", "exponent"),
+            ("x1^-1001", "exponent"),
+            ("1" * 1001, "literal"),
+            ("1" * 10_000 + "*x1", "literal"),
+        ]:
+            with pytest.raises(ExprSyntaxError, match=match):
+                parse(text, 1)
+        # the expanded degree is checked before any multiplication
+        for text in ("(x1 + x2 + 1)^101", "(x1^2 + 1)^51", "((x1 + 1)^10)^11", "1/x1^101"):
+            with pytest.raises(InputTooLarge):
+                parse(text, 2)
 
 
 class TestArithmetic:
@@ -214,6 +235,63 @@ class TestProperties:
         e = parse("1/(x1 - 1)", 1)
         with pytest.raises(SingularPoint):
             e.evaluate([Fraction(1)])
+
+
+class TestCancelCost:
+    """_cancel takes its quotients from the gcd's own construction."""
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        """(divisor, made inside the heuristic gcd) for each exact division."""
+        calls, depth = [], [0]
+        divexact, heuristic = _Poly.divexact, symexpr._heu_gcd
+
+        def counted_divexact(p, q):
+            calls.append((q, depth[0] > 0))
+            return divexact(p, q)
+
+        def tracked_heuristic(f, g):
+            depth[0] += 1
+            try:
+                return heuristic(f, g)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(_Poly, "divexact", counted_divexact)
+        monkeypatch.setattr(symexpr, "_heu_gcd", tracked_heuristic)
+        return calls
+
+    def test_coprime_pair_divides_nothing(self, divisions):
+        a, b = parse("x1^2 + x2 + 1", 2).num, parse("3*x1 - x2^2 + 3", 2).num
+        qa, qb, g = _cancel(a, b)
+        assert (qa, qb) == (a, b) and _is_unit_poly(g)
+        assert divisions == []
+
+    def test_shared_factor_divides_only_to_verify(self, divisions):
+        f = parse("x1 + 2*x2 + 1", 2)
+        a, b = (f * parse("x1 - x2", 2)).num, (f * parse("6*x1^2 + 3", 2)).num
+        qa, qb, g = _cancel(a, b)
+        assert g == f.num and qa * g == a and qb * g == b
+        # the heuristic checks its candidate against both operands, and those
+        # quotients are the result: no division after it
+        assert divisions[-2:] == [(g, True), (g, True)]
+        assert all(inside for _, inside in divisions)
+
+    def test_never_divides_by_one(self, divisions):
+        rng = random.Random(17)
+        ctx = Context(2, ["a"])
+        for _ in range(30):
+            e, f = random_expression(ctx, rng), random_expression(ctx, rng)
+            e + f, e * f, e.diff(1)
+            if not f.is_zero():
+                e / f
+        # shared factors, so that gcds are not 1
+        for text in ("(x1^2 - x2^2)/(x1 - x2)", "(x1 + x2)^2/(a*x1^2 - a*x2^2)"):
+            parse_in(text, ctx)
+        w = [parse_in(t, ctx) for t in ("x1^2 + a*x2 + 1", "x2^2 - x1 + 2", "x1*x2 + 3")]
+        Metric2D(*w).curvature()
+        Metric2D(*(c / w[2] for c in w)).curvature()
+        assert divisions and not any(_is_unit_poly(q) for q, _ in divisions)
 
 
 class TestCompletePoint:
