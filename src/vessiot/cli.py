@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("dims", help="bundle dimension table")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="ambient dimension, 1 to 9")
     p.add_argument("--f1", type=int, default=None, help="dim F1 (default n(n+1)/2)")
     add_format(p)
 
@@ -84,13 +84,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         payload, code = handler(args)
+        _emit(payload, args.format)
     except (VessiotError, OSError) as exc:
         print(f"vessiot: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:
         print(f"vessiot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
-    _emit(payload, args.format)
     return code
 
 
@@ -136,8 +136,8 @@ def _cmd_equivalence(args) -> Tuple[dict, int]:
 
 
 def _cmd_dims(args) -> Tuple[dict, int]:
-    if args.n < 1:
-        raise InputFormatError(f"--n must be at least 1, got {args.n}")
+    if not 1 <= args.n <= 9:
+        raise InputFormatError(f"--n must be at least 1 and at most 9, got {args.n}")
     if args.f1 is not None and args.f1 < 0:
         raise InputFormatError(f"--f1 must be at least 0, got {args.f1}")
     table = jetcalc.dim_table(args.n, args.f1)

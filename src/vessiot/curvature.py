@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateMetric, NotProportional
-from .lieops import CHRISTOFFEL_2D_INDICES, GeometricSection, ObjectKind
+from .lieops import GeometricSection, ObjectKind
 from .reports import StructureReport
 from .symexpr import Context, Expression, common_denominator
 
@@ -83,7 +83,7 @@ class Connection2D:
     def from_section(cls, sec: GeometricSection) -> "Connection2D":
         if sec.kind is not ObjectKind.CHRISTOFFEL_2D:
             raise ValueError("expected a CHRISTOFFEL_2D section")
-        return cls(dict(zip(CHRISTOFFEL_2D_INDICES, sec.components)))
+        return cls(dict(zip(ObjectKind.CHRISTOFFEL_2D.spec.indices, sec.components)))
 
     @property
     def context(self) -> Context:

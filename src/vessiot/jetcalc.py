@@ -34,10 +34,6 @@ def max_jet_order() -> int:
     return value
 
 
-def mi_zero(n: int) -> MultiIndex:
-    return (0,) * n
-
-
 def mi_order(mu: MultiIndex) -> int:
     return sum(mu)
 

@@ -1,9 +1,10 @@
 """Geometric object kinds, their sections, and Medolaghi-form Lie equations.
 
-The catalog is closed: each kind carries a hard-coded first-order (or, for
-connection objects, second-order) coefficient template, so the infinitesimal
-equations of a section depend only on the section components and their first
-derivatives.
+The catalog is closed.  The infinitesimal equations L(xi)omega = 0 of a
+section follow from the object's type alone: one Lie-derivative rule for
+covariant tensors (first order) and one for connections (second order), read
+off each kind's index layout.  They depend only on the section components and
+their first derivatives.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateSection, InputFormatError, KindMismatch
-from .jetcalc import JetVariable, LinearJetEquation, add_term, mi_bump, mi_zero, proportional
+from .jetcalc import JetVariable, LinearJetEquation, add_term, proportional
 from .symexpr import Context, Expression, parse_in
 
 
@@ -34,11 +35,16 @@ class ObjectKind(enum.Enum):
 class KindSpec:
     """Everything the engine knows about one structure kind.
 
+    ``template`` builds the Medolaghi equations: ``_tensor`` for covariant
+    tensors, ``_connection`` for connections, or a kind's own rule.
     ``witness`` maps (components, context) to the nondegeneracy witness; None
     means the kind has no nondegeneracy condition.  ``scaled_constant`` names
     the structure constant that rescales as c/a under the kind's one-parameter
     rescaling (None: no scaling law, no equivalence gate); ``sign_test`` asks
-    the gate to compare the witnesses' fixed signs.
+    the gate to compare the witnesses' fixed signs.  ``indices`` is the tensor
+    index of each key: (i,) for w_i, (i, j) for w_ij, (k, i, j) for gamma^k_ij.
+    Swapping the last two entries of an index keeps the component, or negates
+    it when ``antisymmetric``.
     """
 
     dim: int
@@ -49,6 +55,8 @@ class KindSpec:
     extras: Tuple[str, ...] = ()  # extra named expressions a section file may carry
     scaled_constant: Optional[str] = None
     sign_test: bool = False
+    indices: Tuple[Tuple[int, ...], ...] = ()
+    antisymmetric: bool = False
 
 
 @dataclass(frozen=True)
@@ -113,44 +121,54 @@ def labeled_medolaghi(sec: GeometricSection) -> Dict[str, LinearJetEquation]:
 
 
 def _jv(k: int, n: int, *coords: int) -> JetVariable:
-    mu = mi_zero(n)
-    for i in coords:
-        mu = mi_bump(mu, i)
-    return JetVariable(k, mu)
+    """The jet variable d xi^k / d x_coords."""
+    return JetVariable(k, tuple(coords.count(i) for i in range(1, n + 1)))
 
 
-def _one_form_1d(sec: GeometricSection) -> List[LinearJetEquation]:
-    alpha = sec.components[0]
-    terms: dict = {}
-    add_term(terms, _jv(1, 1, 1), alpha)
-    add_term(terms, _jv(1, 1), alpha.diff(1))
-    return [LinearJetEquation(terms)]
+def _component_map(sec: GeometricSection) -> Dict[Tuple[int, ...], Expression]:
+    """Each component by tensor index, also under its last two entries swapped."""
+    spec = sec.kind.spec
+    out = dict(zip(spec.indices, sec.components))
+    for idx, c in list(out.items()):
+        if len(idx) >= 2 and idx[-1] != idx[-2]:
+            out[idx[:-2] + (idx[-1], idx[-2])] = -c if spec.antisymmetric else c
+    return out
 
 
-def _christoffel_1d(sec: GeometricSection) -> List[LinearJetEquation]:
-    gamma = sec.components[0]
-    ctx = sec.context
-    terms: dict = {}
-    add_term(terms, _jv(1, 1, 1, 1), ctx.one())
-    add_term(terms, _jv(1, 1, 1), gamma)
-    add_term(terms, _jv(1, 1), gamma.diff(1))
-    return [LinearJetEquation(terms)]
-
-
-def _metric_2d(sec: GeometricSection) -> List[LinearJetEquation]:
-    w = {
-        (1, 1): sec.components[0],
-        (2, 2): sec.components[1],
-        (1, 2): sec.components[2],
-        (2, 1): sec.components[2],
-    }
+def _tensor(sec: GeometricSection) -> List[LinearJetEquation]:
+    """L(xi)w = 0 for a covariant tensor w, one equation per component w_I:
+    xi^r d_r w_I + sum_a w_(I with i_a -> r) d_(i_a) xi^r.  An index the
+    layout leaves out (the diagonal of a 2-form) reads 0."""
+    n = sec.n
+    w = _component_map(sec)
+    zero = sec.context.zero()
     out = []
-    for i, j in ((1, 1), (2, 2), (1, 2)):
+    for idx in sec.kind.spec.indices:
         terms: dict = {}
-        for r in (1, 2):
-            add_term(terms, _jv(r, 2, i), w[(r, j)])
-            add_term(terms, _jv(r, 2, j), w[(i, r)])
-            add_term(terms, _jv(r, 2), w[(i, j)].diff(r))
+        for r in range(1, n + 1):
+            for a, i in enumerate(idx):
+                add_term(terms, _jv(r, n, i), w.get(idx[:a] + (r,) + idx[a + 1 :], zero))
+            add_term(terms, _jv(r, n), w[idx].diff(r))
+        out.append(LinearJetEquation(terms))
+    return out
+
+
+def _connection(sec: GeometricSection) -> List[LinearJetEquation]:
+    """L(xi)gamma = 0 for a symmetric connection, one equation per gamma^k_ij:
+    xi^k_ij + gamma^k_rj xi^r_i + gamma^k_ir xi^r_j - gamma^r_ij xi^k_r
+    + xi^r d_r gamma^k_ij."""
+    n = sec.n
+    g = _component_map(sec)
+    one = sec.context.one()
+    out = []
+    for k, i, j in sec.kind.spec.indices:
+        terms: dict = {}
+        add_term(terms, _jv(k, n, i, j), one)
+        for r in range(1, n + 1):
+            add_term(terms, _jv(r, n, i), g[(k, r, j)])
+            add_term(terms, _jv(r, n, j), g[(k, i, r)])
+            add_term(terms, _jv(k, n, r), -g[(r, i, j)])
+            add_term(terms, _jv(r, n), g[(k, i, j)].diff(r))
         out.append(LinearJetEquation(terms))
     return out
 
@@ -187,75 +205,24 @@ def _product_triple_2d(sec: GeometricSection) -> List[LinearJetEquation]:
     return [LinearJetEquation(t1), LinearJetEquation(t2), LinearJetEquation(t3)]
 
 
-# (k, i, j) of gamma^k_ij for each CHRISTOFFEL_2D component, in key order
-CHRISTOFFEL_2D_INDICES = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2))
-
-
-def _christoffel_2d(sec: GeometricSection) -> List[LinearJetEquation]:
-    g = dict(zip(CHRISTOFFEL_2D_INDICES, sec.components))
-    g.update({(k, j, i): v for (k, i, j), v in g.items() if i != j})
-    ctx = sec.context
-    out = []
-    for k in (1, 2):
-        for i, j in ((1, 1), (1, 2), (2, 2)):
-            terms: dict = {}
-            add_term(terms, _jv(k, 2, i, j), ctx.one())
-            for r in (1, 2):
-                add_term(terms, _jv(r, 2, i), g[(k, r, j)])
-                add_term(terms, _jv(r, 2, j), g[(k, i, r)])
-                add_term(terms, _jv(k, 2, r), -g[(r, i, j)])
-                add_term(terms, _jv(r, 2), g[(k, i, j)].diff(r))
-            out.append(LinearJetEquation(terms))
-    return out
-
-
-def _contact_pair_3d(sec: GeometricSection) -> List[LinearJetEquation]:
-    a = {1: sec.components[0], 2: sec.components[1], 3: sec.components[2]}
-    b23, b31, b12 = sec.components[3:]
-    zero = sec.context.zero()
-    b = {
-        (2, 3): b23,
-        (3, 1): b31,
-        (1, 2): b12,
-        (3, 2): -b23,
-        (1, 3): -b31,
-        (2, 1): -b12,
-        (1, 1): zero,
-        (2, 2): zero,
-        (3, 3): zero,
-    }
-    out = []
-    for i in (1, 2, 3):
-        terms: dict = {}
-        for r in (1, 2, 3):
-            add_term(terms, _jv(r, 3, i), a[r])
-            add_term(terms, _jv(r, 3), a[i].diff(r))
-        out.append(LinearJetEquation(terms))
-    for i, j in ((2, 3), (3, 1), (1, 2)):
-        terms = {}
-        for r in (1, 2, 3):
-            add_term(terms, _jv(r, 3, i), b[(r, j)])
-            add_term(terms, _jv(r, 3, j), b[(i, r)])
-            add_term(terms, _jv(r, 3), b[(i, j)].diff(r))
-        out.append(LinearJetEquation(terms))
-    return out
-
-
 _SPECS = {
     ObjectKind.ONE_FORM_1D: KindSpec(
-        1, ("alpha",), ("1",), _one_form_1d,
+        1, ("alpha",), ("1",), _tensor,
         witness=lambda c, ctx: c[0],
         extras=("gamma",),
+        indices=((1,),),
     ),
     ObjectKind.CHRISTOFFEL_1D: KindSpec(
-        1, ("gamma",), ("1",), _christoffel_1d,
+        1, ("gamma",), ("1",), _connection,
         extras=("nu",),
+        indices=((1, 1, 1),),
     ),
     ObjectKind.METRIC_2D: KindSpec(
-        2, ("w11", "w22", "w12"), ("11", "22", "12"), _metric_2d,
+        2, ("w11", "w22", "w12"), ("11", "22", "12"), _tensor,
         witness=lambda c, ctx: c[0] * c[1] - c[2] * c[2],
         scaled_constant="c1",
         sign_test=True,
+        indices=((1, 1), (2, 2), (1, 2)),
     ),
     ObjectKind.PRODUCT_TRIPLE_2D: KindSpec(
         2, ("w1", "w2", "w3"), ("1", "2", "3"), _product_triple_2d,
@@ -266,14 +233,17 @@ _SPECS = {
         2,
         ("g1_11", "g1_12", "g1_22", "g2_11", "g2_12", "g2_22"),
         ("1_11", "1_12", "1_22", "2_11", "2_12", "2_22"),
-        _christoffel_2d,
+        _connection,
+        indices=((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2)),
     ),
     ObjectKind.CONTACT_PAIR_3D: KindSpec(
         3,
         ("a1", "a2", "a3", "b23", "b31", "b12"),
         ("a1", "a2", "a3", "b23", "b31", "b12"),
-        _contact_pair_3d,
+        _tensor,
         witness=lambda c, ctx: c[0] * c[3] + c[1] * c[4] + c[2] * c[5],
+        indices=((1,), (2,), (3,), (2, 3), (3, 1), (1, 2)),
+        antisymmetric=True,
     ),
 }
 

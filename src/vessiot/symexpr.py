@@ -882,11 +882,24 @@ def _tokenize(text: str) -> Iterator[tuple]:
 # stack frames, so MAX_NESTING keeps a parse far below the interpreter's default
 # recursion limit.  The interpreter refuses to convert integer text longer than
 # 4,300 digits, and a power expands before anything else runs on it:
-# (x1+x2+1)^100 already has 5,151 terms.
+# (x1+x2+1)^100 already has 5,151 terms.  Every value the parser builds keeps
+# each coefficient within 10^MAX_LITERAL_DIGITS in magnitude, so neither a
+# product of long literals nor a chain such as 10^1000^1000 runs past the
+# first step that breaks it.
 MAX_NESTING = 100
 MAX_LITERAL_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_POWER_DEGREE = 100
+_COEFF_LIMIT = 10**MAX_LITERAL_DIGITS
+
+
+def _within_budget(expr: Expression) -> Expression:
+    """expr itself; InputTooLarge if a coefficient of its numerator or
+    denominator exceeds 10^MAX_LITERAL_DIGITS in magnitude."""
+    for poly in (expr.num, expr.den):
+        if any(abs(c) > _COEFF_LIMIT for c in poly.terms.values()):
+            raise InputTooLarge(f"coefficient beyond 10^{MAX_LITERAL_DIGITS} in magnitude")
+    return expr
 
 
 class _Parser:
@@ -936,7 +949,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.advance()
                 right = self.product()
-                left = left + right if val == "+" else left - right
+                left = _within_budget(left + right if val == "+" else left - right)
             else:
                 return left
 
@@ -948,13 +961,13 @@ class _Parser:
                 self.advance()
                 right = self.unary()
                 if val == "*":
-                    left = left * right
+                    left = _within_budget(left * right)
                 else:
                     if right.is_zero():
                         raise DivisionByZeroLiteral(
                             f"denominator is zero (at position {at})"
                         )
-                    left = left / right
+                    left = _within_budget(left / right)
             else:
                 return left
 
@@ -981,7 +994,7 @@ class _Parser:
                     raise DivisionByZeroLiteral(
                         f"zero raised to a negative power (at position {at})"
                     )
-                base = base**exp
+                base = _within_budget(base**exp)
             else:
                 return base
 

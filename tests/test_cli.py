@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from vessiot import curvature, structure
+from vessiot import cli, curvature, structure
 from vessiot.cli import build_parser, main
 from vessiot.symexpr import parse
 
@@ -248,6 +248,31 @@ class TestHostileInput:
         assert out == ""
         assert message in err and "Traceback" not in err
 
+    def test_coefficient_budget_exit_two(self, capsys, tmp_path):
+        path = write(
+            tmp_path, "big.section", "kind = METRIC_2D\nw11 = 10^1000^5\nw22 = -1\nw12 = 0\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "equivalence", "--left", path,
+            "--right", str(SECTIONS / "metric_euclidean.section"),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "coefficient beyond 10^1000 in magnitude" in err and "Traceback" not in err
+
+    def test_coefficients_within_budget_accepted(self, capsys, tmp_path):
+        path = write(
+            tmp_path, "wide.section",
+            "kind = METRIC_2D\nw11 = 9^1000*x1 + 7^1000*x2^2\n"
+            "w22 = 8^1000*x2 + 3^1000*x1*x2\nw12 = 5^1000*x1 + 1\n",
+        )
+        code, out, err = run_cli(capsys, "curvature", "--section", path)
+        assert code == 1
+        assert err == ""
+        assert json.loads(out)["verdict"] == "non-integrable"
+
     @pytest.mark.parametrize("params", ["x1", "1a"])
     def test_bad_params_header_exit_two(self, capsys, tmp_path, params):
         path = write(
@@ -267,6 +292,26 @@ class TestDims:
         assert code == 2
         assert out == ""
         assert "--n must be at least 1" in err
+
+    @pytest.mark.parametrize("n", ["10", "15000"])
+    def test_n_beyond_nine_exit_two(self, capsys, n):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "dims", "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"--n must be at least 1 and at most 9, got {n}" in err
+        assert run_cli(capsys, "dims", "--n", "9")[0] == 0
+
+    def test_emission_failure_exit_three(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("cannot emit")
+
+        monkeypatch.setattr(cli.json, "dumps", refuse)
+        code, out, err = run_cli(capsys, "dims", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "vessiot: internal error: ValueError: cannot emit\n"
 
     def test_dimension_diagram(self, capsys):
         code, out, _ = run_cli(capsys, "dims", "--n", "2")

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from vessiot.lieops import (
 )
 from vessiot.symexpr import Context, parse_in
 
+SECTIONS = Path(__file__).resolve().parent.parent / "sections"
 CTX2 = Context(2)
 CTX1 = Context(1)
 ONE = CTX2.one()
@@ -105,6 +107,94 @@ class TestMedolaghi:
             medolaghi_equations(
                 section(ObjectKind.PRODUCT_TRIPLE_2D, [ONE, ONE, ONE])
             )
+
+
+def apply_field(eq, field):
+    """The equation with each jet variable d^mu xi^k replaced by the derivative
+    of field[k - 1], taken through Expression.diff."""
+    total = None
+    for var, coeff in eq.terms.items():
+        value = field[var.component - 1]
+        for i, times in enumerate(var.index, start=1):
+            for _ in range(times):
+                value = value.diff(i)
+        total = coeff * value if total is None else total + coeff * value
+    return total
+
+
+def connection_2d(*gammas):
+    keys = ObjectKind.CHRISTOFFEL_2D.spec.keys
+    return "kind = CHRISTOFFEL_2D\n" + "\n".join(f"{k} = {g}" for k, g in zip(keys, gammas))
+
+
+FLAT_CONNECTION = connection_2d(*"000000")
+HALF_PLANE_CONNECTION = connection_2d("0", "-1/x2", "0", "1/x2", "0", "-1/x2")  # Levi-Civita
+HALF_PLANE_KILLING = [("1", "0"), ("x1", "x2"), ("x1^2 - x2^2", "2*x1*x2")]
+
+
+class TestLieDerivativeRules:
+    """Each kind's system, evaluated on explicit vector fields: L(xi)omega
+    vanishes for the known symmetries and not for the other fields."""
+
+    @pytest.mark.parametrize(
+        "source, symmetries, others",
+        [
+            ("one_form_dilatation.section", [("x1",)], [("x1^2",), ("1",)]),
+            ("kind = CHRISTOFFEL_1D\ngamma = 0", [("1",), ("x1",)], [("x1^2",)]),
+            ("kind = CHRISTOFFEL_1D\ngamma = 1/x1", [("x1",), ("1/x1",)], [("1",)]),
+            ("metric_euclidean.section", [("1", "0"), ("-x2", "x1")], [("x1", "x2")]),
+            ("metric_half_plane.section", HALF_PLANE_KILLING, [("0", "1"), ("x1", "0")]),
+            ("metric_indefinite.section", [("x1", "-x2"), ("1", "0")], [("x1", "x2")]),
+            (
+                "product_projective.section",
+                [("1", "1"), ("x1", "x2"), ("x1^2", "x2^2")],
+                [("x1", "0"), ("x1^2", "x2")],
+            ),
+            (FLAT_CONNECTION, [("0", "x1"), ("x2", "1")], [("x1^2", "0")]),
+            (HALF_PLANE_CONNECTION, HALF_PLANE_KILLING, [("0", "1"), ("x2", "0")]),
+            (
+                "contact_standard.section",
+                [("1", "0", "0"), ("0", "1", "0"), ("x2", "0", "1")],
+                [("0", "0", "1"), ("x1", "0", "0")],
+            ),
+            (
+                # alpha = dx1, beta = d(x2 - x1) ^ dx3: the swapped b13 and b32 enter
+                "kind = CONTACT_PAIR_3D\na1 = 1\na2 = 0\na3 = 0\nb23 = 1\nb31 = 1\nb12 = 0",
+                [("0", "1", "0"), ("1", "1", "0"), ("0", "x2 - x1", "-x3"), ("0", "x3", "0")],
+                [("0", "x2", "-x3"), ("0", "x1", "0")],
+            ),
+        ],
+    )
+    def test_symmetries_and_others(self, source, symmetries, others):
+        if source.endswith(".section"):
+            sec, _ = load_section(SECTIONS / source)
+        else:
+            sec, _ = parse_section_text(source)
+        system = medolaghi_equations(sec)
+        assert len(system) == len(sec.kind.spec.keys)
+
+        def lie_derivative(field):
+            return [apply_field(eq, [parse_in(t, sec.context) for t in field]) for eq in system]
+
+        for field in symmetries:
+            assert all(value.is_zero() for value in lie_derivative(field)), field
+        for field in others:
+            assert not all(value.is_zero() for value in lie_derivative(field)), field
+
+    def test_one_rule_per_object_type(self):
+        templates = {kind: kind.spec.template.__name__ for kind in ObjectKind}
+        assert templates == {
+            ObjectKind.ONE_FORM_1D: "_tensor",
+            ObjectKind.METRIC_2D: "_tensor",
+            ObjectKind.CONTACT_PAIR_3D: "_tensor",
+            ObjectKind.CHRISTOFFEL_1D: "_connection",
+            ObjectKind.CHRISTOFFEL_2D: "_connection",
+            ObjectKind.PRODUCT_TRIPLE_2D: "_product_triple_2d",
+        }
+        for kind in ObjectKind:
+            spec = kind.spec
+            assert len(spec.indices) in (0, len(spec.keys))
+            assert all(1 <= i <= spec.dim for idx in spec.indices for i in idx)
 
 
 class TestFiniteType:

@@ -2,16 +2,19 @@
 ``src/vessiot`` names a module of the Python standard library.
 
 Relative imports (``from . import``, ``from .errors import``) stay inside the
-package and are not checked.
+package and are not checked.  The benchmark's tracer wraps engine functions and
+methods by name; every name it wraps must exist.
 """
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vessiot"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vessiot"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -39,3 +42,15 @@ def test_checker_sees_absolute_imports_only():
 def test_stdlib_only(path):
     imported = top_level_imports(path.read_text(encoding="utf-8"))
     assert imported - sys.stdlib_module_names == set()
+
+
+def test_tracer_targets_exist():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.FUNCTIONS and tracer.METHODS
+    for _, module, attr, _ in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
+    for _, module, cls_name, attr, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(module), cls_name)
+        assert attr in cls.__dict__, f"{module}.{cls_name}.{attr}"

@@ -103,6 +103,22 @@ class TestParse:
             with pytest.raises(InputTooLarge):
                 parse(text, 2)
 
+    def test_coefficient_budget(self):
+        # a coefficient may reach 10^1000 in magnitude, in the numerator or the denominator
+        at_limit = parse("x1/10^1000 - 1", 1)
+        assert at_limit.num == _Poly({(1,): 1, (0,): -(10**1000)})
+        assert at_limit.den == _Poly({(0,): 10**1000})
+        assert parse("10^500 * 10^500 * x1", 1) == parse("10^1000 * x1", 1)
+        # every step of the parse is held to it, so no later step runs on a
+        # value past it: a sum, a product, a quotient, a power, a chain of powers
+        for text in (
+            "10^1000 + 1", "x1 / (10^1000 + 1)", "1/10^600 + 1/(10^600 - 1)", "11^1000",
+            "10^600 * 10^600", "(10^999 * x1 + 1)^2", "10^1000^1000^1000",
+            "(" + "*".join(["10^1000"] * 100) + ")^1000",
+        ):
+            with pytest.raises(InputTooLarge, match="coefficient"):
+                parse(text, 1)
+
 
 class TestArithmetic:
     def test_additive_inverse(self):
