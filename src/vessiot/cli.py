@@ -19,6 +19,7 @@ from . import curvature as curvature_mod
 from . import jetcalc, lieops, structure
 from .errors import InputFormatError, NotIntegrable, VessiotError
 from .lieops import ObjectKind
+from .symexpr import MAX_LITERAL_DIGITS
 
 PASS_EXIT = 0
 OBSTRUCTION_EXIT = 1
@@ -138,8 +139,8 @@ def _cmd_equivalence(args) -> Tuple[dict, int]:
 def _cmd_dims(args) -> Tuple[dict, int]:
     if not 1 <= args.n <= 9:
         raise InputFormatError(f"--n must be at least 1 and at most 9, got {args.n}")
-    if args.f1 is not None and args.f1 < 0:
-        raise InputFormatError(f"--f1 must be at least 0, got {args.f1}")
+    if args.f1 is not None and not 0 <= args.f1 < 10**MAX_LITERAL_DIGITS:
+        raise InputFormatError(f"--f1 must be at least 0 and below 10^{MAX_LITERAL_DIGITS}")
     table = jetcalc.dim_table(args.n, args.f1)
     payload = _payload(
         "dims", {"f1": table.f1, "n": args.n}, table.to_json_dict(), [], "ok"

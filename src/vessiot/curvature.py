@@ -67,17 +67,23 @@ class Metric2D:
         return -self.w12 / det
 
 
-@dataclass(frozen=True)
 class Connection2D:
-    """Symmetric connection gamma^k_ij on a 2-dimensional chart (6 components)."""
+    """Symmetric connection gamma^k_ij on a 2-dimensional chart (6 components).
 
-    components: Dict[Tuple[int, int, int], Expression]
+    Given by its components, or (``christoffel``) by ``over`` = (E, G), kernel
+    polynomials G^k_ij over one denominator E; either is built from the other
+    when first read, so the six quotients G/E are reduced only on demand."""
 
-    def __post_init__(self):
+    def __init__(self, components=None, *, context: Optional[Context] = None, over=None):
+        if over is not None:
+            self.context, self.over = context, over
+            return
         for k in (1, 2):
             for i, j in IJ:
-                if (k, i, j) not in self.components:
+                if (k, i, j) not in components:
                     raise ValueError(f"missing connection component ({k},{i},{j})")
+        self.components = components
+        self.context = components[(1, 1, 1)].context
 
     @classmethod
     def from_section(cls, sec: GeometricSection) -> "Connection2D":
@@ -85,14 +91,18 @@ class Connection2D:
             raise ValueError("expected a CHRISTOFFEL_2D section")
         return cls(dict(zip(ObjectKind.CHRISTOFFEL_2D.spec.indices, sec.components)))
 
-    @property
-    def context(self) -> Context:
-        return self.components[(1, 1, 1)].context
+    @cached_property
+    def components(self) -> Dict[Tuple[int, int, int], Expression]:
+        e, numer = self.over
+        return {key: Expression(self.context, g, e) for key, g in numer.items()}
+
+    @cached_property
+    def over(self) -> tuple:
+        e, scaled = common_denominator(self.components.values())
+        return e, dict(zip(self.components, scaled))
 
     def gamma(self, k: int, i: int, j: int) -> Expression:
-        if (k, i, j) in self.components:
-            return self.components[(k, i, j)]
-        return self.components[(k, j, i)]
+        return self.components[(k, min(i, j), max(i, j))]
 
 
 @dataclass(frozen=True)
@@ -137,30 +147,31 @@ class CurvatureData:
 def christoffel(metric: Metric2D) -> Connection2D:
     """Levi-Civita connection gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij).
 
-    With the metric over its common denominator d, w = W/d, each component is
-    one quotient sum_r adj(W)^{kr} N_rij / (2 det(W) d) of polynomials, where
+    With the metric over its common denominator d, w = W/d, every component
+    is G^k_ij / E over the one designed denominator E = 2 det(W) d, where
+    G^k_ij = sum_r adj(W)^{kr} N_rij and
     N_rij = d (d_i W_rj + d_j W_ir - d_r W_ij) - (W_rj d_i d + W_ir d_j d - W_ij d_r d).
+    All of it is polynomial arithmetic: no gcd and no division.
     """
-    d, scaled = common_denominator((metric.w11, metric.w22, metric.w12))
-    poly = Metric2D(*scaled)
-    det = poly.det()
+    d, (w11, w22, w12) = common_denominator((metric.w11, metric.w22, metric.w12))
+    det = w11 * w22 - w12 * w12
     if det.is_zero():
         raise DegenerateMetric("det(w) is identically zero")
-    W = poly.component
-    dd = {i: d.diff(i) for i in (1, 2)}
+    W = {(1, 1): w11, (2, 2): w22, (1, 2): w12, (2, 1): w12}
+    dd = {i: d.diff(i - 1) for i in (1, 2)}
     numer = {
-        (r, i, j): d * (W(r, j).diff(i) + W(i, r).diff(j) - W(i, j).diff(r))
-        - (W(r, j) * dd[i] + W(i, r) * dd[j] - W(i, j) * dd[r])
+        (r, i, j): d * (W[r, j].diff(i - 1) + W[i, r].diff(j - 1) - W[i, j].diff(r - 1))
+        - (W[r, j] * dd[i] + W[i, r] * dd[j] - W[i, j] * dd[r])
         for r in (1, 2)
         for i, j in IJ
     }
-    adj = {(1, 1): poly.w22, (2, 2): poly.w11, (1, 2): -poly.w12, (2, 1): -poly.w12}
-    denom = metric.context.rational(2) * det * d
-    return Connection2D({
-        (k, i, j): (adj[(k, 1)] * numer[(1, i, j)] + adj[(k, 2)] * numer[(2, i, j)]) / denom
+    adj = {(1, 1): w22, (2, 2): w11, (1, 2): -w12, (2, 1): -w12}
+    e = det * d
+    return Connection2D(context=metric.context, over=(e + e, {
+        (k, i, j): adj[k, 1] * numer[1, i, j] + adj[k, 2] * numer[2, i, j]
         for k in (1, 2)
         for i, j in IJ
-    })
+    }))
 
 
 def riemann(conn: Connection2D) -> CurvatureData:
@@ -168,21 +179,21 @@ def riemann(conn: Connection2D) -> CurvatureData:
 
     rho^k_{l,ij} = d_i g^k_lj - d_j g^k_li + g^r_lj g^k_ri - g^r_li g^k_rj,
     Ricci rho_ij = rho^r_{i,rj}, and the n = 2 split (phi, sym) of Ricci.
-    With e the common denominator of the connection and G = e*g polynomial,
-    e^2 rho^k_{l,ij} = d_i G^k_lj e - G^k_lj d_i e - d_j G^k_li e + G^k_li d_j e
+    Over the connection's pair (e, G) = ``conn.over``, all polynomial,
+    e^2 rho^k_{l,ij} = (d_i G^k_lj - d_j G^k_li) e - G^k_lj d_i e + G^k_li d_j e
     + G^r_lj G^k_ri - G^r_li G^k_rj, and only the division by e^2 reduces.
     """
-    e, scaled = common_denominator(conn.components.values())
-    de = {i: e.diff(i) for i in (1, 2)}
+    e, numer = conn.over
+    de = {i: e.diff(i - 1) for i in (1, 2)}
     e2 = e * e
-    G = Connection2D(dict(zip(conn.components, scaled))).gamma
+    G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
 
     def rho(k: int, l: int, i: int, j: int) -> Expression:
-        a, b = G(k, l, j), G(k, l, i)
-        total = a.diff(i) * e - a * de[i] - b.diff(j) * e + b * de[j]
+        a, b = G[k, l, j], G[k, l, i]
+        total = (a.diff(i - 1) - b.diff(j - 1)) * e - a * de[i] + b * de[j]
         for r in (1, 2):
-            total = total + G(r, l, j) * G(k, r, i) - G(r, l, i) * G(k, r, j)
-        return total / e2
+            total = total + G[r, l, j] * G[k, r, i] - G[r, l, i] * G[k, r, j]
+        return Expression(conn.context, total, e2)
 
     riem = {(k, l, 1, 2): rho(k, l, 1, 2) for k in (1, 2) for l in (1, 2)}
 

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
-from math import isqrt
+from math import comb, isqrt
 from operator import add, gt, lt, neg, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -218,13 +218,20 @@ class _Poly:
             raise InputTooLarge(
                 f"power of total degree {degree} exceeds the limit of {MAX_POWER_DEGREE}"
             )
+        # at most one term per multiset of k base terms, and per monomial of
+        # total degree <= degree in the slots the base uses
+        slots = len(self.used_slots())
+        terms = min(comb(len(self.terms) + k - 1, k), comb(degree + slots, slots)) if k else 1
+        if terms > MAX_POWER_TERMS:
+            raise InputTooLarge(f"power of up to {terms} terms exceeds the limit of {MAX_POWER_TERMS}")
         result = _pconst(self.nvars(), 1)
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def diff(self, slot: int) -> "_Poly":
@@ -760,12 +767,13 @@ class Expression:
 
 
 def common_denominator(exprs: Iterable[Expression]) -> tuple:
-    """(e, [e*x for each x]): the lcm e of the denominators of one or more
-    expressions, and each expression over it, all as polynomials.
+    """(e, [e*x for each x]) as kernel polynomials: the lcm e of the
+    denominators of one or more expressions, and each expression over it.
 
-    Polynomial arithmetic needs no gcd, so a chain can stay polynomial and
-    reduce once.  Each e*x is num * (e/den), and the cofactor e/den comes from
-    the lcm's own construction: no further gcd and no division.
+    Kernel arithmetic needs no gcd and no content step, so a chain can stay
+    polynomial and reduce once, as ``Expression(context, numerator, e^k)``.
+    Each e*x is num * (e/den), with the cofactor e/den taken from the lcm's
+    own construction: no further gcd and no division.
     """
     exprs = list(exprs)
     lcm = exprs[0].den
@@ -776,10 +784,7 @@ def common_denominator(exprs: Iterable[Expression]) -> tuple:
         rest, grow, _ = _cancel(lcm, x.den)
         cofactors = [c * grow for c in cofactors] + [rest]
         lcm = lcm * grow
-    context = exprs[0].context
-    return _from_reduced(context, lcm, one), [
-        _from_reduced(context, x.num * c, one) for x, c in zip(exprs, cofactors)
-    ]
+    return lcm, [x.num * c for x, c in zip(exprs, cofactors)]
 
 
 def _from_reduced(context: Context, num: _Poly, den: _Poly) -> "Expression":
@@ -885,11 +890,13 @@ def _tokenize(text: str) -> Iterator[tuple]:
 # (x1+x2+1)^100 already has 5,151 terms.  Every value the parser builds keeps
 # each coefficient within 10^MAX_LITERAL_DIGITS in magnitude, so neither a
 # product of long literals nor a chain such as 10^1000^1000 runs past the
-# first step that breaks it.
+# first step that breaks it.  A power is also held to MAX_POWER_TERMS terms,
+# bounded before it expands: (x1+...+x6+1)^12 would have 18,564.
 MAX_NESTING = 100
 MAX_LITERAL_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_POWER_DEGREE = 100
+MAX_POWER_TERMS = 10_000
 _COEFF_LIMIT = 10**MAX_LITERAL_DIGITS
 
 

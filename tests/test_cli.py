@@ -248,6 +248,21 @@ class TestHostileInput:
         assert out == ""
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("k", [12, 20])
+    def test_power_term_budget_exit_two(self, capsys, tmp_path, k):
+        # six slots: two coordinates and four parameters, like x1 + ... + x6
+        path = write(
+            tmp_path, "terms.section",
+            f"kind = PRODUCT_TRIPLE_2D\nparams = a, b, c, d\nw1 = 0\nw2 = 0\n"
+            f"w3 = (x1 + x2 + a + b + c + d + 1)^{k}\n",
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "compute", "--section", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "terms" in err and "Traceback" not in err
+
     def test_coefficient_budget_exit_two(self, capsys, tmp_path):
         path = write(
             tmp_path, "big.section", "kind = METRIC_2D\nw11 = 10^1000^5\nw22 = -1\nw12 = 0\n"
@@ -332,6 +347,14 @@ class TestDims:
         assert out == ""
         assert "--f1 must be at least 0" in err
         assert run_cli(capsys, "dims", "--n", "2", "--f1", "0")[0] == 0
+
+    def test_huge_f1_exit_two(self, capsys):
+        # past 10^1000 the report's 45*f1 nears the interpreter's digit limit
+        code, out, err = run_cli(capsys, "dims", "--n", "9", "--f1", "9" * 4299)
+        assert code == 2
+        assert out == ""
+        assert "--f1 must be at least 0 and below 10^1000" in err and "Traceback" not in err
+        assert run_cli(capsys, "dims", "--n", "9", "--f1", "9" * 1000)[0] == 0
 
 
 class TestCheckCC:

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import random_connection, random_metric, random_nonzero_rational
+from vessiot import symexpr
 from vessiot.curvature import (
     IJ,
     Connection2D,
@@ -15,6 +17,7 @@ from vessiot.curvature import (
     riemann,
 )
 from vessiot.errors import DegenerateMetric
+from vessiot.lieops import load_section
 from vessiot.symexpr import Context, parse_in
 
 CTX = Context(2)
@@ -70,6 +73,94 @@ class TestChristoffel:
                             r, s
                         ) * metric.component(r, s).diff(i)
                 assert trace == half * expected
+
+
+SECTIONS = Path(__file__).resolve().parent.parent / "sections"
+
+
+def chain_metrics():
+    """The bundled metrics, a/x2^2 half-planes, and seeded rational metrics
+    whose three components have three distinct denominators."""
+    metrics = [
+        Metric2D.from_section(load_section(SECTIONS / f"metric_{name}.section")[0])
+        for name in ("euclidean", "half_plane", "indefinite")
+    ]
+    for a in ("-3/2", "5", "1/7"):
+        hp = parse_in(f"({a})/x2^2", CTX)
+        metrics.append(Metric2D(hp, hp, ZERO))
+    rng = random.Random(97)
+    while len(metrics) < 12:
+        metric = Metric2D(*(
+            parse_in(f"({rng.randint(1, 4)} + {rng.randint(-2, 2)}*x1*x2)/({den} + {rng.randint(1, 5)})", CTX)
+            for den in ("x1", "x2", "x1 - x2")
+        ))
+        if not metric.det().is_zero():
+            metrics.append(metric)
+    return metrics
+
+
+def reference_christoffel(metric):
+    """gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij), term by term."""
+    half = CTX.rational("1/2")
+    w = metric.component
+    comps = {}
+    for k in (1, 2):
+        for i, j in IJ:
+            total = ZERO
+            for r in (1, 2):
+                total = total + metric.inverse_component(k, r) * (
+                    w(r, j).diff(i) + w(i, r).diff(j) - w(i, j).diff(r)
+                )
+            comps[(k, i, j)] = half * total
+    return comps
+
+
+class TestLeviCivitaChain:
+    @pytest.mark.parametrize("index", range(12))
+    def test_matches_reference_and_section_route(self, index):
+        metric = chain_metrics()[index]
+        conn = christoffel(metric)
+        assert conn.components == reference_christoffel(metric)
+        # the stored (E, G) pair against the pair common_denominator forms
+        # from the reduced components, through the one Riemann formula
+        levi_civita = riemann(conn)
+        from_section = riemann(Connection2D(dict(conn.components)))
+        assert levi_civita.riemann == from_section.riemann
+        assert levi_civita.ricci == from_section.ricci
+        assert levi_civita.sym == from_section.sym
+        assert levi_civita.phi_12 == from_section.phi_12
+        gamma = conn.gamma
+        for k in (1, 2):
+            for l in (1, 2):
+                rho = gamma(k, l, 2).diff(1) - gamma(k, l, 1).diff(2)
+                for r in (1, 2):
+                    rho = rho + gamma(r, l, 2) * gamma(k, r, 1) - gamma(r, l, 1) * gamma(k, r, 2)
+                assert levi_civita.riemann[(k, l, 1, 2)] == rho
+
+    def test_components_reduced_only_when_read(self, monkeypatch):
+        calls = []
+        original = symexpr._cancel
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(symexpr, "_cancel", counting)
+        for metric in chain_metrics():
+            calls.clear()
+            symexpr.common_denominator((metric.w11, metric.w22, metric.w12))
+            lcm_calls = len(calls)
+            calls.clear()
+            conn = christoffel(metric)
+            # only the lcm of the metric's denominators, no cancel of a Christoffel symbol
+            assert len(calls) == lcm_calls
+            e, numer = conn.over
+            calls.clear()
+            conn.gamma(1, 2, 1)
+            assert len(calls) == sum(not g.is_zero() for g in numer.values())
+            calls.clear()
+            conn.components
+            assert calls == []
 
 
 class TestRiemann:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,38 @@ class TestParse:
         for text in ("(x1 + x2 + 1)^101", "(x1^2 + 1)^51", "((x1 + 1)^10)^11", "1/x1^101"):
             with pytest.raises(InputTooLarge):
                 parse(text, 2)
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        base = parse("x1 + x2 + 1", 2).num
+        squarings = []
+        original = _Poly.__mul__
+
+        def counting(a, b):
+            if a is b:
+                squarings.append(len(a.terms))
+            return original(a, b)
+
+        monkeypatch.setattr(_Poly, "__mul__", counting)
+        expected = base
+        for k in range(1, 20):
+            squarings.clear()
+            assert base.pow(k) == expected
+            assert len(squarings) == k.bit_length() - 1
+            expected = original(expected, base)
+
+    def test_power_term_budget(self):
+        # the unused last squaring made this ^8 take seconds
+        start = time.perf_counter()
+        assert len(parse("(x1+x2+x3+x4+x5+x6+1)^8", 6).num.terms) == 3003
+        assert time.perf_counter() - start < 1.0
+        # bounded before anything expands: C(18, 12) = 18,564 and C(26, 20) = 230,230
+        for k in (12, 20):
+            start = time.perf_counter()
+            with pytest.raises(InputTooLarge, match="terms"):
+                parse(f"(x1+x2+x3+x4+x5+x6+1)^{k}", 6)
+            assert time.perf_counter() - start < 1.0
+        # few base terms bound the result even in many slots
+        assert len(parse("(x1*x2*x3 + x4*x5*x6)^30", 6).num.terms) == 31
 
     def test_coefficient_budget(self):
         # a coefficient may reach 10^1000 in magnitude, in the numerator or the denominator
