@@ -28,7 +28,7 @@ from .forms import DifferentialForm, exterior_derivative, wedge
 from .lieops import GeometricSection, ObjectKind, nondegeneracy
 from .linalg import solve_square
 from .reports import NECESSARY_PASS, OBSTRUCTED, EquivalenceVerdict, StructureReport
-from .symexpr import Context, Expression
+from .symexpr import Context, Expression, common_denominator
 
 ScaleLike = Union[Expression, Fraction, int, str]
 
@@ -88,6 +88,21 @@ def _single_constant_report(kind: str, name: str, value: Expression) -> Structur
 # ----------------------------------------------------------------------
 
 
+def _product_system(sec: GeometricSection):
+    """(witness, d1 w1, d2 w2, matrix, rhs): the witness and the 2x2 system in
+    (w4, w7) of a product-triple section (see ``solve_intermediate_product``)."""
+    if sec.kind is not ObjectKind.PRODUCT_TRIPLE_2D:
+        raise KindMismatch("solve_intermediate_product needs a PRODUCT_TRIPLE_2D section")
+    witness = nondegeneracy(sec)
+    if witness.is_zero():
+        raise DegenerateSection("w3*(1 - w1*w2) is identically zero")
+    w1, w2, w3 = sec.components
+    one = sec.context.one()
+    d1w1, d2w2 = w1.diff(1), w2.diff(2)
+    rhs = [w3.diff(1) / w3 - d2w2, w3.diff(2) / w3 - d1w1]
+    return witness, d1w1, d2w2, [[one, w2], [w1, one]], rhs
+
+
 def solve_intermediate_product(
     sec: GeometricSection,
 ) -> Tuple[Expression, Expression, Expression, Expression, Expression, Expression]:
@@ -105,20 +120,12 @@ def solve_intermediate_product(
     has determinant 1 - w1*w2, nonzero because the witness w3*(1 - w1*w2)
     does not vanish identically.
     """
-    if sec.kind is not ObjectKind.PRODUCT_TRIPLE_2D:
-        raise KindMismatch("solve_intermediate_product needs a PRODUCT_TRIPLE_2D section")
-    if nondegeneracy(sec).is_zero():
-        raise DegenerateSection("w3*(1 - w1*w2) is identically zero")
-    w1, w2, w3 = sec.components
-    one = sec.context.one()
-    d1w1, d2w1, d1w2, d2w2 = w1.diff(1), w1.diff(2), w2.diff(1), w2.diff(2)
-    w4, w7 = solve_square(
-        [[one, w2], [w1, one]],
-        [w3.diff(1) / w3 - d2w2, w3.diff(2) / w3 - d1w1],
-    )
+    _, d1w1, d2w2, matrix, rhs = _product_system(sec)
+    w1, w2, _ = sec.components
+    w4, w7 = solve_square(matrix, rhs)
     w5 = d1w1 + w1 * w4
     w8 = d2w2 + w2 * w7
-    return w4, w5, d2w1 + w1 * w5, w7, w8, d1w2 + w2 * w8
+    return w4, w5, w1.diff(2) + w1 * w5, w7, w8, w2.diff(1) + w2 * w8
 
 
 def product_constants(sec: GeometricSection) -> StructureReport:
@@ -126,12 +133,14 @@ def product_constants(sec: GeometricSection) -> StructureReport:
 
     c' and c'' are the quotients of d2 w4 - d1 w5 and d1 w7 - d2 w8 by the
     witness w3*(1 - w1*w2); the Jacobi condition forces c' = c'' whenever
-    both are constant, and the single constant c is reported.
+    both are constant, and the single constant c is reported.  Only w4, w5,
+    w7 and w8 are formed, and each curl is one reduction (``_curl``).
     """
-    w4, w5, _w6, w7, w8, _w9 = solve_intermediate_product(sec)
-    witness = nondegeneracy(sec)
-    c_prime = (w4.diff(2) - w5.diff(1)) / witness
-    c_second = (w7.diff(1) - w8.diff(2)) / witness
+    witness, d1w1, d2w2, matrix, rhs = _product_system(sec)
+    w1, w2, _ = sec.components
+    w4, w7 = solve_square(matrix, rhs)
+    c_prime = _curl(w4, 2, d1w1 + w1 * w4, 1, witness)
+    c_second = _curl(w7, 1, d2w2 + w2 * w7, 2, witness)
     jacobi = c_prime - c_second
     if c_prime.is_constant() and c_second.is_constant():
         if not jacobi.is_zero():
@@ -150,6 +159,19 @@ def product_constants(sec: GeometricSection) -> StructureReport:
         integrable=False,
         residual=residual,
     )
+
+
+def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression) -> Expression:
+    """(d_i a - d_j b) / witness, reduced once.
+
+    Over the common denominator e of a and b (one gcd), a = F/e and b = G/e,
+    so e^2 (d_i a - d_j b) = (d_i F - d_j G) e - F d_i e + G d_j e: polynomial
+    arithmetic with no gcd, and only the quotient by e^2 * witness reduces.
+    """
+    e, (f, g) = common_denominator((a, b))
+    si, sj = i - 1, j - 1
+    numerator = (f.diff(si) - g.diff(sj)) * e - f * e.diff(si) + g * e.diff(sj)
+    return Expression(witness.context, numerator * witness.den, e * e * witness.num)
 
 
 # ----------------------------------------------------------------------

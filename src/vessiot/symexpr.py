@@ -202,6 +202,11 @@ class _Poly:
             if c == 1:
                 return p
             return _Poly({m: v * c for m, v in p.terms.items()})
+        if len(self.terms) * len(other.terms) > MAX_MUL_PAIRS:
+            raise InputTooLarge(
+                f"product of {len(self.terms)} by {len(other.terms)} terms exceeds"
+                f" the limit of {MAX_MUL_PAIRS} term pairs"
+            )
         out: dict = {}
         get = out.get
         for m1, c1 in self.terms.items():
@@ -891,12 +896,17 @@ def _tokenize(text: str) -> Iterator[tuple]:
 # each coefficient within 10^MAX_LITERAL_DIGITS in magnitude, so neither a
 # product of long literals nor a chain such as 10^1000^1000 runs past the
 # first step that breaks it.  A power is also held to MAX_POWER_TERMS terms,
-# bounded before it expands: (x1+...+x6+1)^12 would have 18,564.
+# bounded before it expands: (x1+...+x6+1)^12 would have 18,564.  Every
+# polynomial product, in the parser and in the engine alike, is held to
+# MAX_MUL_PAIRS term pairs (len(a)*len(b)): the parser's own (x1+x2+1)^100 needs
+# 703 * 2,145 = 1,507,935 in its last step, while the Christoffel chain of a
+# metric with that w11 would multiply 5,151 by ~5,000 terms, many times over.
 MAX_NESTING = 100
 MAX_LITERAL_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_POWER_DEGREE = 100
 MAX_POWER_TERMS = 10_000
+MAX_MUL_PAIRS = 2_000_000
 _COEFF_LIMIT = 10**MAX_LITERAL_DIGITS
 
 

@@ -263,6 +263,20 @@ class TestHostileInput:
         assert out == ""
         assert "terms" in err and "Traceback" not in err
 
+    def test_product_pair_budget_exit_two(self, capsys, tmp_path):
+        # within every parser cap (degree 100, 5,151 terms), but the Christoffel
+        # chain multiplies 5,151 by 5,050 terms
+        path = write(
+            tmp_path, "dense.section",
+            "kind = METRIC_2D\nw11 = (x1 + x2 + 1)^100\nw22 = 1\nw12 = 0\n",
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "compute", "--section", path)
+        assert time.perf_counter() - start < 15.0
+        assert code == 2
+        assert out == ""
+        assert "term pairs" in err and "Traceback" not in err
+
     def test_coefficient_budget_exit_two(self, capsys, tmp_path):
         path = write(
             tmp_path, "big.section", "kind = METRIC_2D\nw11 = 10^1000^5\nw22 = -1\nw12 = 0\n"

@@ -25,7 +25,8 @@ from vessiot.errors import (
 )
 from vessiot.forms import one_form, two_form_cyclic
 from vessiot.linalg import solve_square
-from vessiot.lieops import ObjectKind, parse_section_text, section
+from vessiot import structure, symexpr
+from vessiot.lieops import ObjectKind, load_section, nondegeneracy, parse_section_text, section
 from vessiot.reports import EquivalenceVerdict, StructureReport
 from vessiot.structure import (
     affine_constant_1d,
@@ -268,6 +269,94 @@ class TestProductConstants:
         assert not report.integrable
         assert report.constants == {}
         assert report.residual is not None and not report.residual.is_zero()
+
+
+SECTIONS = Path(__file__).resolve().parent.parent / "sections"
+
+
+def chain_products():
+    """The bundled product sections, seeded random ones (with a parameter and
+    with w1 = 0 or w2 = 0 among them) and seeded constant-c ones."""
+    secs = [
+        load_section(path)[0]
+        for path in sorted(SECTIONS.glob("product_*.section"))
+    ]
+    rng = random.Random(53)
+    for _ in range(10):
+        secs.append(random_product_section(rng))
+    ctx = Context(2, ["a"])
+    for _ in range(4):
+        w1, w2, w3 = random_product_section(rng, ctx).components
+        a = ctx.parameter("a")
+        secs.append(section(ObjectKind.PRODUCT_TRIPLE_2D, [w1, w2, a * w3]))
+        secs.append(section(ObjectKind.PRODUCT_TRIPLE_2D, [ctx.zero(), w2, w3]))
+        secs.append(section(ObjectKind.PRODUCT_TRIPLE_2D, [w1, ctx.zero(), w3]))
+    for _ in range(4):
+        secs.append(constant_c_product_section(rng)[0])
+    return secs
+
+
+# Cancels of product_constants outside the 2x2 solve: the witness, d1 w1,
+# d2 w2, the right-hand side, w5, w8, two curls (an lcm and a quotient each)
+# and the Jacobi residual.  Measured at most 32 on ``chain_products``; the
+# route through w6, w9 and a second witness took 38 to 59 on the same kinds.
+PRODUCT_CANCELS_OUTSIDE_SOLVE = 32
+
+
+class TestProductChain:
+    @pytest.mark.parametrize("index", range(len(chain_products())))
+    def test_matches_quotient_rule_route(self, index):
+        sec = chain_products()[index]
+        w4, w5, _, w7, w8, _ = solve_intermediate_product(sec)
+        witness = nondegeneracy(sec)
+        c_prime = (w4.diff(2) - w5.diff(1)) / witness
+        c_second = (w7.diff(1) - w8.diff(2)) / witness
+        assert structure._curl(w4, 2, w5, 1, witness) == c_prime
+        assert structure._curl(w7, 1, w8, 2, witness) == c_second
+        report = product_constants(sec)
+        assert report.jacobi_residuals == [c_prime - c_second]
+        if c_prime.is_constant() and c_second.is_constant():
+            assert report.integrable and report.constants == {"c": c_prime}
+        else:
+            assert report.residual == (c_second if c_prime.is_constant() else c_prime)
+
+    def test_cancel_ceiling(self, monkeypatch):
+        calls = []
+        in_solve = []
+        original_cancel, original_solve = symexpr._cancel, structure.solve_square
+
+        def counting(a, b):
+            calls.append(1)
+            return original_cancel(a, b)
+
+        def solve(matrix, rhs):
+            before = len(calls)
+            out = original_solve(matrix, rhs)
+            in_solve.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(symexpr, "_cancel", counting)
+        monkeypatch.setattr(structure, "solve_square", solve)
+        for sec in chain_products():
+            calls.clear()
+            in_solve.clear()
+            product_constants(sec)
+            assert len(calls) - sum(in_solve) <= PRODUCT_CANCELS_OUTSIDE_SOLVE
+
+    def test_solves_through_the_module_name_once(self, monkeypatch):
+        # perfbench/tracer.py times the solve by wrapping structure.solve_square
+        calls = []
+        original = structure.solve_square
+
+        def counting(matrix, rhs):
+            calls.append(len(matrix))
+            return original(matrix, rhs)
+
+        monkeypatch.setattr(structure, "solve_square", counting)
+        for sec in (flat_product(), projective_product()):
+            calls.clear()
+            product_constants(sec)
+            assert calls == [2]
 
 
 class TestScalingLaw:

@@ -136,6 +136,22 @@ class TestParse:
         # few base terms bound the result even in many slots
         assert len(parse("(x1*x2*x3 + x4*x5*x6)^30", 6).num.terms) == 31
 
+    def test_product_pair_budget(self, monkeypatch):
+        dense = _Poly({(i, 0): 1 for i in range(1500)})
+        start = time.perf_counter()
+        with pytest.raises(InputTooLarge, match="1500 by 1500 terms"):
+            dense * dense
+        assert time.perf_counter() - start < 0.1
+        # the budget counts term pairs of the general product, at the limit and past it
+        monkeypatch.setattr(symexpr, "MAX_MUL_PAIRS", 100)
+        ten = _Poly({(i, 0): 1 for i in range(10)})
+        eleven = _Poly({(0, j): 1 for j in range(11)})
+        assert len((ten * ten).terms) == 19
+        with pytest.raises(InputTooLarge, match="term pairs"):
+            ten * eleven
+        # a single-term factor scales or shifts and never counts
+        assert len((dense * _Poly({(1, 1): 3})).terms) == 1500
+
     def test_coefficient_budget(self):
         # a coefficient may reach 10^1000 in magnitude, in the numerator or the denominator
         at_limit = parse("x1/10^1000 - 1", 1)
