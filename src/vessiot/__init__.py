@@ -5,7 +5,6 @@ from .curvature import (
     Connection2D,
     CurvatureData,
     Metric2D,
-    affine_flatness,
     christoffel,
     metric_constants,
     riemann,
@@ -61,7 +60,6 @@ __all__ = [
     "ObjectKind",
     "StructureReport",
     "affine_constant_1d",
-    "affine_flatness",
     "check_cc_identity",
     "christoffel",
     "contact_constants",

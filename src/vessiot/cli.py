@@ -177,7 +177,7 @@ def _cmd_curvature(args) -> Tuple[dict, int]:
         metric = curvature_mod.Metric2D.from_section(sec)
         report = curvature_mod.metric_constants(metric)
         result = {
-            "curvature": metric.curvature().to_json_dict(),
+            "curvature": curvature_mod.riemann(metric.levi_civita).to_json_dict(),
             "det": str(metric.det()),
             "report": report.to_json_dict(),
         }
@@ -187,9 +187,7 @@ def _cmd_curvature(args) -> Tuple[dict, int]:
         )
         return payload, PASS_EXIT if report.integrable else OBSTRUCTION_EXIT
     if sec.kind is ObjectKind.CHRISTOFFEL_2D:
-        data = curvature_mod.affine_flatness(
-            curvature_mod.Connection2D.from_section(sec)
-        )
+        data = curvature_mod.riemann(curvature_mod.Connection2D.from_section(sec))
         flat = data.is_flat()
         result = {"curvature": data.to_json_dict(), "flat": flat}
         payload = _payload(

@@ -1,8 +1,8 @@
 """Riemannian chain for 2-dimensional charts.
 
 Christoffel symbols, Riemann and Ricci tensors, the antisymmetric/symmetric
-Ricci split specific to n = 2, the constant-curvature structure report, and
-the flatness residual for standalone symmetric connections.
+Ricci split specific to n = 2, and the constant-curvature structure report,
+read off one Riemann component.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DegenerateMetric, NotProportional
+from .errors import DegenerateMetric
 from .lieops import GeometricSection, ObjectKind
 from .reports import StructureReport
-from .symexpr import Context, Expression, common_denominator
+from .symexpr import Context, Expression, common_denominator, curl_numerator
 
 IJ = ((1, 1), (2, 2), (1, 2))
 
@@ -50,13 +50,10 @@ class Metric2D:
     def _det(self) -> Expression:
         return self.w11 * self.w22 - self.w12 * self.w12
 
-    def curvature(self) -> "CurvatureData":
-        """Curvature of the Levi-Civita connection, computed once per metric."""
-        return self._curvature
-
     @cached_property
-    def _curvature(self) -> "CurvatureData":
-        return riemann(christoffel(self))
+    def levi_civita(self) -> "Connection2D":
+        """The Levi-Civita connection, computed once per metric."""
+        return christoffel(self)
 
     def inverse_component(self, i: int, j: int) -> Expression:
         det = self.det()
@@ -114,13 +111,6 @@ class CurvatureData:
     phi_12: Expression
     sym: Dict[Tuple[int, int], Expression]
 
-    def riemann_component(self, k: int, l: int, i: int, j: int) -> Expression:
-        if i == j:
-            return self.phi_12.context.zero()
-        if i < j:
-            return self.riemann[(k, l, i, j)]
-        return -self.riemann[(k, l, j, i)]
-
     def is_flat(self) -> bool:
         return all(c.is_zero() for c in self.riemann.values())
 
@@ -174,28 +164,37 @@ def christoffel(metric: Metric2D) -> Connection2D:
     }))
 
 
+def _riemann_numerators(conn: Connection2D) -> tuple:
+    """(e^2, rho): rho(k, l) is the kernel numerator of rho^k_{l,12} over e^2.
+
+    Over the connection's pair (e, G) = ``conn.over``, e^2 rho^k_{l,12} is the
+    curl of G^k_l2 and G^k_l1 plus G^r_l2 G^k_r1 - G^r_l1 G^k_r2, all
+    polynomial; e^2, d e and G are formed once however many rho are read.
+    """
+    e, numer = conn.over
+    de = (e.diff(0), e.diff(1))
+    G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
+
+    def rho(k: int, l: int):
+        total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
+        for r in (1, 2):
+            total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
+        return total
+
+    return e * e, rho
+
+
 def riemann(conn: Connection2D) -> CurvatureData:
     """Curvature of a symmetric connection.
 
     rho^k_{l,ij} = d_i g^k_lj - d_j g^k_li + g^r_lj g^k_ri - g^r_li g^k_rj,
     Ricci rho_ij = rho^r_{i,rj}, and the n = 2 split (phi, sym) of Ricci.
-    Over the connection's pair (e, G) = ``conn.over``, all polynomial,
-    e^2 rho^k_{l,ij} = (d_i G^k_lj - d_j G^k_li) e - G^k_lj d_i e + G^k_li d_j e
-    + G^r_lj G^k_ri - G^r_li G^k_rj, and only the division by e^2 reduces.
+    Each stored rho^k_{l,12} is one kernel numerator over e^2, reduced once.
     """
-    e, numer = conn.over
-    de = {i: e.diff(i - 1) for i in (1, 2)}
-    e2 = e * e
-    G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
-
-    def rho(k: int, l: int, i: int, j: int) -> Expression:
-        a, b = G[k, l, j], G[k, l, i]
-        total = (a.diff(i - 1) - b.diff(j - 1)) * e - a * de[i] + b * de[j]
-        for r in (1, 2):
-            total = total + G[r, l, j] * G[k, r, i] - G[r, l, i] * G[k, r, j]
-        return Expression(conn.context, total, e2)
-
-    riem = {(k, l, 1, 2): rho(k, l, 1, 2) for k in (1, 2) for l in (1, 2)}
+    e2, rho = _riemann_numerators(conn)
+    riem = {
+        (k, l, 1, 2): Expression(conn.context, rho(k, l), e2) for k in (1, 2) for l in (1, 2)
+    }
 
     # rho^k_{l,ii} = 0, so each Ricci component is one stored component
     ricci = {
@@ -217,67 +216,25 @@ def riemann(conn: Connection2D) -> CurvatureData:
 def metric_constants(metric: Metric2D) -> StructureReport:
     """Structure report of a 2D metric through the Levi-Civita chain.
 
-    c1 is the constant-curvature quotient sym(Ricci) = c1 * w; c2 multiplies
-    det(w)^(1/2) against phi_12/2 and is forced to 0 because the Levi-Civita
-    connection makes phi vanish identically (checked, not assumed).
+    In 2D the Levi-Civita curvature is rho^k_{l,ij} = K (delta^k_i w_lj -
+    delta^k_j w_li) (Gauss), so rho^2_{1,12} = -K w11, rho^1_{2,12} = K w22
+    and rho^1_{1,12} = K w12.  c1 = K is the quotient for the first nonzero
+    w_ij in IJ order: one numerator over e^2 and one reduction.  c2 multiplies
+    det(w)^(1/2) against phi_12/2, and phi_12 vanishes identically for the
+    Levi-Civita connection, so c2 = 0.
     """
     ctx = metric.context
-    data = metric.curvature()
-
-    quotient: Optional[Expression] = None
-    for i, j in IJ:
-        w = metric.component(i, j)
+    # christoffel raises DegenerateMetric first, so some w_ij below is nonzero
+    e2, rho = _riemann_numerators(metric.levi_civita)
+    for (k, l), w in (((2, 1), -metric.w11), ((1, 2), metric.w22), ((1, 1), metric.w12)):
         if not w.is_zero():
-            quotient = data.sym[(i, j)] / w
             break
-    if quotient is None:
-        raise DegenerateMetric("metric has no nonzero component")
-    for i, j in IJ:
-        if not (data.sym[(i, j)] - quotient * metric.component(i, j)).is_zero():
-            raise NotProportional(
-                "symmetric Ricci part is not a multiple of the metric"
-            )
+    quotient = Expression(ctx, rho(k, l) * w.den, e2 * w.num)
 
-    if not data.phi_12.is_zero():
-        # unreachable through the Levi-Civita pipeline; kept as a hard check
-        raise NotProportional("antisymmetric Ricci part does not vanish")
-
-    if quotient.is_constant():
-        return StructureReport(
-            kind=ObjectKind.METRIC_2D.value,
-            constants={"c1": quotient, "c2": ctx.zero()},
-            jacobi_residuals=[],
-            integrable=True,
-        )
+    integrable = quotient.is_constant()
     return StructureReport(
         kind=ObjectKind.METRIC_2D.value,
-        constants={},
-        jacobi_residuals=[],
-        integrable=False,
-        residual=quotient,
+        constants={"c1": quotient, "c2": ctx.zero()} if integrable else {},
+        integrable=integrable,
+        residual=None if integrable else quotient,
     )
-
-
-def affine_flatness(conn: Connection2D) -> CurvatureData:
-    """Curvature residual of a standalone connection.
-
-    The connection admits local affine coordinates iff every component is
-    zero; these are the structure equations of the affine pseudogroup, which
-    carry no constants.
-    """
-    return riemann(conn)
-
-
-def antisymmetric_constant_squared(conn: Connection2D, metric: Metric2D) -> Expression:
-    """c2^2 for a connection taken independently of the metric, radical-free.
-
-    From phi_12/2 = c2 * det(w)^(1/2): returns phi_12^2 / (4 det(w)), which
-    equals c2^2 whenever it is constant.  Identically zero for Levi-Civita
-    connections.
-    """
-    det = metric.det()
-    if det.is_zero():
-        raise DegenerateMetric("det(w) is identically zero")
-    phi = riemann(conn).phi_12
-    four = metric.context.rational(4)
-    return (phi * phi) / (four * det)

@@ -28,7 +28,7 @@ from .forms import DifferentialForm, exterior_derivative, wedge
 from .lieops import GeometricSection, ObjectKind, nondegeneracy
 from .linalg import solve_square
 from .reports import NECESSARY_PASS, OBSTRUCTED, EquivalenceVerdict, StructureReport
-from .symexpr import Context, Expression, common_denominator
+from .symexpr import Context, Expression, common_denominator, curl_numerator
 
 ScaleLike = Union[Expression, Fraction, int, str]
 
@@ -165,12 +165,11 @@ def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression) -> 
     """(d_i a - d_j b) / witness, reduced once.
 
     Over the common denominator e of a and b (one gcd), a = F/e and b = G/e,
-    so e^2 (d_i a - d_j b) = (d_i F - d_j G) e - F d_i e + G d_j e: polynomial
-    arithmetic with no gcd, and only the quotient by e^2 * witness reduces.
+    so e^2 (d_i a - d_j b) is the polynomial ``curl_numerator`` of F and G:
+    no gcd, and only the quotient by e^2 * witness reduces.
     """
     e, (f, g) = common_denominator((a, b))
-    si, sj = i - 1, j - 1
-    numerator = (f.diff(si) - g.diff(sj)) * e - f * e.diff(si) + g * e.diff(sj)
+    numerator = curl_numerator(e, (e.diff(0), e.diff(1)), f, i - 1, g, j - 1)
     return Expression(witness.context, numerator * witness.den, e * e * witness.num)
 
 
@@ -396,7 +395,8 @@ def _projective_1d_report(sec, extras):
 
 
 def _affine_2d_report(sec, extras):
-    data = curvature.affine_flatness(curvature.Connection2D.from_section(sec))
+    # local affine coordinates exist iff every Riemann component vanishes
+    data = curvature.riemann(curvature.Connection2D.from_section(sec))
     first = next((c for _, c in sorted(data.riemann.items()) if not c.is_zero()), None)
     return _residual_report("AFFINE_2D", first), data.residual_lines()
 

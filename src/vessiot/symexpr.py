@@ -593,9 +593,6 @@ class Expression:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self == self.context.one()
-
     def is_constant(self) -> bool:
         """True iff no coordinate x1..xn occurs in the numerator or denominator.
 
@@ -790,6 +787,13 @@ def common_denominator(exprs: Iterable[Expression]) -> tuple:
         cofactors = [c * grow for c in cofactors] + [rest]
         lcm = lcm * grow
     return lcm, [x.num * c for x, c in zip(exprs, cofactors)]
+
+
+def curl_numerator(e: _Poly, de: Sequence[_Poly], f: _Poly, i: int, g: _Poly, j: int) -> _Poly:
+    """e^2 (d_i (f/e) - d_j (g/e)) = (d_i f - d_j g) e - f d_i e + g d_j e, with
+    no gcd, for kernel polynomials over one denominator e (``common_denominator``);
+    ``de[s]`` is d_s e, so that many curls over one e differentiate it once."""
+    return (f.diff(i) - g.diff(j)) * e - f * de[i] + g * de[j]
 
 
 def _from_reduced(context: Context, num: _Poly, den: _Poly) -> "Expression":

@@ -156,6 +156,15 @@ def random_connection(rng: random.Random, ctx: Context = None):
     return Connection2D(comps)
 
 
+def riemann_component(data, k: int, l: int, i: int, j: int) -> Expression:
+    """rho^k_{l,ij} of a CurvatureData for any index order, from the stored i < j."""
+    if i == j:
+        return data.phi_12.context.zero()
+    if i < j:
+        return data.riemann[(k, l, i, j)]
+    return -data.riemann[(k, l, j, i)]
+
+
 def evaluate_or_none(expr: Expression, point):
     try:
         return expr.evaluate(point)

@@ -4,20 +4,19 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_connection, random_metric, random_nonzero_rational
-from vessiot import symexpr
+from helpers import random_connection, random_metric, random_nonzero_rational, riemann_component
+from vessiot import cli, curvature, structure, symexpr
 from vessiot.curvature import (
     IJ,
     Connection2D,
     Metric2D,
-    affine_flatness,
-    antisymmetric_constant_squared,
     christoffel,
     metric_constants,
     riemann,
 )
 from vessiot.errors import DegenerateMetric
-from vessiot.lieops import load_section
+from vessiot.lieops import ObjectKind, load_section
+from vessiot.reports import StructureReport
 from vessiot.symexpr import Context, parse_in
 
 CTX = Context(2)
@@ -200,7 +199,7 @@ class TestRiemann:
         for k in (1, 2):
             for l in (1, 2):
                 for i, j in ((1, 2), (2, 1), (1, 1), (2, 2)):
-                    assert data.riemann_component(k, l, i, j) == rho(k, l, i, j)
+                    assert riemann_component(data, k, l, i, j) == rho(k, l, i, j)
 
     def test_antisymmetry_on_random_connections(self):
         rng = random.Random(71)
@@ -208,18 +207,18 @@ class TestRiemann:
             data = riemann(random_connection(rng))
             for k in (1, 2):
                 for l in (1, 2):
-                    assert data.riemann_component(k, l, 2, 1) == -(
-                        data.riemann_component(k, l, 1, 2)
+                    assert riemann_component(data, k, l, 2, 1) == -(
+                        riemann_component(data, k, l, 1, 2)
                     )
-                    assert data.riemann_component(k, l, 1, 1).is_zero()
+                    assert riemann_component(data, k, l, 1, 1).is_zero()
 
     def test_two_dimensional_ricci_identities(self):
         rng = random.Random(73)
         data = riemann(random_connection(rng))
-        assert data.ricci[(1, 1)] == data.riemann_component(2, 1, 2, 1)
-        assert data.ricci[(1, 2)] == data.riemann_component(1, 1, 1, 2)
-        assert data.ricci[(2, 1)] == data.riemann_component(2, 2, 2, 1)
-        assert data.ricci[(2, 2)] == data.riemann_component(1, 2, 1, 2)
+        assert data.ricci[(1, 1)] == riemann_component(data, 2, 1, 2, 1)
+        assert data.ricci[(1, 2)] == riemann_component(data, 1, 1, 1, 2)
+        assert data.ricci[(2, 1)] == riemann_component(data, 2, 2, 2, 1)
+        assert data.ricci[(2, 2)] == riemann_component(data, 1, 2, 1, 2)
 
 
 class TestMetricConstants:
@@ -279,26 +278,12 @@ class TestMetricAlgebra:
                     assert total == (ONE if i == j else ZERO)
 
 
-class TestAntisymmetricConstant:
-    def test_levi_civita_gives_zero(self):
-        metric = half_plane()
-        assert antisymmetric_constant_squared(christoffel(metric), metric).is_zero()
-
-    def test_open_trace_connection(self):
-        # phi_12 = -1 against the euclidean metric: c2^2 = 1/4
-        comps = {(k, i, j): ZERO for k in (1, 2) for i, j in IJ}
-        comps[(1, 1, 1)] = parse_in("x2", CTX)
-        conn = Connection2D(comps)
-        metric = Metric2D(ONE, ONE, ZERO)
-        assert antisymmetric_constant_squared(conn, metric) == CTX.rational("1/4")
-
-
 class TestAffineFlatness:
     def test_zero_connection_flat(self):
-        assert affine_flatness(zero_connection()).is_flat()
+        assert riemann(zero_connection()).is_flat()
 
     def test_half_plane_connection_not_flat(self):
-        data = affine_flatness(christoffel(half_plane()))
+        data = riemann(christoffel(half_plane()))
         assert not data.is_flat()
         assert data.ricci[(1, 1)] == parse_in("-1/x2^2", CTX)
 
@@ -306,7 +291,7 @@ class TestAffineFlatness:
         comps = {(k, i, j): ZERO for k in (1, 2) for i, j in IJ}
         comps[(1, 1, 2)] = ONE
         comps[(2, 1, 1)] = ONE
-        data = affine_flatness(Connection2D(comps))
+        data = riemann(Connection2D(comps))
         assert not data.is_flat()
 
 
@@ -336,3 +321,110 @@ class TestNumericOracle:
         symbolic = data.ricci[(1, 1)].evaluate(point)
         assert symbolic != 0
         assert abs(numeric - symbolic) <= abs(symbolic) * Fraction(1, 10**6)
+
+
+def sym_over_metric_report(metric):
+    """The report through the full Ricci split: sym(Ricci) / w for the first
+    nonzero metric entry w in IJ order."""
+    data = riemann(christoffel(metric))
+    i, j = next(ij for ij in IJ if not metric.component(*ij).is_zero())
+    quotient = data.sym[(i, j)] / metric.component(i, j)
+    kind = ObjectKind.METRIC_2D.value
+    if quotient.is_constant():
+        constants = {"c1": quotient, "c2": metric.context.zero()}
+        return StructureReport(kind=kind, constants=constants, integrable=True)
+    return StructureReport(kind=kind, constants={}, integrable=False, residual=quotient)
+
+
+def gauss_route_metrics():
+    """Bundled metrics, seeded random metrics, both w11 = 0 branches and a
+    declared parameter, integrable and not."""
+    metrics = list(chain_metrics())
+    rng = random.Random(101)
+    metrics += [random_metric(rng) for _ in range(6)]
+    poly = "{} + {}*x1 + {}*x2"
+    while len(metrics) < 24:
+        w22, w12 = (
+            parse_in(poly.format(*(rng.randint(-2, 2) for _ in range(3))), CTX) for _ in range(2)
+        )
+        if not w12.is_zero():
+            metrics += [Metric2D(ZERO, w22, w12), Metric2D(ZERO, ZERO, w12)]
+    metrics += [
+        Metric2D(ZERO, parse_in("x1^2 + 1", CTX), parse_in("x2 + 2", CTX)),
+        Metric2D(ZERO, ZERO, parse_in("1/(x1 + x2)^2", CTX)),
+        Metric2D(ZERO, ZERO, parse_in("x1*x2 + 1", CTX)),
+    ]
+    pctx = Context(2, ["a"])
+    hp = parse_in("a/x2^2", pctx)
+    metrics += [
+        Metric2D(hp, hp, pctx.zero()),
+        Metric2D(pctx.zero(), pctx.zero(), parse_in("a/(x1 + x2)^2", pctx)),
+        Metric2D(pctx.zero(), parse_in("a*x1 + 1", pctx), parse_in("x2", pctx)),
+        Metric2D(parse_in("a + x1", pctx), pctx.one(), parse_in("a*x2", pctx)),
+    ]
+    return metrics
+
+
+class TestGaussRoute:
+    @pytest.mark.parametrize("index", range(len(gauss_route_metrics())))
+    def test_one_component_matches_symmetric_ricci(self, index):
+        metric = gauss_route_metrics()[index]
+        assert (
+            metric_constants(metric).to_json_dict()
+            == sym_over_metric_report(metric).to_json_dict()
+        )
+
+    def test_routes_cover_every_branch(self):
+        metrics = gauss_route_metrics()
+        reports = [metric_constants(m) for m in metrics]
+        assert any(r.integrable for r in reports)
+        assert any(not r.integrable for r in reports)
+        assert any(m.w11.is_zero() and not m.w22.is_zero() for m in metrics)
+        assert any(m.w11.is_zero() and m.w22.is_zero() for m in metrics)
+        integrable_w12_only = [
+            r for m, r in zip(metrics, reports) if m.w11.is_zero() and m.w22.is_zero()
+            and r.integrable and not r.constant("c1").is_zero()
+        ]
+        assert integrable_w12_only
+        assert any(m.context.params for m in metrics)
+
+    def test_levi_civita_identities_on_random_metrics(self):
+        # sym(Ricci) = c1 * w and phi_12 = 0, with c1 the reported constant or residual
+        rng = random.Random(103)
+        for _ in range(8):
+            metric = random_metric(rng)
+            report = metric_constants(metric)
+            k = report.constant("c1") if report.integrable else report.residual
+            data = riemann(christoffel(metric))
+            assert data.phi_12.is_zero()
+            for i, j in IJ:
+                assert data.sym[(i, j)] == k * metric.component(i, j)
+
+
+class TestChainCalls:
+    """compute reads c1 off one component; curvature prints the full record."""
+
+    METRIC = SECTIONS / "metric_half_plane.section"
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"christoffel": 0, "riemann": 0}
+        for name in counts:
+            original = getattr(curvature, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(curvature, name, counting)
+        return counts
+
+    def test_compute_builds_one_connection_and_no_riemann(self, calls):
+        sec, extras = load_section(self.METRIC)
+        structure.structure_report(sec, extras)
+        assert calls == {"christoffel": 1, "riemann": 0}
+
+    def test_curvature_command_runs_each_once(self, calls, capsys):
+        assert cli.main(["curvature", "--section", str(self.METRIC)]) == 0
+        assert '"phi_12": "0"' in capsys.readouterr().out
+        assert calls == {"christoffel": 1, "riemann": 1}

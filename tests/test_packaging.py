@@ -54,3 +54,9 @@ def test_tracer_targets_exist():
     for _, module, cls_name, attr, _ in tracer.METHODS:
         cls = getattr(importlib.import_module(module), cls_name)
         assert attr in cls.__dict__, f"{module}.{cls_name}.{attr}"
+
+
+def test_all_names_resolve():
+    vessiot = importlib.import_module("vessiot")
+    missing = [name for name in vessiot.__all__ if not hasattr(vessiot, name)]
+    assert missing == []

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_expression, random_expression_with_history, random_point
 from vessiot import symexpr
-from vessiot.curvature import Metric2D
+from vessiot.curvature import Metric2D, christoffel, riemann
 from vessiot.errors import (
     DivisionByZero,
     DivisionByZeroLiteral,
@@ -22,7 +22,7 @@ class TestParse:
     def test_projective_denominator(self):
         e = parse("1/(x2 - x1)^2", 2)
         t = parse("x2 - x1", 2)
-        assert (e * t * t).is_one()
+        assert e * t * t == Context(2).one()
 
     def test_zero_literal(self):
         assert parse("0", 2).is_zero()
@@ -175,7 +175,7 @@ class TestArithmetic:
         assert (x1 + (-x1)).is_zero()
 
     def test_multiplicative_inverse(self):
-        assert (parse("1/x1", 2) * parse("x1", 2)).is_one()
+        assert parse("1/x1", 2) * parse("x1", 2) == Context(2).one()
 
     def test_hand_normalization(self):
         # 1/(x2-x1) - (1/(x2-x1)^2)*(x2-x1) = 0
@@ -354,8 +354,8 @@ class TestCancelCost:
         for text in ("(x1^2 - x2^2)/(x1 - x2)", "(x1 + x2)^2/(a*x1^2 - a*x2^2)"):
             parse_in(text, ctx)
         w = [parse_in(t, ctx) for t in ("x1^2 + a*x2 + 1", "x2^2 - x1 + 2", "x1*x2 + 3")]
-        Metric2D(*w).curvature()
-        Metric2D(*(c / w[2] for c in w)).curvature()
+        riemann(christoffel(Metric2D(*w)))
+        riemann(christoffel(Metric2D(*(c / w[2] for c in w))))
         assert divisions and not any(_is_unit_poly(q) for q, _ in divisions)
 
 
