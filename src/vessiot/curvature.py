@@ -8,7 +8,7 @@ read off one Riemann component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateMetric
@@ -101,6 +101,28 @@ class Connection2D:
     def gamma(self, k: int, i: int, j: int) -> Expression:
         return self.components[(k, min(i, j), max(i, j))]
 
+    @cached_property
+    def _riemann_numerators(self) -> tuple:
+        """(e^2, rho): rho(k, l) is the kernel numerator of rho^k_{l,12} over e^2.
+
+        Over the pair (e, G) = ``over``, e^2 rho^k_{l,12} is the curl of G^k_l2
+        and G^k_l1 plus G^r_l2 G^k_r1 - G^r_l1 G^k_r2, all polynomial.  e^2,
+        d e, G and each rho are formed at most once per connection, however
+        many callers read them.
+        """
+        e, numer = self.over
+        de = (e.diff(0), e.diff(1))
+        G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
+
+        @cache
+        def rho(k: int, l: int):
+            total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
+            for r in (1, 2):
+                total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
+            return total
+
+        return e * e, rho
+
 
 @dataclass(frozen=True)
 class CurvatureData:
@@ -164,26 +186,6 @@ def christoffel(metric: Metric2D) -> Connection2D:
     }))
 
 
-def _riemann_numerators(conn: Connection2D) -> tuple:
-    """(e^2, rho): rho(k, l) is the kernel numerator of rho^k_{l,12} over e^2.
-
-    Over the connection's pair (e, G) = ``conn.over``, e^2 rho^k_{l,12} is the
-    curl of G^k_l2 and G^k_l1 plus G^r_l2 G^k_r1 - G^r_l1 G^k_r2, all
-    polynomial; e^2, d e and G are formed once however many rho are read.
-    """
-    e, numer = conn.over
-    de = (e.diff(0), e.diff(1))
-    G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
-
-    def rho(k: int, l: int):
-        total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
-        for r in (1, 2):
-            total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
-        return total
-
-    return e * e, rho
-
-
 def riemann(conn: Connection2D) -> CurvatureData:
     """Curvature of a symmetric connection.
 
@@ -191,7 +193,7 @@ def riemann(conn: Connection2D) -> CurvatureData:
     Ricci rho_ij = rho^r_{i,rj}, and the n = 2 split (phi, sym) of Ricci.
     Each stored rho^k_{l,12} is one kernel numerator over e^2, reduced once.
     """
-    e2, rho = _riemann_numerators(conn)
+    e2, rho = conn._riemann_numerators
     riem = {
         (k, l, 1, 2): Expression(conn.context, rho(k, l), e2) for k in (1, 2) for l in (1, 2)
     }
@@ -225,7 +227,7 @@ def metric_constants(metric: Metric2D) -> StructureReport:
     """
     ctx = metric.context
     # christoffel raises DegenerateMetric first, so some w_ij below is nonzero
-    e2, rho = _riemann_numerators(metric.levi_civita)
+    e2, rho = metric.levi_civita._riemann_numerators
     for (k, l), w in (((2, 1), -metric.w11), ((1, 2), metric.w22), ((1, 1), metric.w12)):
         if not w.is_zero():
             break

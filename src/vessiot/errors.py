@@ -26,7 +26,8 @@ class DivisionByZeroLiteral(DivisionByZero):
 
 
 class InputTooLarge(VessiotError):
-    """An expression would grow past the engine's input budget."""
+    """An expression would grow past the engine's input budget, or its gcd
+    defeats the heuristic gcd."""
 
 
 class SingularPoint(VessiotError):

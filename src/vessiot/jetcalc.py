@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import InputFormatError, OrderOverflow
-from .symexpr import Context, Expression
+from .symexpr import MAX_LITERAL_DIGITS, Context, Expression
 
 MultiIndex = Tuple[int, ...]
 
@@ -310,7 +310,8 @@ def parse_cc_spec(spec: str, n: int) -> List[CCTerm]:
     """Parse a textual CC combination like ``d11O1,+d22O2,-d12O3``.
 
     Each term is [sign][multiplier]d<digits>O<label> where the digits name
-    the coordinates that are formally differentiated.
+    the coordinates that are formally differentiated.  A multiplier has at
+    most MAX_LITERAL_DIGITS digits, like a literal in a section.
     """
     terms: List[CCTerm] = []
     for raw in spec.split(","):
@@ -321,6 +322,8 @@ def parse_cc_spec(spec: str, n: int) -> List[CCTerm]:
         if m is None:
             raise InputFormatError(f"bad CC term {token!r}")
         sign, mult, digits, label = m.groups()
+        if mult and len(mult) > MAX_LITERAL_DIGITS:
+            raise InputFormatError(f"CC multiplier longer than {MAX_LITERAL_DIGITS} digits")
         coeff = Fraction(int(mult) if mult else 1)
         if sign == "-":
             coeff = -coeff

@@ -351,8 +351,8 @@ def _cancel(a: _Poly, b: _Poly) -> tuple:
 
     Each path takes the quotients from its own construction of g: a zero or
     single-term operand, equal primitive parts, then the heuristic gcd, whose
-    verified candidate comes with both cofactors.  Primitive pseudo-remainder
-    sequences are the deterministic fallback and divide afterwards.
+    verified candidate comes with both cofactors.  InputTooLarge when the
+    heuristic gives up; no known input reaches that.
     """
     if not a.terms:
         cb, g = _primitive(b)
@@ -372,13 +372,13 @@ def _cancel(a: _Poly, b: _Poly) -> tuple:
     if pa.terms == pb.terms:  # equal up to a constant factor, sign included
         return _pconst(nvars, ca), _pconst(nvars, cb), pa
     found = _heu_gcd(pa, pb)
-    if found is not None:
-        g, qa, qb = found
-        return qa * _pconst(nvars, ca), qb * _pconst(nvars, cb), g
-    _, g = _primitive(_gcd_in(pa, pb, min(pa.used_slots() | pb.used_slots())))
-    if _is_unit_poly(g):
-        return a, b, g
-    return a.divexact(g), b.divexact(g), g
+    if found is None:
+        raise InputTooLarge(
+            f"gcd of {len(a.terms)} and {len(b.terms)} terms: the heuristic gave up"
+            f" after {_HEU_TRIES} evaluation points"
+        )
+    g, qa, qb = found
+    return qa * _pconst(nvars, ca), qb * _pconst(nvars, cb), g
 
 
 def _monomial_gcd(a: _Poly, b: _Poly) -> Monomial:
@@ -464,72 +464,6 @@ def _interp(h: _Poly, v: int, xi: int) -> _Poly:
         cur = nxt
         e += 1
     return _Poly(out)
-
-
-# -- primitive pseudo-remainder sequences (fallback) --------------------
-
-
-def _gcd_in(a: _Poly, b: _Poly, v: int) -> _Poly:
-    cont_a, ua = _univ_primitive(_to_univ(a, v))
-    cont_b, ub = _univ_primitive(_to_univ(b, v))
-    if max(ua) < max(ub):
-        ua, ub = ub, ua
-    while ub:
-        rem = _pseudo_rem(ua, ub)
-        ua, ub = ub, (_univ_primitive(rem)[1] if rem else rem)
-    return _cancel(cont_a, cont_b)[2] * _from_univ(ua, v)
-
-
-def _to_univ(p: _Poly, v: int) -> dict:
-    """View as univariate in slot v: degree -> coefficient polynomial."""
-    out: dict = {}
-    for mono, c in p.terms.items():
-        out.setdefault(mono[v], {})[mono[:v] + (0,) + mono[v + 1 :]] = c
-    return {d: _Poly(bucket) for d, bucket in out.items()}
-
-
-def _from_univ(u: dict, v: int) -> _Poly:
-    out: dict = {}
-    for d, coeff in u.items():
-        for mono, c in coeff.terms.items():
-            lifted = mono[:v] + (d,) + mono[v + 1 :]
-            out[lifted] = c
-    return _Poly(out)
-
-
-def _univ_primitive(u: dict) -> tuple:
-    """(content, u/content) of a nonzero univariate view, the content being
-    the gcd of its coefficient polynomials."""
-    cont = _PZERO
-    for coeff in u.values():
-        cont = _cancel(cont, coeff)[2]
-    if _is_unit_poly(cont):
-        return cont, u
-    return cont, {d: c.divexact(cont) for d, c in u.items()}
-
-
-def _pseudo_rem(ua: dict, ub: dict) -> dict:
-    """Pseudo-remainder of the univariate views (coefficients are polynomials)."""
-    db = max(ub)
-    lc_b = ub[db]
-    rem = dict(ua)
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        lc_r = rem[dr]
-        shift = dr - db
-        new: dict = {}
-        for d, c in rem.items():
-            new[d] = c * lc_b
-        for d, c in ub.items():
-            t = lc_r * c
-            tgt = d + shift
-            if tgt in new:
-                s = new[tgt] - t
-            else:
-                s = -t
-            new[tgt] = s
-        rem = {d: c for d, c in new.items() if not c.is_zero()}
-    return rem
 
 
 def _poly_sqrt(p: _Poly) -> Optional[_Poly]:

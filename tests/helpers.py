@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from vessiot.errors import SingularPoint
 from vessiot.lieops import GeometricSection, ObjectKind, section
-from vessiot.symexpr import Context, Expression, parse_in
+from vessiot.symexpr import Context, Expression, _Poly, parse_in
 
 
 def random_expression(ctx: Context, rng: random.Random, depth: int = 3) -> Expression:
@@ -52,6 +52,22 @@ def random_expression_with_history(ctx: Context, rng: random.Random, depth: int 
     if op == "*":
         return left * right, (lambda p, f=left_fn, g=right_fn: f(p) * g(p))
     return left / right, (lambda p, f=left_fn, g=right_fn: f(p) / g(p))
+
+
+def random_poly(rng: random.Random, draws: int, exps=(3, 3, 2), bound: int = 9) -> _Poly:
+    """A kernel polynomial in three slots from ``draws`` random terms: a repeated
+    monomial keeps its last coefficient and zero coefficients drop; 1 if none is left."""
+    terms = {}
+    for _ in range(draws):
+        mono = tuple(rng.randint(0, e) for e in exps)
+        terms[mono] = rng.randint(-bound, bound)
+    return _Poly({m: c for m, c in terms.items() if c} or {(0, 0, 0): 1})
+
+
+def shared_factor_pair(rng: random.Random) -> tuple:
+    """(g*a, g*b) for random g, a, b of 4, 5 and 5 draws in x1, x2, a."""
+    g, a, b = (random_poly(rng, k) for k in (4, 5, 5))
+    return g * a, g * b
 
 
 def random_point(ctx: Context, rng: random.Random):

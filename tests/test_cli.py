@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from vessiot import cli, curvature, structure
+from vessiot import cli, curvature, structure, symexpr
 from vessiot.cli import build_parser, main
 from vessiot.symexpr import parse
 
@@ -277,6 +277,17 @@ class TestHostileInput:
         assert out == ""
         assert "term pairs" in err and "Traceback" not in err
 
+    def test_gcd_give_up_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(symexpr, "_heu_gcd", lambda f, g: None)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "compute", "--section", str(SECTIONS / "product_projective.section")
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "gcd" in err and "Traceback" not in err
+
     def test_coefficient_budget_exit_two(self, capsys, tmp_path):
         path = write(
             tmp_path, "big.section", "kind = METRIC_2D\nw11 = 10^1000^5\nw22 = -1\nw12 = 0\n"
@@ -408,6 +419,33 @@ class TestCheckCC:
         payload = json.loads(out)
         assert payload["verdict"] == "nonzero-residual"
         assert payload["residuals"]
+
+    @pytest.mark.parametrize("digits", [1001, 5000])
+    def test_long_multiplier_exit_two(self, capsys, digits):
+        code, out, err = run_cli(
+            capsys,
+            "check-cc",
+            "--section",
+            str(SECTIONS / "product_flat.section"),
+            "--cc",
+            "9" * digits + "d11O1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "multiplier longer than 1000 digits" in err
+
+    def test_longest_multiplier_runs(self, capsys):
+        m = "9" * 1000
+        code, out, _ = run_cli(
+            capsys,
+            "check-cc",
+            "--section",
+            str(SECTIONS / "product_flat.section"),
+            "--cc",
+            f"{m}d11O1,+{m}d22O2,-{m}d12O3",
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "identity"
 
     def test_max_order_env(self, capsys, monkeypatch):
         monkeypatch.setenv("VESSIOT_MAX_ORDER", "2")

@@ -402,13 +402,14 @@ class TestGaussRoute:
 
 
 class TestChainCalls:
-    """compute reads c1 off one component; curvature prints the full record."""
+    """compute reads c1 off one component; curvature prints the full record
+    and reuses that component."""
 
     METRIC = SECTIONS / "metric_half_plane.section"
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"christoffel": 0, "riemann": 0}
+        counts = {"christoffel": 0, "riemann": 0, "curl_numerator": 0}
         for name in counts:
             original = getattr(curvature, name)
 
@@ -422,9 +423,10 @@ class TestChainCalls:
     def test_compute_builds_one_connection_and_no_riemann(self, calls):
         sec, extras = load_section(self.METRIC)
         structure.structure_report(sec, extras)
-        assert calls == {"christoffel": 1, "riemann": 0}
+        assert calls == {"christoffel": 1, "riemann": 0, "curl_numerator": 1}
 
     def test_curvature_command_runs_each_once(self, calls, capsys):
         assert cli.main(["curvature", "--section", str(self.METRIC)]) == 0
         assert '"phi_12": "0"' in capsys.readouterr().out
-        assert calls == {"christoffel": 1, "riemann": 1}
+        # four Riemann numerators, the one c1 reads among them
+        assert calls == {"christoffel": 1, "riemann": 1, "curl_numerator": 4}

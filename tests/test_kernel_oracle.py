@@ -2,7 +2,8 @@
 
 Operands are random integer polynomials in x1, x2 and one parameter, drawn by
 hypothesis with a fixed derivation (``derandomize``), so every run checks the
-same cases.  sympy and hypothesis are test-only dependencies: without them the
+same cases; the gcd margin tests add shared-factor pairs from seeded
+``random.Random`` generators.  sympy and hypothesis are test-only dependencies: without them the
 module is skipped and the runtime stays standard-library only.
 """
 
@@ -11,12 +12,14 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from unittest import mock  # noqa: E402
+import random  # noqa: E402
 
 from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from helpers import random_poly, shared_factor_pair  # noqa: E402
 from vessiot import symexpr  # noqa: E402
+from vessiot.errors import InputTooLarge  # noqa: E402
 from vessiot.symexpr import Context, Expression, _cancel, _Poly, _primitive  # noqa: E402
 
 CTX = Context(2, ["a"])
@@ -158,13 +161,71 @@ class TestCancel:
     def test_against_sympy(self, pair):
         self.check(*pair)
 
-    # pseudo-remainder sequences on the full operand range can run for minutes
-    @ORACLE
-    @given(_cancel_pairs(_multilinear_monomials))
-    def test_fallback_against_sympy(self, pair):
-        # with the heuristic giving up, pseudo-remainder sequences decide
-        with mock.patch.object(symexpr, "_heu_gcd", lambda f, g: None):
-            self.check(*pair)
+    # (family, seed) pairs whose gcd needs a second evaluation point (large 533
+    # and power 488 a third), found by running with _HEU_TRIES = 1
+    RETRIED = [("shared", 7), ("shared", 105), ("large", 18), ("large", 533),
+               ("power", 149), ("power", 488)]
+
+    @pytest.mark.parametrize("family, seed", RETRIED)
+    def test_retried_evaluation_points(self, family, seed, monkeypatch):
+        a, b = FAMILIES[family](random.Random(seed))
+        self.check(a, b)
+        monkeypatch.setattr(symexpr, "_HEU_TRIES", 1)
+        with pytest.raises(InputTooLarge, match="gcd"):
+            _cancel(a, b)
+
+
+_X1_PLUS_X2_PLUS_1 = _Poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1})
+
+
+def _large_gcd(rng):
+    g = random_poly(rng, 4, bound=10**6)
+    return g * random_poly(rng, 4), g * random_poly(rng, 4)
+
+
+def _power_gcd(rng):
+    g = _X1_PLUS_X2_PLUS_1.pow(rng.randint(2, 8)) * random_poly(rng, 2)
+    a = g * random_poly(rng, 3)
+    return a, g * _X1_PLUS_X2_PLUS_1.pow(rng.randint(0, 3)) * random_poly(rng, 3)
+
+
+def _dense_gcd(rng):
+    g, a, b = (random_poly(rng, 27, exps=(2, 2, 2)) for _ in range(3))
+    return g * a, g * b
+
+
+# shared-factor pairs by kind of gcd: small random, coefficients up to 10^6,
+# powers of x1 + x2 + 1, dense in all three slots
+FAMILIES = {
+    "shared": shared_factor_pair,
+    "large": _large_gcd,
+    "power": _power_gcd,
+    "dense": _dense_gcd,
+}
+
+
+class TestHeuristicMargin:
+    """GCDHEU settles every pair below within 3 of its _HEU_TRIES = 6
+    evaluation points (at most 3 over 3,000 seeds of each family), so a
+    weaker choice of evaluation point fails here rather than at users as
+    InputTooLarge."""
+
+    @pytest.fixture(autouse=True)
+    def three_tries(self, monkeypatch):
+        monkeypatch.setattr(symexpr, "_HEU_TRIES", 3)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_seeded_families(self, family):
+        for seed in range(400):
+            a, b = FAMILIES[family](random.Random(seed))
+            qa, qb, g = _cancel(a, b)
+            assert qa * g == a and qb * g == b
+
+    @settings(ORACLE, max_examples=200)
+    @given(_cancel_pairs(_monomials))
+    def test_oracle_pairs(self, pair):
+        qa, qb, g = _cancel(*pair)
+        assert qa * g == pair[0] and qb * g == pair[1]
 
 
 class TestDivexact:

@@ -1,5 +1,6 @@
 """The engine is standard-library only: every absolute import in
-``src/vessiot`` names a module of the Python standard library.
+``src/vessiot`` names a module of the Python standard library.  It holds no
+``assert`` statement, since ``python -O`` strips them: invariants raise.
 
 Relative imports (``from . import``, ``from .errors import``) stay inside the
 package and are not checked.  The benchmark's tracer wraps engine functions and
@@ -29,6 +30,11 @@ def top_level_imports(source: str) -> set:
     return names
 
 
+def assert_lines(source: str) -> list:
+    """Line numbers of the assert statements in Python source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
 def test_modules_found():
     assert SRC / "symexpr.py" in MODULES
 
@@ -38,10 +44,19 @@ def test_checker_sees_absolute_imports_only():
     assert top_level_imports(source) == {"os", "sympy"}
 
 
+def test_checker_sees_asserts():
+    assert assert_lines("x = 1\nassert x, 'why'\ndef f():\n    assert False\n") == [2, 4]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_stdlib_only(path):
     imported = top_level_imports(path.read_text(encoding="utf-8"))
     assert imported - sys.stdlib_module_names == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
 
 
 def test_tracer_targets_exist():

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_expression, random_expression_with_history, random_point
+from helpers import (
+    random_expression,
+    random_expression_with_history,
+    random_point,
+    shared_factor_pair,
+)
 from vessiot import symexpr
 from vessiot.curvature import Metric2D, christoffel, riemann
 from vessiot.errors import (
@@ -15,7 +20,7 @@ from vessiot.errors import (
     SingularPoint,
     UnknownIdentifier,
 )
-from vessiot.symexpr import Context, _cancel, _is_unit_poly, _Poly, parse, parse_in
+from vessiot.symexpr import Context, _cancel, _is_unit_poly, _pconst, _Poly, parse, parse_in
 
 
 class TestParse:
@@ -357,6 +362,31 @@ class TestCancelCost:
         riemann(christoffel(Metric2D(*w)))
         riemann(christoffel(Metric2D(*(c / w[2] for c in w))))
         assert divisions and not any(_is_unit_poly(q) for q, _ in divisions)
+
+
+class TestGiveUp:
+    """A gcd the heuristic cannot settle raises InputTooLarge at once."""
+
+    @pytest.fixture(autouse=True)
+    def gives_up(self, monkeypatch):
+        monkeypatch.setattr(symexpr, "_heu_gcd", lambda f, g: None)
+
+    def test_shared_factor_pair_raises_at_once(self):
+        # pseudo-remainder sequences once ran on this pair for minutes
+        a, b = shared_factor_pair(random.Random(3))
+        start = time.perf_counter()
+        with pytest.raises(InputTooLarge, match="gcd of 19 and 15 terms"):
+            _cancel(a, b)
+        assert time.perf_counter() - start < 1.0
+
+    def test_monomial_and_equal_primitive_pairs_need_no_heuristic(self):
+        f = parse("x1^2*x2 + 3*x1", 2).num
+        assert _cancel(f, parse("6*x1^3", 2).num) == (
+            parse("x1*x2 + 3", 2).num, parse("6*x1^2", 2).num, parse("x1", 2).num
+        )
+        three, minus_two = _pconst(2, 3), _pconst(2, -2)
+        assert _cancel(f * three, f * minus_two) == (three, minus_two, f)
+        assert parse("(x1 + x2)/(2*x1 + 2*x2)", 2) == parse("1/2", 2)
 
 
 class TestCompletePoint:
