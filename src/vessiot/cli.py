@@ -239,19 +239,22 @@ def _parse_point(text: str | None) -> tuple[Fraction, ...] | None:
 
     if text is None:
         return None
-    parts = [part.strip() for part in text.split(",")]
-    for part in parts:
+    point = []
+    for k, part in enumerate((part.strip() for part in text.split(",")), start=1):
+        shown = repr(part)  # quoted in part only: the argument may be huge
+        shown = shown if len(shown) <= 40 else shown[:40] + "…"
+        where = f"bad sample point: coordinate {k} {shown}"
         if "e" in part.lower():
-            raise VessiotError(f"bad sample point {text!r}: exponents are not accepted")
+            raise VessiotError(f"{where}: exponents are not accepted")
         if any(sum(ch.isdigit() for ch in side) > MAX_LITERAL_DIGITS for side in part.split("/")):
             raise VessiotError(
-                f"bad sample point {text!r}: a coordinate has more than"
-                f" {MAX_LITERAL_DIGITS} digits above or below the line"
+                f"{where} has more than {MAX_LITERAL_DIGITS} digits above or below the line"
             )
-    try:
-        return tuple(Fraction(part) for part in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise VessiotError(f"bad sample point {text!r}: {exc}") from exc
+        try:
+            point.append(Fraction(part))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise VessiotError(f"{where} is not a rational number") from exc
+    return tuple(point)
 
 
 def _emit(payload: dict, fmt: str) -> None:

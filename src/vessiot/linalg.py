@@ -10,7 +10,7 @@ from .symexpr import Expression
 
 
 def _reduce(m: list, ncols: int, is_zero: Callable[[object], bool]) -> int:
-    """Gauss-Jordan elimination of the rows of ``m`` in place; returns the rank.
+    """Gauss-Jordan elimination of the row lists of ``m`` in place; returns the rank.
 
     Pivots are taken only in the first ``ncols`` columns (an augmented right-hand
     side never holds one); pivot rows move to the top and are scaled to 1.
@@ -23,12 +23,17 @@ def _reduce(m: list, ncols: int, is_zero: Callable[[object], bool]) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col]
-        m[rank] = [v / inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not is_zero(m[r][col]):
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        row = m[rank]
+        inv = row[col]
+        # zeros of the pivot row (all of it left of col) change nothing: 0/inv, a - f*0
+        support = [j for j in range(col, len(row)) if not is_zero(row[j])]
+        for j in support:
+            row[j] = row[j] / inv
+        for r, other in enumerate(m):
+            factor = other[col]
+            if r != rank and not is_zero(factor):
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
         rank += 1
     return rank
 

@@ -241,8 +241,7 @@ def equivalence_gate(
         )
     if sample_point is not None and len(sample_point) != left.n:
         raise InputFormatError(
-            f"sample point {_point_str(sample_point)} needs {left.n} coordinates,"
-            f" got {len(sample_point)}"
+            f"sample point needs {left.n} coordinates, got {len(sample_point)}"
         )
     cl = _require_constant(structure_report(left, {})[0], name, "left")
     cr = _require_constant(structure_report(right, {})[0], name, "right")

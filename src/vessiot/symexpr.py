@@ -512,7 +512,7 @@ class Expression:
     identical.
     """
 
-    __slots__ = ("context", "num", "den")
+    __slots__ = ("context", "num", "den", "_diffs")  # _diffs: slot -> derivative
 
     def __init__(self, context: Context, num: _Poly, den: _Poly):
         if num.terms and den.terms:  # _fill settles a zero num or den
@@ -624,13 +624,22 @@ class Expression:
         return self._diff_slot(i - 1)
 
     def _diff_slot(self, slot: int) -> "Expression":
-        n, d = self.num, self.den
-        dd = d.diff(slot)
-        if dd.is_zero():
-            return Expression(self.context, n.diff(slot), d)
-        # deflate the shared factor of d and d' before the quotient rule
-        e, de, _ = _cancel(d, dd)
-        return Expression(self.context, n.diff(slot) * e - n * de, d * e)
+        # each derivative is formed once and kept, per slot, with this expression
+        try:
+            memo = self._diffs
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_diffs", memo)
+        if slot not in memo:
+            n, d = self.num, self.den
+            dd = d.diff(slot)
+            if dd.is_zero():
+                memo[slot] = Expression(self.context, n.diff(slot), d)
+            else:
+                # deflate the shared factor of d and d' before the quotient rule
+                e, de, _ = _cancel(d, dd)
+                memo[slot] = Expression(self.context, n.diff(slot) * e - n * de, d * e)
+        return memo[slot]
 
     def sqrt(self) -> Optional["Expression"]:
         """Rational square root with positive leading coefficient, if one exists."""

@@ -188,6 +188,19 @@ class TestEquivalence:
         assert code == 2
         assert out == ""
         assert "needs 2 coordinates" in err
+        # the refused point is not echoed: 100 coordinates of 1,000 digits each
+        code, _, err = run_cli(
+            capsys,
+            "equivalence",
+            "--left",
+            str(SECTIONS / "metric_euclidean.section"),
+            "--right",
+            str(SECTIONS / "metric_half_plane.section"),
+            "--sample-point",
+            ",".join(["9" * 1000] * 100),
+        )
+        assert code == 2
+        assert "needs 2 coordinates, got 100" in err and len(err.encode()) < 300
 
     @pytest.mark.parametrize(
         "point, shown",
@@ -206,11 +219,18 @@ class TestEquivalence:
         assert json.loads(out)["result"]["sample_point"] == shown
 
     @pytest.mark.parametrize(
-        "point",
-        ["1e5000,2", "1E2,3", "1" * 1001 + ",2", "2,1/" + "3" * 1001, "0." + "1" * 1001 + ",2"],
-        ids=["exponent", "capital-exponent", "long-numerator", "long-denominator", "long-decimal"],
+        "point, position",
+        [
+            ("1e5000,2", 1), ("1E2,3", 1), ("1" * 1001 + ",2", 1), ("2,1/" + "3" * 1001, 2),
+            ("0." + "1" * 1001 + ",2", 1), ("2," + "7" * 10**6, 2), ("1/0,2", 1),
+            ("x" * 10**6 + ",2", 1), ("\U000e0001" * 1000 + ",2", 1),
+        ],
+        ids=[
+            "exponent", "capital-exponent", "long-numerator", "long-denominator", "long-decimal",
+            "million-digits", "zero-denominator", "long-garbage", "escaped-characters",
+        ],
     )
-    def test_sample_point_budget_exit_two(self, capsys, point):
+    def test_sample_point_budget_exit_two(self, capsys, point, position):
         # Fraction() would build 10**5000 before anything checked it
         start = time.perf_counter()
         code, out, err = run_cli(
@@ -223,6 +243,9 @@ class TestEquivalence:
         assert code == 2
         assert out == ""
         assert "bad sample point" in err and "internal error" not in err
+        # the refused coordinate is named by its position and quoted in part only
+        assert f"bad sample point: coordinate {position} " in err
+        assert len(err.encode()) < 300
 
     def test_reflected_metric_passes(self, capsys, tmp_path):
         # det = x1 vs -x1 differ in sign at (2, 3), yet (x1, x2) -> (-x1, x2)

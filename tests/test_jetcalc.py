@@ -22,7 +22,7 @@ from vessiot.jetcalc import (
     symbol_dimension,
 )
 from vessiot.lieops import ObjectKind, labeled_medolaghi, medolaghi_equations, section
-from vessiot.symexpr import Context, Expression, parse_in
+from vessiot.symexpr import Context, Expression, _Poly, parse_in
 
 CTX = Context(2)
 ONE = CTX.one()
@@ -124,6 +124,23 @@ class TestProlong:
         f = parse_in("x1^2 + x2", CTX)
         assert prolong([e, e.scaled(f)], 0) == [e]
         assert prolong([e, e.scaled(CTX.rational(-3))], 2) == prolong([e], 2)
+
+    def test_cc_identity_after_prolong_forms_no_new_derivative(self, monkeypatch):
+        # check_cc_identity derives each labeled equation in the order prolong
+        # did, through the same coefficients, which keep their derivatives
+        w = parse_in("1/x2^2", CTX)
+        cc = parse_cc_spec("d11O22,+d22O11,-2d12O12", 2)
+        system = labeled_medolaghi(section(ObjectKind.METRIC_2D, [w, w, CTX.zero()]))
+        prolong(list(system.values()), 2)
+        formed = []
+        real = _Poly.diff
+        monkeypatch.setattr(_Poly, "diff", lambda p, slot: formed.append(slot) or real(p, slot))
+        residual = check_cc_identity(system, cc)
+        assert formed == []
+        v = parse_in("1/x2^2", CTX)
+        fresh = labeled_medolaghi(section(ObjectKind.METRIC_2D, [v, v, CTX.zero()]))
+        assert check_cc_identity(fresh, cc) == residual
+        assert formed  # without prolong first, the same check forms them
 
 
 class TestProportional:
