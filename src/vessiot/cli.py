@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import InputFormatError, NotIntegrable, VessiotError
+from .errors import InputFormatError, NotIntegrable, VessiotError, quoted
 
 PASS_EXIT = 0
 OBSTRUCTION_EXIT = 1
@@ -241,9 +241,7 @@ def _parse_point(text: str | None) -> tuple[Fraction, ...] | None:
         return None
     point = []
     for k, part in enumerate((part.strip() for part in text.split(",")), start=1):
-        shown = repr(part)  # quoted in part only: the argument may be huge
-        shown = shown if len(shown) <= 40 else shown[:40] + "…"
-        where = f"bad sample point: coordinate {k} {shown}"
+        where = f"bad sample point: coordinate {k} {quoted(part)}"
         if "e" in part.lower():
             raise VessiotError(f"{where}: exponents are not accepted")
         if any(sum(ch.isdigit() for ch in side) > MAX_LITERAL_DIGITS for side in part.split("/")):

@@ -1,4 +1,11 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and how their messages quote input."""
+
+
+def quoted(value) -> str:
+    """repr(value), cut to its first 40 characters and an ellipsis: a message
+    names the input it refuses without copying an unbounded token."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:40] + "…"
 
 
 class VessiotError(Exception):

@@ -11,7 +11,7 @@ from operator import not_
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import InputFormatError, OrderOverflow
+from .errors import InputFormatError, OrderOverflow, quoted
 from .symexpr import MAX_LITERAL_DIGITS, Context, Expression
 
 MultiIndex = Tuple[int, ...]
@@ -27,7 +27,7 @@ def max_jet_order() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise InputFormatError(f"VESSIOT_MAX_ORDER must be an integer, got {raw!r}") from exc
+        raise InputFormatError(f"VESSIOT_MAX_ORDER must be an integer, got {quoted(raw)}") from exc
     if value < 1:
         raise InputFormatError("VESSIOT_MAX_ORDER must be >= 1")
     return value
@@ -315,10 +315,10 @@ def parse_cc_spec(spec: str, n: int) -> List[CCTerm]:
     for raw in spec.split(","):
         token = raw.strip()
         if not token:
-            raise InputFormatError(f"empty CC term in {spec!r}")
+            raise InputFormatError(f"empty CC term in {quoted(spec)}")
         m = _CC_TERM_RE.fullmatch(token)
         if m is None:
-            raise InputFormatError(f"bad CC term {token!r}")
+            raise InputFormatError(f"bad CC term {quoted(token)}")
         sign, mult, digits, label = m.groups()
         if mult and len(mult) > MAX_LITERAL_DIGITS:
             raise InputFormatError(f"CC multiplier longer than {MAX_LITERAL_DIGITS} digits")
@@ -330,7 +330,7 @@ def parse_cc_spec(spec: str, n: int) -> List[CCTerm]:
             i = int(ch)
             if not 1 <= i <= n:
                 raise InputFormatError(
-                    f"coordinate index {i} outside 1..{n} in CC term {token!r}"
+                    f"coordinate index {i} outside 1..{n} in CC term {quoted(token)}"
                 )
             mu[i - 1] += 1
         terms.append((coeff, tuple(mu), label))
@@ -351,7 +351,7 @@ def check_cc_identity(
     acc: Optional[LinearJetEquation] = None
     for coeff, mu, label in cc:
         if label not in system:
-            raise InputFormatError(f"CC references unknown equation label {label!r}")
+            raise InputFormatError(f"CC references unknown equation label {quoted(label)}")
         eq = system[label]
         if eq.order + mi_order(mu) > ceiling:
             raise OrderOverflow(

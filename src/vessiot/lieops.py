@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DegenerateSection, InputFormatError, InputTooLarge, KindMismatch
+from .errors import DegenerateSection, InputFormatError, InputTooLarge, KindMismatch, quoted
 from .jetcalc import JetVariable, LinearJetEquation, add_term, proportional
 from .symexpr import MAX_SECTION_BYTES, Context, Expression, parse_in
 
@@ -279,12 +279,12 @@ def parse_section_text(text: str) -> Tuple[GeometricSection, Dict[str, Expressio
         if not line:
             continue
         if "=" not in line:
-            raise InputFormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise InputFormatError(f"line {lineno}: expected 'key = value', got {quoted(raw)}")
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
         if key in entries:
-            raise InputFormatError(f"line {lineno}: duplicate key {key!r}")
+            raise InputFormatError(f"line {lineno}: duplicate key {quoted(key)}")
         entries[key] = value
 
     kind_name = entries.pop("kind", None)
@@ -294,16 +294,16 @@ def parse_section_text(text: str) -> Tuple[GeometricSection, Dict[str, Expressio
         kind = ObjectKind(kind_name)
     except ValueError as exc:
         known = ", ".join(k.value for k in ObjectKind)
-        raise InputFormatError(f"unknown kind {kind_name!r} (known: {known})") from exc
+        raise InputFormatError(f"unknown kind {quoted(kind_name)} (known: {known})") from exc
 
     spec = kind.spec
     n_text = entries.pop("n", str(spec.dim))
     try:
         n = int(n_text)
     except ValueError as exc:
-        raise InputFormatError(f"n must be an integer, got {n_text!r}") from exc
+        raise InputFormatError(f"n must be an integer, got {quoted(n_text)}") from exc
     if n != spec.dim:
-        raise InputFormatError(f"{kind.value} requires n = {spec.dim}, file says {n}")
+        raise InputFormatError(f"{kind.value} requires n = {spec.dim}, file says {quoted(n)}")
 
     params_text = entries.pop("params", "")
     params = tuple(p.strip() for p in params_text.split(",") if p.strip())
@@ -323,7 +323,9 @@ def parse_section_text(text: str) -> Tuple[GeometricSection, Dict[str, Expressio
         if key in entries:
             extras[key] = parse_in(entries.pop(key), context)
     if entries:
-        raise InputFormatError(f"unexpected keys in section file: {sorted(entries)}")
+        raise InputFormatError(
+            f"unexpected keys in section file: {len(entries)}, the first {quoted(min(entries))}"
+        )
     return GeometricSection(kind, tuple(components), n), extras
 
 

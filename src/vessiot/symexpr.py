@@ -8,6 +8,18 @@ pair, positive leading denominator coefficient under graded-lexicographic
 order), so equality, zero-testing and constancy are decidable by direct
 comparison.  The polynomial kernel therefore works over the integers only;
 rational numbers appear at the API, as inputs and exact values.
+
+Each monomial is one packed integer key (Monagan & Pearce, CASC 2007).  Over
+v variables the key has v + 1 fields of ``_W`` bits: the total degree in the
+most significant one, then the exponents of x1..xn and of the parameters in
+descending significance.  So the key of a product of monomials is the sum of
+their keys, and integer order is graded-lexicographic order.  The top bit of
+each field is a guard bit above every value the field holds: total degrees
+stay within MAX_TOTAL_DEGREE = 2^(_W - 1) - 1, so a sum of two keys never
+carries from one field into the next, and in (a | guards) - b each field keeps
+its guard bit exactly when its exponent in a is at least the one in b.  A
+nonconstant key's degree field is its highest nonzero one, so the key's bit
+length tells how many variables it has.
 """
 
 from __future__ import annotations
@@ -17,7 +29,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 from math import comb, isqrt
-from operator import add, gt, lt, neg, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -27,9 +38,8 @@ from .errors import (
     InputTooLarge,
     SingularPoint,
     UnknownIdentifier,
+    quoted,
 )
-
-Monomial = tuple  # exponent tuple, one slot per context variable
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
@@ -42,7 +52,7 @@ class Context:
     reproducible.
     """
 
-    __slots__ = ("n", "params", "names", "_index")
+    __slots__ = ("n", "params", "names", "_index", "_coordinates")
 
     def __init__(self, n: int, params: Iterable[str] = ()):
         if not 1 <= n <= 9:
@@ -51,13 +61,15 @@ class Context:
         coords = tuple(f"x{i}" for i in range(1, n + 1))
         for p in params:
             if not _IDENT_RE.fullmatch(p):
-                raise ValueError(f"invalid parameter name {p!r}")
+                raise ValueError(f"invalid parameter name {quoted(p)}")
             if p in coords:
                 raise ValueError(f"parameter {p!r} collides with a coordinate")
         self.n = n
         self.params = params
         self.names = coords + params
         self._index = {name: i for i, name in enumerate(self.names)}
+        # the coordinate fields of a key: n fields above the parameters' ones
+        self._coordinates = _ones(n - 1) * _FIELD << _W * len(params)
 
     @property
     def nvars(self) -> int:
@@ -84,16 +96,14 @@ class Context:
     # -- convenience constructors -------------------------------------
 
     def zero(self) -> "Expression":
-        return Expression(self, _PZERO, _pconst(self.nvars, 1))
+        return _from_reduced(self, _PZERO, _pconst(1))
 
     def one(self) -> "Expression":
         return self.rational(Fraction(1))
 
     def rational(self, value) -> "Expression":
         value = Fraction(value)
-        num = _pconst(self.nvars, value.numerator)
-        den = _pconst(self.nvars, value.denominator)
-        return Expression(self, num, den)
+        return _from_reduced(self, _pconst(value.numerator), _pconst(value.denominator))
 
     def coordinate(self, i: int) -> "Expression":
         if not 1 <= i <= self.n:
@@ -106,8 +116,8 @@ class Context:
         return self._variable(self._index[name])
 
     def _variable(self, slot: int) -> "Expression":
-        mono = tuple(1 if j == slot else 0 for j in range(self.nvars))
-        return Expression(self, _Poly({mono: 1}), _pconst(self.nvars, 1))
+        mono = _pack(tuple(int(j == slot) for j in range(self.nvars)))
+        return _from_reduced(self, _Poly({mono: 1}), _pconst(1))
 
     def default_point(self) -> tuple:
         """Default sample point: variable j evaluates to j + 2 (so x^i = i + 1)."""
@@ -121,12 +131,58 @@ class Context:
 
 
 # ----------------------------------------------------------------------
+# packed monomials (internal)
+# ----------------------------------------------------------------------
+
+_W = 32  # bits per field of a monomial key, the top one a guard bit
+_FIELD = (1 << _W) - 1
+
+
+def _pack(mono: Sequence[int]) -> int:
+    """The key of an exponent vector: its total degree, then each exponent."""
+    key = sum(mono)
+    for e in mono:
+        key = key << _W | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    """The exponent vector of a key over nvars variables."""
+    return tuple([key >> shift & _FIELD for shift in range(_W * (nvars - 1), -1, -_W)])
+
+
+def _nvars(key: int) -> int:
+    """How many variables a nonconstant key has; 0 for the constant key."""
+    return max(key.bit_length() - 1, 0) // _W
+
+
+def _degree(key: int) -> int:
+    return key >> _W * _nvars(key)
+
+
+def _ones(nvars: int) -> int:
+    """The lowest bit of every field of a key over nvars variables, the
+    degree field included."""
+    return ((1 << _W * (nvars + 1)) - 1) // _FIELD
+
+
+def _check_degree(lead: int) -> None:
+    """InputTooLarge when the key of a product's leading monomial, the sum of
+    its factors' leading keys, has a total degree past MAX_TOTAL_DEGREE."""
+    degree = _degree(lead)
+    if degree > MAX_TOTAL_DEGREE:
+        raise InputTooLarge(
+            f"product of total degree {degree} exceeds the limit of {MAX_TOTAL_DEGREE}"
+        )
+
+
+# ----------------------------------------------------------------------
 # sparse multivariate polynomials (internal)
 # ----------------------------------------------------------------------
 
 
 class _Poly:
-    """Sparse polynomial over the integers: exponent tuple -> nonzero int.
+    """Sparse polynomial over the integers: monomial key -> nonzero int.
 
     Canonical pairs always scale to integer coefficients, so the kernel holds
     no rational coefficient; rationals appear only at the ``Expression`` API
@@ -141,11 +197,6 @@ class _Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def nvars(self) -> int:
-        for mono in self.terms:
-            return len(mono)
-        return 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, _Poly) and self.terms == other.terms
 
@@ -154,11 +205,15 @@ class _Poly:
 
     def leading(self) -> tuple:
         """(monomial, coefficient) maximal under grlex."""
-        _, mono = max(zip(map(sum, self.terms), self.terms))
+        mono = max(self.terms)
         return mono, self.terms[mono]
 
     def used_slots(self) -> set:
-        return {j for j, exps in enumerate(zip(*self.terms)) if any(exps)}
+        used = 0
+        for mono in self.terms:
+            used |= mono
+        nvars = _nvars(used)
+        return {j for j in range(nvars) if used >> _W * (nvars - 1 - j) & _FIELD}
 
     def __add__(self, other: "_Poly") -> "_Poly":
         out = dict(self.terms)
@@ -197,8 +252,9 @@ class _Poly:
         if len(self.terms) == 1 or len(other.terms) == 1:
             single, p = (self, other) if len(self.terms) == 1 else (other, self)
             ((shift, c),) = single.terms.items()
-            if any(shift):
-                return _Poly({tuple(map(add, m, shift)): v * c for m, v in p.terms.items()})
+            if shift:
+                _check_degree(shift + max(p.terms))
+                return _Poly({m + shift: v * c for m, v in p.terms.items()})
             if c == 1:
                 return p
             return _Poly({m: v * c for m, v in p.terms.items()})
@@ -207,18 +263,19 @@ class _Poly:
                 f"product of {len(self.terms)} by {len(other.terms)} terms exceeds"
                 f" the limit of {MAX_MUL_PAIRS} term pairs"
             )
+        _check_degree(max(self.terms) + max(other.terms))
         out: dict = {}
         get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(map(add, m1, m2))
+                mono = m1 + m2
                 out[mono] = get(mono, 0) + c1 * c2
         return _Poly({m: c for m, c in out.items() if c})
 
     def pow(self, k: int) -> "_Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        degree = k * max(map(sum, self.terms), default=0)
+        degree = k * _degree(max(self.terms, default=0))
         if degree > MAX_POWER_DEGREE:
             raise InputTooLarge(
                 f"power of total degree {degree} exceeds the limit of {MAX_POWER_DEGREE}"
@@ -229,7 +286,7 @@ class _Poly:
         terms = min(comb(len(self.terms) + k - 1, k), comb(degree + slots, slots)) if k else 1
         if terms > MAX_POWER_TERMS:
             raise InputTooLarge(f"power of up to {terms} terms exceeds the limit of {MAX_POWER_TERMS}")
-        result = _pconst(self.nvars(), 1)
+        result = _pconst(1)
         base = self
         while k:
             if k & 1:
@@ -240,20 +297,27 @@ class _Poly:
         return result
 
     def diff(self, slot: int) -> "_Poly":
+        top = _W * _nvars(max(self.terms, default=0))
+        if not top:
+            return _PZERO
+        shift = top - _W * (slot + 1)
+        step = 1 << top | 1 << shift  # one off the exponent and off the degree
         out: dict = {}
         for mono, c in self.terms.items():
-            e = mono[slot]
+            e = mono >> shift & _FIELD
             if e:
-                out[mono[:slot] + (e - 1,) + mono[slot + 1 :]] = c * e
+                out[mono - step] = c * e
         return _Poly(out)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
         for mono, c in self.terms.items():
             v = c
-            for val, e in zip(point, mono):
+            for val in reversed(point):  # the last variable has the lowest field
+                e = mono & _FIELD
                 if e:
                     v *= val**e
+                mono >>= _W
             total += v
         return total
 
@@ -262,43 +326,44 @@ class _Poly:
 
         When ``other`` is primitive, an integer quotient exists whenever any
         rational one does (Gauss's lemma).  The remainder's terms are taken in
-        descending grlex order from a heap (Monagan & Pearce, CASC 2007), so no
-        step rescans the remainder.  Monomials are handled as keys
-        ``(-degree, -e1, ..., -en)``: ascending key order is descending grlex
-        order, and the key of a product is the sum of the keys.
+        descending grlex order from a heap of negated keys (Monagan & Pearce,
+        CASC 2007), so no step rescans the remainder.
         """
         if not other.terms:
             raise ZeroDivisionError("polynomial division by zero")
         if not self.terms:
             return _PZERO
-        (lead, lc), *tail = sorted(
-            ((-sum(m), *map(neg, m)), c) for m, c in other.terms.items()
-        )
+        lead, lc = other.leading()
+        tail = [(m, c) for m, c in other.terms.items() if m != lead]
+        guards = _ones(_nvars(max(self.terms) | lead)) << _W - 1
         # an exact quotient has exponents in 0..deg_j(self) - deg_j(other) in
         # every slot j, and total degree deg(self) - deg(other); a quotient
-        # term outside that box proves the division inexact and bounds the walk
-        floor = tuple(map(sub, _max_degrees(other), _max_degrees(self)))
-        upper = (0,) * len(lead)
-        rem = {(-sum(m), *map(neg, m)): c for m, c in self.terms.items()}
-        heap = list(rem)
+        # term outside that box proves the division inexact and bounds the walk.
+        # (a | guards) - b keeps the guard bit of each field where a >= b.
+        box = (_max_degrees(self) | guards) - _max_degrees(other)
+        if box & guards != guards:
+            raise ArithmeticError("inexact polynomial division")
+        rem = dict(self.terms)
+        heap = [-m for m in rem]
         heapify(heap)
         out = {}
         while heap:
-            key = heappop(heap)
+            key = -heappop(heap)
             rc = rem.pop(key, 0)
             if not rc:
                 continue
-            q = tuple(map(sub, key, lead))
-            if any(map(gt, q, upper)) or any(map(lt, q, floor)) or rc % lc:
+            q = (key | guards) - lead
+            if q & guards != guards or (box - (q ^ guards)) & guards != guards or rc % lc:
                 raise ArithmeticError("inexact polynomial division")
+            q ^= guards
             qc = rc // lc
-            out[tuple(map(neg, q[1:]))] = qc
+            out[q] = qc
             for tk, tc in tail:
-                k = tuple(map(add, q, tk))
+                k = q + tk
                 s = rem.get(k)
                 if s is None:
                     rem[k] = -qc * tc
-                    heappush(heap, k)
+                    heappush(heap, -k)
                 else:
                     s -= qc * tc
                     if s:
@@ -308,22 +373,26 @@ class _Poly:
         return _Poly(out)
 
 
-def _grlex_key(mono: Monomial) -> tuple:
-    return (sum(mono), mono)
-
-
-def _max_degrees(p: _Poly) -> tuple:
-    """(total degree, degree in each slot), for a nonzero polynomial."""
-    return (max(map(sum, p.terms)), *map(max, zip(*p.terms)))
+def _max_degrees(p: _Poly) -> int:
+    """The key whose every field is that field's largest value over the
+    monomials of p (a nonzero polynomial): its total degree, then its degree
+    in each variable."""
+    top = max(p.terms)
+    shift = _W * _nvars(top)
+    out = top >> shift << shift
+    while shift:
+        shift -= _W
+        out |= max(m >> shift & _FIELD for m in p.terms) << shift
+    return out
 
 
 _PZERO = _Poly({})
 
 
-def _pconst(nvars: int, value: int) -> _Poly:
+def _pconst(value: int) -> _Poly:
     if not value:
         return _PZERO
-    return _Poly({(0,) * nvars: value})
+    return _Poly({0: value})
 
 
 def _primitive(p: _Poly, *cofactors: _Poly) -> tuple:
@@ -356,21 +425,19 @@ def _cancel(a: _Poly, b: _Poly) -> tuple:
     """
     if not a.terms:
         cb, g = _primitive(b)
-        return a, _pconst(b.nvars(), cb), g
+        return a, _pconst(cb), g
     if not b.terms:
         ca, g = _primitive(a)
-        return _pconst(a.nvars(), ca), b, g
+        return _pconst(ca), b, g
     if len(a.terms) == 1 or len(b.terms) == 1:
         shared = _monomial_gcd(a, b)
-        if any(shared):
-            a, b = (_Poly({tuple(map(sub, m, shared)): c for m, c in p.terms.items()})
-                    for p in (a, b))
+        if shared:
+            a, b = (_Poly({m - shared: c for m, c in p.terms.items()}) for p in (a, b))
         return a, b, _Poly({shared: 1})
-    nvars = a.nvars()
     ca, pa = _primitive(a)
     cb, pb = _primitive(b)
     if pa.terms == pb.terms:  # equal up to a constant factor, sign included
-        return _pconst(nvars, ca), _pconst(nvars, cb), pa
+        return _pconst(ca), _pconst(cb), pa
     found = _heu_gcd(pa, pb)
     if found is None:
         raise InputTooLarge(
@@ -378,20 +445,24 @@ def _cancel(a: _Poly, b: _Poly) -> tuple:
             f" after {_HEU_TRIES} evaluation points"
         )
     g, qa, qb = found
-    return qa * _pconst(nvars, ca), qb * _pconst(nvars, cb), g
+    return qa * _pconst(ca), qb * _pconst(cb), g
 
 
-def _monomial_gcd(a: _Poly, b: _Poly) -> Monomial:
-    """Exponents of the gcd when at least one operand is a single term: the
-    shared monomial part.  The single term is scanned first, so a constant
-    operand returns at once."""
-    shared = None
-    for p in (a, b) if len(a.terms) == 1 else (b, a):
-        for mono in p.terms:
-            shared = mono if shared is None else tuple(map(min, shared, mono))
-            if not any(shared):
-                return shared
-    return shared
+def _monomial_gcd(a: _Poly, b: _Poly) -> int:
+    """Key of the gcd when at least one operand is a single term: the shared
+    monomial part.  Only the fields the single term uses are scanned, so a
+    constant operand returns at once."""
+    single, other = (a, b) if len(a.terms) == 1 else (b, a)
+    (mono,) = single.terms
+    top = _W * _nvars(mono)
+    shared = degree = 0
+    for shift in range(0, top, _W):
+        e = mono >> shift & _FIELD
+        if e:
+            e = min(e, min(m >> shift & _FIELD for m in other.terms))
+            shared |= e << shift
+            degree += e
+    return shared | degree << top
 
 
 # -- heuristic gcd over integer coefficients ---------------------------
@@ -410,22 +481,28 @@ def _heu_gcd(f: _Poly, g: _Poly) -> Optional[tuple]:
     divides both inputs exactly; those two divisions are the cofactors.  The
     candidate 1 divides everything and is taken unchecked.
     """
-    used = f.used_slots() | g.used_slots()
+    used = 0
+    for p in (f, g):
+        for mono in p.terms:
+            used |= mono
     if not used:
         return f, f, g  # primitive constants: f = g = 1
-    nvars = f.nvars()
-    v = min(used)
+    # the key of the first variable either one uses: a one in its field, the
+    # highest nonzero field below the degree, and a one in the degree field
+    top = _W * _nvars(used)
+    below = used & ((1 << top) - 1)  # the variables' fields
+    var = 1 << top | 1 << (below.bit_length() - 1) // _W * _W
     xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
     for _ in range(_HEU_TRIES):
-        fe = _eval_at(f, v, xi)
-        ge = _eval_at(g, v, xi)
+        fe = _eval_at(f, var, xi)
+        ge = _eval_at(g, var, xi)
         if fe.terms and ge.terms:
             cfe, fe = _primitive(fe)
             cge, ge = _primitive(ge)
             image = _heu_gcd(fe, ge)
             if image is not None:
-                h = image[0] * _pconst(nvars, _igcd(cfe, cge))
-                _, cand = _primitive(_interp(h, v, xi))
+                h = image[0] * _pconst(_igcd(cfe, cge))
+                _, cand = _primitive(_interp(h, var, xi))
                 if _is_unit_poly(cand):
                     return cand, f, g
                 try:
@@ -436,16 +513,20 @@ def _heu_gcd(f: _Poly, g: _Poly) -> Optional[tuple]:
     return None
 
 
-def _eval_at(f: _Poly, v: int, xi: int) -> _Poly:
+def _eval_at(f: _Poly, var: int, xi: int) -> _Poly:
+    """f at xi in the variable whose key is var."""
+    shift = (var & -var).bit_length() - 1
     out: dict = {}
     for mono, c in f.terms.items():
-        key = mono[:v] + (0,) + mono[v + 1 :]
-        out[key] = out.get(key, 0) + c * xi ** mono[v]
+        e = mono >> shift & _FIELD
+        key = mono - e * var
+        out[key] = out.get(key, 0) + c * xi**e
     return _Poly({m: c for m, c in out.items() if c})
 
 
-def _interp(h: _Poly, v: int, xi: int) -> _Poly:
-    """Recover the variable-v dependence from base-xi balanced digits."""
+def _interp(h: _Poly, var: int, xi: int) -> _Poly:
+    """Recover the dependence on the variable whose key is var from base-xi
+    balanced digits."""
     out: dict = {}
     cur = h.terms
     e = 0
@@ -457,7 +538,7 @@ def _interp(h: _Poly, v: int, xi: int) -> _Poly:
             if r > half:
                 r -= xi
             if r:
-                out[mono[:v] + (e,) + mono[v + 1 :]] = r
+                out[mono + e * var] = r
             q = (c - r) // xi
             if q:
                 nxt[mono] = q
@@ -476,12 +557,14 @@ def _poly_sqrt(p: _Poly) -> Optional[_Poly]:
     if p.is_zero():
         return p
     mono, coeff = p.leading()
-    if coeff < 0 or any(e % 2 for e in mono):
+    ones = _ones(_nvars(mono))
+    if coeff < 0 or mono & ones:  # an odd exponent
         return None
     root = isqrt(coeff)
     if root * root != coeff:
         return None
-    lead = tuple(e // 2 for e in mono)
+    lead = mono >> 1  # every field even: each one halves
+    guards = ones << _W - 1
     twice = 2 * root
     s = _Poly({lead: root})
     rem = p - s * s
@@ -489,10 +572,10 @@ def _poly_sqrt(p: _Poly) -> Optional[_Poly]:
         if rem.is_zero():
             return s
         rm, rc = rem.leading()
-        q = tuple(a - b for a, b in zip(rm, lead))
-        if any(e < 0 for e in q) or rc % twice:
+        q = (rm | guards) - lead
+        if q & guards != guards or rc % twice:
             return None
-        t = _Poly({q: rc // twice})
+        t = _Poly({q ^ guards: rc // twice})
         # p - (s + t)^2 = rem - (2s + t) t
         rem = rem - (s + s + t) * t
         s = s + t
@@ -533,15 +616,14 @@ class Expression:
         Parameters count as constants.  Because the stored pair is coprime,
         this is the same as every coordinate partial derivative vanishing.
         """
-        n = self.context.n
-        return not any(any(m[:n]) for p in (self.num, self.den) for m in p.terms)
+        mask = self.context._coordinates
+        return not any(m & mask for p in (self.num, self.den) for m in p.terms)
 
     def constant_value(self) -> Optional[Fraction]:
         """The value as an exact rational, when no variable appears at all."""
-        if self.num.used_slots() or self.den.used_slots():
+        if any(self.num.terms) or any(self.den.terms):  # 0 is the key of 1
             return None
-        one = (0,) * self.context.nvars
-        return Fraction(self.num.terms.get(one, 0), self.den.terms[one])
+        return Fraction(self.num.terms.get(0, 0), self.den.terms[0])
 
     def fixed_sign(self) -> int:
         """+1 or -1 when the value has that sign wherever it is defined and
@@ -552,9 +634,10 @@ class Expression:
         and coefficients of one sign.  Nonzero constants are the base case.
         """
         sign = 1
+        odd = _ones(self.context.nvars)
         for p in (self.num, self.den):
             signs = {c > 0 for c in p.terms.values()}
-            if len(signs) != 1 or any(e % 2 for m in p.terms for e in m):
+            if len(signs) != 1 or any(m & odd for m in p.terms):
                 return 0
             sign = sign if signs.pop() else -sign
         return sign
@@ -675,9 +758,9 @@ class Expression:
             out = {}
             for mono, c in p.terms.items():
                 new = [0] * context.nvars
-                for j, e in enumerate(mono):
+                for j, e in enumerate(_unpack(mono, self.context.nvars)):
                     new[mapping[j]] = e
-                out[tuple(new)] = c
+                out[_pack(new)] = c
             return _Poly(out)
 
         return Expression(context, lift(self.num), lift(self.den))
@@ -703,7 +786,7 @@ class Expression:
         den_s = _poly_str(self.den, names)
         if len(self.num.terms) > 1:
             num_s = f"({num_s})"
-        if not _is_atom(self.den, names):
+        if not _is_atom(self.den):
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
@@ -722,7 +805,7 @@ def common_denominator(exprs: Iterable[Expression]) -> tuple:
     """
     exprs = list(exprs)
     lcm = exprs[0].den
-    one = _pconst(lcm.nvars(), 1)
+    one = _pconst(1)
     cofactors = [one]
     for x in exprs[1:]:
         # lcm = rest*g and x.den = grow*g, so the new lcm is lcm*grow = x.den*rest
@@ -750,7 +833,7 @@ def _fill(expr: "Expression", context: Context, num: _Poly, den: _Poly) -> "Expr
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
-        den = _pconst(den.nvars(), 1)
+        den = _pconst(1)
     else:
         _, den, num = _primitive(den, num)
     object.__setattr__(expr, "context", context)
@@ -763,32 +846,35 @@ def _is_unit_poly(p: _Poly) -> bool:
     if len(p.terms) != 1:
         return False
     (mono, coeff), = p.terms.items()
-    return coeff == 1 and not any(mono)
+    return coeff == 1 and not mono
 
 
-def _is_atom(p: _Poly, names) -> bool:
+def _is_atom(p: _Poly) -> bool:
     """True when the polynomial prints as a single /-safe token (int or bare variable)."""
     if len(p.terms) != 1:
         return False
     (mono, coeff), = p.terms.items()
-    nz = [(j, e) for j, e in enumerate(mono) if e]
-    if not nz:
+    if not mono:
         return coeff > 0
-    return coeff == 1 and len(nz) == 1 and nz[0][1] == 1
+    return coeff == 1 and _degree(mono) == 1
 
 
 def _poly_str(p: _Poly, names) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for mono in sorted(p.terms, key=_grlex_key, reverse=True):
+    top = _W * len(names)
+    for mono in sorted(p.terms, reverse=True):
         coeff = p.terms[mono]
         factors = []
-        for j, e in enumerate(mono):
+        shift = top
+        for name in names:
+            shift -= _W
+            e = mono >> shift & _FIELD
             if e == 1:
-                factors.append(names[j])
+                factors.append(name)
             elif e > 1:
-                factors.append(f"{names[j]}^{e}")
+                factors.append(f"{name}^{e}")
         mag = abs(coeff)
         if factors:
             body = "*".join(factors)
@@ -848,12 +934,16 @@ def _tokenize(text: str) -> Iterator[tuple]:
 # MAX_MUL_PAIRS term pairs (len(a)*len(b)): the parser's own (x1+x2+1)^100 needs
 # 703 * 2,145 = 1,507,935 in its last step, while the Christoffel chain of a
 # metric with that w11 would multiply 5,151 by ~5,000 terms, many times over.
+# A product's total degree is held to MAX_TOTAL_DEGREE, the most a packed
+# field holds below its guard bit; x1^100*x1^100*... in a section of
+# MAX_SECTION_BYTES reaches about 1.4 * 10^7.
 MAX_NESTING = 100
 MAX_LITERAL_DIGITS = 1000
 MAX_EXPONENT = 1000
 MAX_POWER_DEGREE = 100
 MAX_POWER_TERMS = 10_000
 MAX_MUL_PAIRS = 2_000_000
+MAX_TOTAL_DEGREE = 2 ** (_W - 1) - 1
 # A section file is read whole before it is parsed; the largest one in use, a
 # 3,000-deep parenthesised component, is about 6 KB.
 MAX_SECTION_BYTES = 1_000_000
@@ -906,7 +996,7 @@ class _Parser:
         expr = self.sum()
         kind, val, at = self.peek()
         if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {val!r}", at)
+            raise ExprSyntaxError(f"unexpected trailing input {quoted(val)}", at)
         return expr
 
     def sum(self) -> Expression:
@@ -996,7 +1086,7 @@ class _Parser:
                 if idx < self.context.n:
                     return self.context.coordinate(idx + 1)
                 return self.context.parameter(val)
-            raise UnknownIdentifier(f"unknown identifier {val!r}", at)
+            raise UnknownIdentifier(f"unknown identifier {quoted(val)}", at)
         if kind == "op" and val == "(":
             self.nest(at)
             expr = self.sum()

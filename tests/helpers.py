@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from vessiot.errors import SingularPoint
 from vessiot.lieops import GeometricSection, ObjectKind, section
-from vessiot.symexpr import Context, Expression, _Poly, parse_in
+from vessiot.symexpr import Context, Expression, _pack, _Poly, _unpack, parse_in
 
 
 def random_expression(ctx: Context, rng: random.Random, depth: int = 3) -> Expression:
@@ -61,7 +61,18 @@ def random_poly(rng: random.Random, draws: int, exps=(3, 3, 2), bound: int = 9) 
     for _ in range(draws):
         mono = tuple(rng.randint(0, e) for e in exps)
         terms[mono] = rng.randint(-bound, bound)
-    return _Poly({m: c for m, c in terms.items() if c} or {(0, 0, 0): 1})
+    return packed({m: c for m, c in terms.items() if c} or {(0, 0, 0): 1})
+
+
+def packed(terms: dict) -> _Poly:
+    """The kernel polynomial of {exponent tuple: coefficient}."""
+    return _Poly({_pack(m): c for m, c in terms.items()})
+
+
+def unpacked(p: _Poly, nvars: int) -> list:
+    """The terms of a kernel polynomial over nvars variables, as
+    (exponent tuple, coefficient) pairs."""
+    return [(_unpack(m, nvars), c) for m, c in p.terms.items()]
 
 
 def shared_factor_pair(rng: random.Random) -> tuple:

@@ -9,6 +9,9 @@ from vessiot.cli import build_parser, main
 from vessiot.symexpr import parse
 
 SECTIONS = Path(__file__).resolve().parent.parent / "sections"
+METRIC_BODY = "w11 = 1\nw22 = 1\nw12 = 0\n"
+# a refused token this long is quoted to 40 characters in the message
+LONG = "z" * 200_000
 
 
 def run_cli(capsys, *argv):
@@ -391,6 +394,50 @@ class TestHostileInput:
             assert out == ""
             assert f"larger than {symexpr.MAX_SECTION_BYTES} bytes" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"kind = METRIC_2D\n{LONG}\n", "expected 'key = value'"),
+            (f"kind = {LONG}\n", "unknown kind"),
+            ("kind = METRIC_2D\nn = " + "7" * 5000 + "\n" + METRIC_BODY, "n must be an integer"),
+            ("kind = METRIC_2D\nn = " + "7" * 4000 + "\n" + METRIC_BODY, "requires n = 2"),
+            (f"kind = METRIC_2D\nparams = {LONG}!\n" + METRIC_BODY, "invalid parameter name"),
+            (f"kind = METRIC_2D\n{METRIC_BODY}{LONG} = 1\n", "unexpected keys in section file: 1, the first"),
+            (f"kind = METRIC_2D\n{LONG} = 1\n{LONG} = 2\n", "duplicate key"),
+            (f"kind = METRIC_2D\nw11 = {LONG}\nw22 = 1\nw12 = 0\n", "unknown identifier"),
+            ("kind = METRIC_2D\nw11 = x1 " + "1" * 1000 + "\nw22 = 1\nw12 = 0\n",
+             "unexpected trailing input"),
+        ],
+        ids=[
+            "no-equals", "unknown-kind", "n-not-integer", "n-mismatch", "params-header",
+            "unexpected-key", "duplicate-key", "unknown-identifier", "trailing-input",
+        ],
+    )
+    def test_refused_section_text_quoted_in_part(self, capsys, tmp_path, text, message):
+        path = write(tmp_path, "long.section", text)
+        code, out, err = run_cli(capsys, "compute", "--section", path)
+        assert code == 2
+        assert out == ""
+        assert message in err and "internal error" not in err
+        assert len(err.encode()) < 300
+
+    def test_degree_thirty_thousand_keeps_its_report(self, capsys, tmp_path):
+        # 300 factors x1^100: total degree 30,000, far inside the packed field
+        power = "*".join(["x1^100"] * 300)
+        flat = write(tmp_path, "flat.section", f"kind = METRIC_2D\nw11 = {power}\nw22 = 1\nw12 = 0\n")
+        code, out, _ = run_cli(capsys, "compute", "--section", flat)
+        assert code == 0
+        assert json.loads(out)["result"]["constants"] == {"c1": "0", "c2": "0"}
+        code, out, _ = run_cli(capsys, "curvature", "--section", flat)
+        assert code == 0
+        assert json.loads(out)["result"]["det"] == "x1^30000"
+        curved = write(tmp_path, "curved.section", f"kind = METRIC_2D\nw11 = 1\nw22 = {power}\nw12 = 0\n")
+        code, out, _ = run_cli(capsys, "curvature", "--section", curved)
+        assert code == 1
+        result = json.loads(out)["result"]
+        assert result["curvature"]["riemann"]["r1_2,12"] == "-224985000*x1^29998"
+        assert result["report"]["residual"] == "-224985000/(x1^2)"
+
     @pytest.mark.parametrize("params", ["x1", "1a"])
     def test_bad_params_header_exit_two(self, capsys, tmp_path, params):
         path = write(
@@ -511,6 +558,35 @@ class TestCheckCC:
         assert code == 2
         assert out == ""
         assert "multiplier longer than 1000 digits" in err
+
+    @pytest.mark.parametrize(
+        "cc, message",
+        [
+            ("q" * 100_000, "bad CC term"),
+            ("d11O" + "L" * 100_000, "unknown equation label"),
+            ("d11O1,," + "q" * 100_000, "empty CC term"),
+            ("d3" + "1" * 100_000 + "O1", "coordinate index 3 outside 1..2"),
+        ],
+        ids=["bad-term", "unknown-label", "empty-term", "coordinate-index"],
+    )
+    def test_refused_cc_quoted_in_part(self, capsys, cc, message):
+        code, out, err = run_cli(
+            capsys, "check-cc", "--section", str(SECTIONS / "product_flat.section"), "--cc", cc
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert len(err.encode()) < 300
+
+    def test_refused_max_order_env_quoted_in_part(self, capsys, monkeypatch):
+        monkeypatch.setenv("VESSIOT_MAX_ORDER", "9" * 5000)
+        code, _, err = run_cli(
+            capsys, "check-cc", "--section", str(SECTIONS / "product_flat.section"),
+            "--cc", "d11O1",
+        )
+        assert code == 2
+        assert "VESSIOT_MAX_ORDER must be an integer" in err
+        assert len(err.encode()) < 300
 
     def test_longest_multiplier_runs(self, capsys):
         m = "9" * 1000

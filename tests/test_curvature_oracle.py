@@ -20,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from helpers import unpacked  # noqa: E402
 from vessiot.curvature import IJ, Connection2D, Metric2D, christoffel, riemann  # noqa: E402
 from vessiot.symexpr import Context, parse_in  # noqa: E402
 
@@ -48,7 +49,7 @@ def _form(c):
 
 def _as_field(p):
     return sum(
-        (c * X1 ** m[0] * X2 ** m[1] * A ** m[2] for m, c in p.terms.items()), FIELD.zero
+        (c * X1 ** m[0] * X2 ** m[1] * A ** m[2] for m, c in unpacked(p, 3)), FIELD.zero
     )
 
 

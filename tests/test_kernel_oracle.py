@@ -1,6 +1,8 @@
 """Differential tests of the polynomial kernel against sympy.
 
-Operands are random integer polynomials in x1, x2 and one parameter, drawn by
+Operands are random integer polynomials in x1, x2 and one parameter (and, for
+arithmetic, diff and cancel, also in x1, x2 and two parameters, so that two
+layouts of packed monomial keys are checked), drawn by
 hypothesis with a fixed derivation (``derandomize``), so every run checks the
 same cases; the gcd margin tests add shared-factor pairs from seeded
 ``random.Random`` generators.  sympy and hypothesis are test-only dependencies: without them the
@@ -17,10 +19,10 @@ import random  # noqa: E402
 from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import random_poly, shared_factor_pair  # noqa: E402
+from helpers import packed, random_poly, shared_factor_pair, unpacked  # noqa: E402
 from vessiot import symexpr  # noqa: E402
 from vessiot.errors import InputTooLarge  # noqa: E402
-from vessiot.symexpr import Context, Expression, _cancel, _Poly, _primitive  # noqa: E402
+from vessiot.symexpr import Context, Expression, _cancel, _pconst, _Poly, _primitive  # noqa: E402
 
 CTX = Context(2, ["a"])
 SYMS = sympy.symbols(" ".join(CTX.names))
@@ -35,12 +37,12 @@ ORACLE = settings(
 
 def _polys(monomials, min_size=0):
     coefficients = st.integers(-12, 12).filter(bool)
-    return st.dictionaries(monomials, coefficients, min_size=min_size, max_size=5).map(_Poly)
+    return st.dictionaries(monomials, coefficients, min_size=min_size, max_size=5).map(packed)
 
 
-def _expressions(monomials):
+def _expressions(monomials, ctx=CTX):
     return st.builds(
-        lambda n, d: Expression(CTX, n, d), _polys(monomials), _polys(monomials, 1)
+        lambda n, d: Expression(ctx, n, d), _polys(monomials), _polys(monomials, 1)
     )
 
 
@@ -51,20 +53,22 @@ expressions = _expressions(_monomials)
 parameter_expressions = _expressions(st.tuples(st.just(0), st.just(0), st.integers(0, 2)))
 
 
-def poly_sympy(p: _Poly):
+def poly_sympy(p: _Poly, syms=SYMS):
     return sympy.Add(
-        *(c * sympy.Mul(*(s**e for s, e in zip(SYMS, m))) for m, c in p.terms.items())
+        *(c * sympy.Mul(*(s**e for s, e in zip(syms, m))) for m, c in unpacked(p, len(syms)))
     )
 
 
 def expr_sympy(e: Expression):
-    return poly_sympy(e.num) / poly_sympy(e.den)
+    syms = sympy.symbols(e.context.names)
+    return poly_sympy(e.num, syms) / poly_sympy(e.den, syms)
 
 
 def assert_same_function(e: Expression, reference) -> None:
     assert sympy.cancel(expr_sympy(e) - reference) == 0
     # the stored pair is reduced: no common factor beyond a constant
-    assert sympy.gcd(poly_sympy(e.num), poly_sympy(e.den)).is_number
+    syms = sympy.symbols(e.context.names)
+    assert sympy.gcd(poly_sympy(e.num, syms), poly_sympy(e.den, syms)).is_number
 
 
 def is_square_sympy(p: _Poly) -> bool:
@@ -94,8 +98,8 @@ class TestArithmetic:
 
 
 # denominators with a repeated factor, so that d and d' share a factor
-_X1 = _Poly({(1, 0, 0): 1})
-_X1_PLUS_X2 = _Poly({(1, 0, 0): 1, (0, 1, 0): 1})
+_X1 = packed({(1, 0, 0): 1})
+_X1_PLUS_X2 = packed({(1, 0, 0): 1, (0, 1, 0): 1})
 _multilinear_monomials = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
 _multilinear = _polys(_multilinear_monomials, 1)
 repeated_denominators = st.one_of(
@@ -133,28 +137,24 @@ def _cancel_pairs(monomials):
     the first one may be zero."""
     contents = st.integers(-6, 6).filter(bool)
     return st.builds(
-        lambda common, p, q, k, m: (common * p * _const(k), common * q * _const(m)),
+        lambda common, p, q, k, m: (common * p * _pconst(k), common * q * _pconst(m)),
         _polys(monomials, 1), _polys(monomials), _polys(monomials, 1), contents, contents,
     )
-
-
-def _const(k: int) -> _Poly:
-    return _Poly({(0, 0, 0): k})
 
 
 class TestCancel:
     """_cancel(a, b) == (a/g, b/g, g), whichever path builds the quotients."""
 
     @staticmethod
-    def check(a, b):
+    def check(a, b, syms=SYMS):
         qa, qb, g = _cancel(a, b)
         assert qa * g == a and qb * g == b
         # g is primitive with a positive leading coefficient
         assert _primitive(g)[0] == 1
-        theirs = sympy.gcd(poly_sympy(a), poly_sympy(b))
-        ratio = sympy.cancel(poly_sympy(g) / theirs)
+        theirs = sympy.gcd(poly_sympy(a, syms), poly_sympy(b, syms))
+        ratio = sympy.cancel(poly_sympy(g, syms) / theirs)
         assert ratio.is_number and ratio != 0
-        assert sympy.gcd(poly_sympy(qa), poly_sympy(qb)).is_number
+        assert sympy.gcd(poly_sympy(qa, syms), poly_sympy(qb, syms)).is_number
 
     @ORACLE
     @given(_cancel_pairs(_monomials))
@@ -175,7 +175,7 @@ class TestCancel:
             _cancel(a, b)
 
 
-_X1_PLUS_X2_PLUS_1 = _Poly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1})
+_X1_PLUS_X2_PLUS_1 = packed({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1})
 
 
 def _large_gcd(rng):
@@ -240,7 +240,7 @@ class TestDivexact:
             st.tuples(nonzero_polys, nonzero_polys),
             # the rational quotient p/k has integer coefficients iff k divides p
             st.builds(
-                lambda p, q, k: (p * q, q * _Poly({(0, 0, 0): k})),
+                lambda p, q, k: (p * q, q * _pconst(k)),
                 nonzero_polys, nonzero_polys, st.integers(2, 4),
             ),
         )
@@ -280,3 +280,43 @@ class TestIsConstant:
     def test_matches_vanishing_derivatives(self, e):
         expected = all(e.diff(i).is_zero() for i in range(1, CTX.n + 1))
         assert e.is_constant() == expected
+
+
+# x1, x2 and two parameters: five fields in every packed key
+CTX2 = Context(2, ["a", "b"])
+SYMS2 = sympy.symbols(CTX2.names)
+_monomials2 = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+expressions2 = _expressions(_monomials2, CTX2)
+_multilinear2 = _polys(st.tuples(*[st.integers(0, 1)] * 4), 1)
+diff_operands2 = st.one_of(
+    expressions2,
+    st.builds(
+        lambda n, f, k, g: Expression(CTX2, n, f.pow(k) * g),
+        _polys(_monomials2), _multilinear2, st.integers(2, 3), _multilinear2,
+    ),
+)
+
+
+class TestTwoParameters:
+    """The arithmetic, diff and cancel checks above, in a second key layout."""
+
+    @ORACLE
+    @given(expressions2, expressions2)
+    def test_arithmetic(self, e, f):
+        se, sf = expr_sympy(e), expr_sympy(f)
+        assert_same_function(e + f, sympy.cancel(se + sf))
+        assert_same_function(e - f, sympy.cancel(se - sf))
+        assert_same_function(e * f, sympy.cancel(se * sf))
+        if not f.is_zero():
+            assert_same_function(e / f, sympy.cancel(se / sf))
+
+    @ORACLE
+    @given(diff_operands2, st.sampled_from([1, 2]))
+    def test_diff(self, e, i):
+        reference = sympy.cancel(sympy.diff(expr_sympy(e), SYMS2[i - 1]))
+        assert_same_function(e.diff(i), reference)
+
+    @ORACLE
+    @given(_cancel_pairs(_monomials2))
+    def test_cancel(self, pair):
+        TestCancel.check(*pair, syms=SYMS2)

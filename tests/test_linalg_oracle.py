@@ -24,7 +24,7 @@ from fractions import Fraction  # noqa: E402
 from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import random_expression  # noqa: E402
+from helpers import random_expression, unpacked  # noqa: E402
 from vessiot.linalg import rank_rational, solve_square  # noqa: E402
 from vessiot.symexpr import Context, _Poly  # noqa: E402
 
@@ -81,7 +81,7 @@ def sympy_rank(m: list) -> int:
 
 def poly_sympy(p: _Poly):
     return sympy.Add(
-        *(c * sympy.Mul(*(s**e for s, e in zip(SYMS, m))) for m, c in p.terms.items())
+        *(c * sympy.Mul(*(s**e for s, e in zip(SYMS, m))) for m, c in unpacked(p, len(SYMS)))
     )
 
 

@@ -1,10 +1,14 @@
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    packed,
     random_expression,
     random_expression_with_history,
     random_point,
@@ -20,7 +24,26 @@ from vessiot.errors import (
     SingularPoint,
     UnknownIdentifier,
 )
-from vessiot.symexpr import Context, _cancel, _is_unit_poly, _pconst, _Poly, parse, parse_in
+from vessiot.symexpr import (
+    MAX_TOTAL_DEGREE,
+    Context,
+    _cancel,
+    _eval_at,
+    _interp,
+    _is_unit_poly,
+    _pack,
+    _pconst,
+    _Poly,
+    _unpack,
+    parse,
+    parse_in,
+)
+
+# derandomized, and no shrinking: a failing example reports at once
+LAYOUT = settings(
+    max_examples=60, derandomize=True, database=None, deadline=None,
+    phases=(Phase.explicit, Phase.generate),
+)
 
 
 class TestParse:
@@ -142,26 +165,26 @@ class TestParse:
         assert len(parse("(x1*x2*x3 + x4*x5*x6)^30", 6).num.terms) == 31
 
     def test_product_pair_budget(self, monkeypatch):
-        dense = _Poly({(i, 0): 1 for i in range(1500)})
+        dense = packed({(i, 0): 1 for i in range(1500)})
         start = time.perf_counter()
         with pytest.raises(InputTooLarge, match="1500 by 1500 terms"):
             dense * dense
         assert time.perf_counter() - start < 0.1
         # the budget counts term pairs of the general product, at the limit and past it
         monkeypatch.setattr(symexpr, "MAX_MUL_PAIRS", 100)
-        ten = _Poly({(i, 0): 1 for i in range(10)})
-        eleven = _Poly({(0, j): 1 for j in range(11)})
+        ten = packed({(i, 0): 1 for i in range(10)})
+        eleven = packed({(0, j): 1 for j in range(11)})
         assert len((ten * ten).terms) == 19
         with pytest.raises(InputTooLarge, match="term pairs"):
             ten * eleven
         # a single-term factor scales or shifts and never counts
-        assert len((dense * _Poly({(1, 1): 3})).terms) == 1500
+        assert len((dense * packed({(1, 1): 3})).terms) == 1500
 
     def test_coefficient_budget(self):
         # a coefficient may reach 10^1000 in magnitude, in the numerator or the denominator
         at_limit = parse("x1/10^1000 - 1", 1)
-        assert at_limit.num == _Poly({(1,): 1, (0,): -(10**1000)})
-        assert at_limit.den == _Poly({(0,): 10**1000})
+        assert at_limit.num == packed({(1,): 1, (0,): -(10**1000)})
+        assert at_limit.den == packed({(0,): 10**1000})
         assert parse("10^500 * 10^500 * x1", 1) == parse("10^1000 * x1", 1)
         # every step of the parse is held to it, so no later step runs on a
         # value past it: a sum, a product, a quotient, a power, a chain of powers
@@ -410,9 +433,74 @@ class TestGiveUp:
         assert _cancel(f, parse("6*x1^3", 2).num) == (
             parse("x1*x2 + 3", 2).num, parse("6*x1^2", 2).num, parse("x1", 2).num
         )
-        three, minus_two = _pconst(2, 3), _pconst(2, -2)
+        three, minus_two = _pconst(3), _pconst(-2)
         assert _cancel(f * three, f * minus_two) == (three, minus_two, f)
         assert parse("(x1 + x2)/(2*x1 + 2*x2)", 2) == parse("1/2", 2)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two exponent vectors over 1-3 coordinates and 0-2 parameters, small or
+    large, whose product stays within MAX_TOTAL_DEGREE."""
+    nvars = draw(st.integers(1, 3)) + draw(st.integers(0, 2))
+    exponent = st.one_of(st.integers(0, 4), st.integers(0, MAX_TOTAL_DEGREE // 10))
+    vector = st.tuples(*[exponent] * nvars)
+    return draw(vector), draw(vector)
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+    st.integers(-12, 12).filter(bool), max_size=6,
+).map(packed)
+
+
+class TestPackedLayout:
+    @LAYOUT
+    @given(exponent_pairs())
+    def test_key_order_is_grlex_and_packing_round_trips(self, pair):
+        m1, m2 = pair
+        k1, k2 = _pack(m1), _pack(m2)
+        assert _unpack(k1, len(m1)) == m1 and _unpack(k2, len(m2)) == m2
+        assert (k1 < k2) == ((sum(m1), m1) < (sum(m2), m2))
+        assert (k1 == k2) == (m1 == m2)
+        # a product of monomials is the sum of their keys
+        assert k1 + k2 == _pack(tuple(map(add, m1, m2)))
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ("x2", "x1"), ("x1*x2^2", "x2^3"), ("x1^2*x2", "x1*x2^2"), ("x1^2 + x2^2", "x1 + x2"),
+            ("x1*x2^3 + x2^2", "x1"), ("x1^3*x2^2 + 3*x1^3*x2 + 1", "x1*x2"),
+        ],
+    )
+    def test_divexact_never_borrows_across_fields(self, num, den):
+        # subtracting keys as plain integers, a missing exponent would borrow
+        # from the field above it
+        with pytest.raises(ArithmeticError):
+            parse(num, 2).num.divexact(parse(den, 2).num)
+
+    @LAYOUT
+    @given(small_polys, st.integers(0, 2), st.integers(29, 10**30))
+    def test_interp_inverts_eval_at(self, p, slot, xi):
+        var = _pack(tuple(int(j == slot) for j in range(3)))
+        assert _interp(_eval_at(p, var, xi), var, xi) == p
+
+    def test_product_degree_budget(self):
+        half = packed({(MAX_TOTAL_DEGREE // 2, 0): 1})
+        x1, x2 = packed({(1, 0): 1}), packed({(0, 1): 1})
+        top = half * half * x1
+        assert top == packed({(MAX_TOTAL_DEGREE, 0): 1})
+        # one past the field, by a single-term shift and by a general product
+        with pytest.raises(InputTooLarge, match="total degree 2147483648"):
+            top * x2
+        with pytest.raises(InputTooLarge, match="total degree"):
+            (top + x2) * (x1 + x2)
+
+    def test_in_context_moves_each_field(self):
+        small, large = Context(2, ["b"]), Context(2, ["a", "b", "c"])
+        text = "(x1^2*b + x2*b^3 - 4)/(b^2 + x1)"
+        assert parse_in(text, small).in_context(large) == parse_in(text, large)
+        assert str(parse_in(text, small).in_context(large)) == str(parse_in(text, small))
 
 
 class TestCompletePoint:
