@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -24,11 +25,28 @@ OBSTRUCTION_EXIT = 1
 USAGE_EXIT = 2
 INTERNAL_EXIT = 3
 
+# a repr'd value or a bare word of an argparse message, longer than quoted's cut
+_LONG_TOKEN = r"'(?:[^'\\]|\\.){40,}'|\"(?:[^\"\\]|\\.){40,}\"|[^\s'\"]{42,}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors show each refused token through
+    ``quoted``, so a message stays short whatever the command line holds."""
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {quoted(' '.join(extras))}")
+        return namespace
+
+    def error(self, message: str):
+        super().error(re.sub(_LONG_TOKEN, lambda m: quoted(m.group().strip("'\"")), message))
+
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vessiot",
         description="Structure constants and equivalence obstructions of geometric structures.",
     )
@@ -64,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-cc", help="verify a compatibility-condition combination")
     p.add_argument("--section", required=True)
     p.add_argument("--cc", required=True, help="e.g. d11O1,+d22O2,-d12O3")
-    p.add_argument("--max-order", type=int, default=None, help="jet order ceiling")
+    p.add_argument("--max-order", type=int, default=4, help="jet order ceiling (default 4)")
     add_format(p)
 
     p = sub.add_parser("curvature", help="curvature data plus constants of a metric section")
@@ -84,8 +102,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, code = handler(args)
         _emit(payload, args.format)
-    except (VessiotError, OSError) as exc:
+    except VessiotError as exc:
         print(f"vessiot: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:  # the file name is quoted in part: a path may be any length
+        named = "" if exc.filename is None else f": {quoted(exc.filename)}"
+        print(f"vessiot: error: [Errno {exc.errno}] {exc.strerror}{named}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:
         print(f"vessiot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -143,7 +165,7 @@ def _cmd_dims(args) -> tuple[dict, int]:
     from .symexpr import MAX_LITERAL_DIGITS
 
     if not 1 <= args.n <= 9:
-        raise InputFormatError(f"--n must be at least 1 and at most 9, got {args.n}")
+        raise InputFormatError(f"--n must be at least 1 and at most 9, got {quoted(args.n)}")
     if args.f1 is not None and not 0 <= args.f1 < 10**MAX_LITERAL_DIGITS:
         raise InputFormatError(f"--f1 must be at least 0 and below 10^{MAX_LITERAL_DIGITS}")
     table = jetcalc.dim_table(args.n, args.f1)
@@ -156,6 +178,8 @@ def _cmd_dims(args) -> tuple[dict, int]:
 def _cmd_check_cc(args) -> tuple[dict, int]:
     from . import jetcalc, lieops
 
+    if args.max_order < 1:
+        raise InputFormatError(f"--max-order must be at least 1, got {quoted(args.max_order)}")
     sec, _ = lieops.load_section(args.section)
     system = lieops.labeled_medolaghi(sec)
     cc = jetcalc.parse_cc_spec(args.cc, sec.n)

@@ -3,7 +3,6 @@ prolongation, symbol dimensions, and the binomial dimension calculus."""
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 from math import comb
@@ -16,25 +15,7 @@ from .symexpr import MAX_LITERAL_DIGITS, Context, Expression
 
 MultiIndex = Tuple[int, ...]
 
-DEFAULT_MAX_ORDER = 4
-
-
-def max_jet_order() -> int:
-    """Configured ceiling for jet orders (VESSIOT_MAX_ORDER overrides the default)."""
-    raw = os.environ.get("VESSIOT_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputFormatError(f"VESSIOT_MAX_ORDER must be an integer, got {quoted(raw)}") from exc
-    if value < 1:
-        raise InputFormatError("VESSIOT_MAX_ORDER must be >= 1")
-    return value
-
-
-def mi_order(mu: MultiIndex) -> int:
-    return sum(mu)
+DEFAULT_MAX_ORDER = 4  # the jet-order ceiling of check_cc_identity and the dimension table
 
 
 def mi_bump(mu: MultiIndex, i: int) -> MultiIndex:
@@ -73,35 +54,25 @@ class JetVariable(NamedTuple):
 
 
 class LinearJetEquation:
-    """A finite sum of expression coefficients times jet variables, equated to 0."""
+    """A finite sum of expression coefficients times jet variables, equated to 0.
 
-    __slots__ = ("terms",)
+    ``order`` is the largest |mu| over the nonzero terms (0 for the zero
+    equation), fixed when the equation is built.
+    """
+
+    __slots__ = ("terms", "order")
 
     def __init__(self, terms: Mapping[JetVariable, Expression]):
         self.terms: Dict[JetVariable, Expression] = {
             jv: c for jv, c in terms.items() if not c.is_zero()
         }
+        self.order = max((jv.order for jv in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def order(self) -> int:
-        """Max |mu| over stored terms; 0 for the zero equation."""
-        return max((jv.order for jv in self.terms), default=0)
-
     def scaled(self, factor: Expression) -> "LinearJetEquation":
         return LinearJetEquation({jv: c * factor for jv, c in self.terms.items()})
-
-    def __add__(self, other: "LinearJetEquation") -> "LinearJetEquation":
-        out = dict(self.terms)
-        for jv, c in other.terms.items():
-            add_term(out, jv, c)
-        return LinearJetEquation(out)
-
-    def leading(self) -> Tuple[JetVariable, Expression]:
-        jv = max(self.terms, key=JetVariable.sort_key)
-        return jv, self.terms[jv]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearJetEquation) and self.terms == other.terms
@@ -146,8 +117,8 @@ def proportional(a: LinearJetEquation, b: LinearJetEquation) -> bool:
         return False
     if a.terms == b.terms:
         return True
-    lead, la = a.leading()
-    lb = b.terms[lead]
+    lead = max(a.terms, key=JetVariable.sort_key)
+    la, lb = a.terms[lead], b.terms[lead]
     return all(c * lb == b.terms[jv] * la for jv, c in a.terms.items())
 
 
@@ -223,23 +194,23 @@ def symbol_dimension(
         for k in range(1, n + 1)
         for mu in multi_indices(n, at_order)
     ]
-    rows = [eq for eq in system if not eq.is_zero() and eq.order == at_order]
+    rows = [eq.terms for eq in system if eq.terms and eq.order == at_order]
     if not rows:
         return len(variables)
     column = {jv: i for i, jv in enumerate(variables)}
-    entries = [[(column[jv], c) for jv, c in eq.terms.items() if jv in column] for eq in rows]
-    distinct = {c for row in entries for _, c in row}
     if generic:
-        zero, is_zero, value = context.zero(), Expression.is_zero, {c: c for c in distinct}
+        zero, is_zero, point = context.zero(), Expression.is_zero, None
     else:
-        # each distinct coefficient is evaluated once
-        point = context.complete_point(sample_point)
-        zero, is_zero, value = Fraction(0), not_, {c: c.evaluate(point) for c in distinct}
+        zero, is_zero, point = Fraction(0), not_, context.complete_point(sample_point)
+    value: Dict[Expression, object] = {}  # each distinct coefficient is evaluated once
     matrix = []
-    for row in entries:
+    for terms in rows:
         line = [zero] * len(variables)
-        for i, c in row:
-            line[i] = value[c]
+        for jv, c in terms.items():
+            if jv in column:
+                if c not in value:
+                    value[c] = c if generic else c.evaluate(point)
+                line[column[jv]] = value[c]
         matrix.append(line)
     return len(variables) - linalg.rank_rational(matrix, is_zero)
 
@@ -270,16 +241,18 @@ class DimensionTable:
         return dict(self.entries)
 
 
-def dim_table(n: int, f1: Optional[int] = None, max_q: int = 4) -> DimensionTable:
+def dim_table(n: int, f1: Optional[int] = None) -> DimensionTable:
     """Binomial dimension bookkeeping, including the second-order CC count
     dim F2 = dim(S2T* x F1) - dim(S3T* x T) and the affine first-order count
-    dim F1 = dim(T* x S2T* x T) - dim(S3T* x T)."""
+    dim F1 = dim(T* x S2T* x T) - dim(S3T* x T).  The S^q T* rows run up to
+    the jet-order ceiling."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if f1 is None:
         f1 = n * (n + 1) // 2
     s2 = sym_dim(n, 2)
     s3 = sym_dim(n, 3)
+    orders = range(1, DEFAULT_MAX_ORDER + 1)
     entries: Dict[str, object] = {
         "n": n,
         "dim_F1": f1,
@@ -288,8 +261,8 @@ def dim_table(n: int, f1: Optional[int] = None, max_q: int = 4) -> DimensionTabl
         "dim_F2": s2 * f1 - s3 * n,
         "dim_Tstar_S2Tstar_T": n * s2 * n,
         "dim_F1_affine": n * s2 * n - s3 * n,
-        "dim_SqTstar": {str(q): sym_dim(n, q) for q in range(1, max_q + 1)},
-        "dim_SqTstar_T": {str(q): n * sym_dim(n, q) for q in range(1, max_q + 1)},
+        "dim_SqTstar": {str(q): sym_dim(n, q) for q in orders},
+        "dim_SqTstar_T": {str(q): n * sym_dim(n, q) for q in orders},
         "dim_LambdakTstar": {str(k): lambda_dim(n, k) for k in range(0, n + 1)},
     }
     return DimensionTable(n=n, f1=f1, entries=entries)
@@ -340,28 +313,28 @@ def parse_cc_spec(spec: str, n: int) -> List[CCTerm]:
 def check_cc_identity(
     system: Mapping[str, LinearJetEquation],
     cc: Iterable[CCTerm],
-    max_order: Optional[int] = None,
+    max_order: int = DEFAULT_MAX_ORDER,
 ) -> LinearJetEquation:
     """Substitute the labeled equations into a formal combination sum a*d_mu(O_label).
 
     Returns the residual linear jet equation; the combination is an identity
     (a compatibility condition) iff the residual is the zero equation.
     """
-    ceiling = max_order if max_order is not None else max_jet_order()
-    acc: Optional[LinearJetEquation] = None
+    terms: Dict[JetVariable, Expression] = {}
+    factor = None
     for coeff, mu, label in cc:
         if label not in system:
             raise InputFormatError(f"CC references unknown equation label {quoted(label)}")
         eq = system[label]
-        if eq.order + mi_order(mu) > ceiling:
+        if eq.order + sum(mu) > max_order:
             raise OrderOverflow(
-                f"d_{mu} of an order-{eq.order} equation exceeds max jet order {ceiling}"
+                f"d_{mu} of an order-{eq.order} equation exceeds max jet order {max_order}"
             )
         if eq.is_zero():
             continue
-        derived = formal_derivative_multi(eq, mu)
-        scaled = derived.scaled(system_context([eq]).rational(coeff))
-        acc = scaled if acc is None else acc + scaled
-    if acc is None:
+        factor = system_context([eq]).rational(coeff)
+        for jv, c in formal_derivative_multi(eq, mu).terms.items():
+            add_term(terms, jv, c * factor)
+    if factor is None:
         raise InputFormatError("CC combination is empty")
-    return acc
+    return LinearJetEquation(terms)

@@ -129,22 +129,23 @@ def _component_map(sec: GeometricSection) -> Dict[Tuple[int, ...], Expression]:
     return out
 
 
+def _lie(w: Dict[Tuple[int, ...], Expression], idx: Tuple[int, ...], n: int, zero) -> dict:
+    """The terms of (L(xi)w)_I for a covariant tensor w given by index:
+    xi^r d_r w_I + sum_a w_(I with i_a -> r) d_(i_a) xi^r.  An index that w
+    leaves out (the diagonal of a 2-form) reads 0."""
+    terms: dict = {}
+    for r in range(1, n + 1):
+        for a, i in enumerate(idx):
+            add_term(terms, _jv(r, n, i), w.get(idx[:a] + (r,) + idx[a + 1 :], zero))
+        add_term(terms, _jv(r, n), w[idx].diff(r))
+    return terms
+
+
 def _tensor(sec: GeometricSection) -> List[LinearJetEquation]:
-    """L(xi)w = 0 for a covariant tensor w, one equation per component w_I:
-    xi^r d_r w_I + sum_a w_(I with i_a -> r) d_(i_a) xi^r.  An index the
-    layout leaves out (the diagonal of a 2-form) reads 0."""
-    n = sec.n
+    """L(xi)w = 0 for a covariant tensor w, one equation per component w_I."""
     w = _component_map(sec)
     zero = sec.context.zero()
-    out = []
-    for idx in sec.kind.spec.indices:
-        terms: dict = {}
-        for r in range(1, n + 1):
-            for a, i in enumerate(idx):
-                add_term(terms, _jv(r, n, i), w.get(idx[:a] + (r,) + idx[a + 1 :], zero))
-            add_term(terms, _jv(r, n), w[idx].diff(r))
-        out.append(LinearJetEquation(terms))
-    return out
+    return [LinearJetEquation(_lie(w, idx, sec.n, zero)) for idx in sec.kind.spec.indices]
 
 
 def _connection(sec: GeometricSection) -> List[LinearJetEquation]:
@@ -167,36 +168,29 @@ def _connection(sec: GeometricSection) -> List[LinearJetEquation]:
     return out
 
 
+def _combination(*parts: Tuple[Expression, dict]) -> LinearJetEquation:
+    """The equation sum f * terms over the (f, terms) parts."""
+    out: dict = {}
+    for f, terms in parts:
+        for jv, c in terms.items():
+            add_term(out, jv, f * c)
+    return LinearJetEquation(out)
+
+
 def _product_triple_2d(sec: GeometricSection) -> List[LinearJetEquation]:
+    """The tensor rule on the line fields alpha = dx1 + w1 dx2 and
+    beta = w2 dx1 + dx2, plus one density equation for w3:
+    (L alpha)_2 - w1 (L alpha)_1, (L beta)_1 - w2 (L beta)_2 and
+    xi^r d_r w3 + w3 ((L alpha)_1 + (L beta)_2)."""
     w1, w2, w3 = sec.components
-    ctx = sec.context
-    one = ctx.one()
-
-    t1: dict = {}
-    add_term(t1, _jv(1, 2, 2), one)
-    add_term(t1, _jv(2, 2, 2), w1)
-    add_term(t1, _jv(1, 2, 1), -w1)
-    add_term(t1, _jv(2, 2, 1), -(w1 * w1))
-    add_term(t1, _jv(1, 2), w1.diff(1))
-    add_term(t1, _jv(2, 2), w1.diff(2))
-
-    t2: dict = {}
-    add_term(t2, _jv(2, 2, 1), one)
-    add_term(t2, _jv(1, 2, 1), w2)
-    add_term(t2, _jv(2, 2, 2), -w2)
-    add_term(t2, _jv(1, 2, 2), -(w2 * w2))
-    add_term(t2, _jv(1, 2), w2.diff(1))
-    add_term(t2, _jv(2, 2), w2.diff(2))
-
-    t3: dict = {}
-    add_term(t3, _jv(1, 2, 1), w3)
-    add_term(t3, _jv(2, 2, 2), w3)
-    add_term(t3, _jv(2, 2, 1), w1 * w3)
-    add_term(t3, _jv(1, 2, 2), w2 * w3)
-    add_term(t3, _jv(1, 2), w3.diff(1))
-    add_term(t3, _jv(2, 2), w3.diff(2))
-
-    return [LinearJetEquation(t1), LinearJetEquation(t2), LinearJetEquation(t3)]
+    one, zero = sec.context.one(), sec.context.zero()
+    la1, la2 = (_lie({(1,): one, (2,): w1}, (i,), 2, zero) for i in (1, 2))
+    lb1, lb2 = (_lie({(1,): w2, (2,): one}, (i,), 2, zero) for i in (1, 2))
+    return [
+        _combination((one, la2), (-w1, la1)),
+        _combination((one, lb1), (-w2, lb2)),
+        _combination((one, _lie({(): w3}, (), 2, zero)), (w3, la1), (w3, lb2)),
+    ]
 
 
 _SPECS = {
@@ -333,10 +327,11 @@ def load_section(path) -> Tuple[GeometricSection, Dict[str, Expression]]:
     """Parse a UTF-8 section file of at most MAX_SECTION_BYTES bytes."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_SECTION_BYTES + 1)
+    name = quoted(str(path))
     if len(data) > MAX_SECTION_BYTES:
-        raise InputTooLarge(f"section file {path} is larger than {MAX_SECTION_BYTES} bytes")
+        raise InputTooLarge(f"section file {name} is larger than {MAX_SECTION_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputFormatError(f"section file {path} is not UTF-8 text: {exc}") from exc
+        raise InputFormatError(f"section file {name} is not UTF-8 text: {exc}") from exc
     return parse_section_text(text)

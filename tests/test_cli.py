@@ -395,6 +395,25 @@ class TestHostileInput:
             assert f"larger than {symexpr.MAX_SECTION_BYTES} bytes" in err
 
     @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"kind = METRIC_2D\nw11 = 1\xff\nw22 = 1\nw12 = 0\n", "not UTF-8"),
+            (b"#" * (symexpr.MAX_SECTION_BYTES + 1), "larger than"),
+        ],
+        ids=["undecodable", "too-large"],
+    )
+    def test_long_section_path_quoted_in_part(self, capsys, tmp_path, body, message):
+        folder = tmp_path.joinpath(*["d" * 200] * 10)  # a 2,000-character path
+        folder.mkdir(parents=True)
+        path = folder / "s.section"
+        path.write_bytes(body)
+        code, out, err = run_cli(capsys, "compute", "--section", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (f"kind = METRIC_2D\n{LONG}\n", "expected 'key = value'"),
@@ -578,14 +597,15 @@ class TestCheckCC:
         assert message in err
         assert len(err.encode()) < 300
 
-    def test_refused_max_order_env_quoted_in_part(self, capsys, monkeypatch):
-        monkeypatch.setenv("VESSIOT_MAX_ORDER", "9" * 5000)
-        code, _, err = run_cli(
+    @pytest.mark.parametrize("value", ["0", "-1", "-" + "9" * 4000])
+    def test_nonpositive_max_order_exit_two(self, capsys, value):
+        code, out, err = run_cli(
             capsys, "check-cc", "--section", str(SECTIONS / "product_flat.section"),
-            "--cc", "d11O1",
+            "--cc", "d11O1", "--max-order", value,
         )
         assert code == 2
-        assert "VESSIOT_MAX_ORDER must be an integer" in err
+        assert out == ""
+        assert "--max-order must be at least 1" in err
         assert len(err.encode()) < 300
 
     def test_longest_multiplier_runs(self, capsys):
@@ -601,8 +621,7 @@ class TestCheckCC:
         assert code == 0
         assert json.loads(out)["verdict"] == "identity"
 
-    def test_max_order_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("VESSIOT_MAX_ORDER", "2")
+    def test_max_order_caps_the_derivative(self, capsys):
         code, _, err = run_cli(
             capsys,
             "check-cc",
@@ -610,23 +629,20 @@ class TestCheckCC:
             str(SECTIONS / "product_flat.section"),
             "--cc",
             "d112O1",
+            "--max-order",
+            "2",
         )
         assert code == 2
-        assert "max jet order" in err
+        assert "exceeds max jet order 2" in err
 
-    def test_max_order_flag_overrides(self, capsys, monkeypatch):
-        monkeypatch.setenv("VESSIOT_MAX_ORDER", "2")
-        code, _, _ = run_cli(
-            capsys,
-            "check-cc",
-            "--section",
-            str(SECTIONS / "product_flat.section"),
-            "--cc",
-            "d112O1",
-            "--max-order",
-            "4",
-        )
+    def test_max_order_four_runs_and_is_the_default(self, capsys):
+        argv = ["check-cc", "--section", str(SECTIONS / "product_flat.section"), "--cc", "d112O1"]
+        code, out, _ = run_cli(capsys, *argv, "--max-order", "4")
         assert code == 1  # runs; residual nonzero
+        assert run_cli(capsys, *argv) == (code, out, "")
+        code, _, err = run_cli(capsys, *argv[:-1], "d1122O1")
+        assert code == 2
+        assert "exceeds max jet order 4" in err
 
 
 class TestCurvature:
@@ -730,6 +746,41 @@ class TestReportHygiene:
         code, _, err = run_cli(capsys, "compute", "--section", "no/such/file.section")
         assert code == 2
         assert err
+
+    def test_section_path_quoted_in_part(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "--section", "no/such/file.section")
+        assert err == (
+            "vessiot: error: [Errno 2] No such file or directory: 'no/such/file.section'\n"
+        )
+        code, out, err = run_cli(capsys, "compute", "--section", "p" * 6000)
+        assert code == 2
+        assert out == ""
+        assert "File name too long" in err
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-cc", "--section", "s", "--cc", "d11O1", "--max-order", "z" * 5000],
+            ["dims", "--n", "z" * 5000],
+            ["dims", "--n=" + "z" * 5000],
+            ["dims", "--n", "-" + "9" * 4000],
+            ["dims", "--n", "2", "--f1", "z" * 5000],
+            ["dims", "--n", "2", "--format", "z" * 5000],
+            ["dims", "--n", "2", "z" * 5000],
+            ["dims", "--n", "2", "a " * 2500],
+            ["dims", "--n", "2", "--f=" + "z" * 5000],
+            ["z" * 5000],
+        ],
+        ids=["max-order", "n", "n-equals", "n-below-one", "f1", "format", "unrecognized", "unrecognized-words",
+             "ambiguous-option", "command"],
+    )
+    def test_refused_argument_quoted_in_part(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: " in err and "z" * 41 not in err and "a " * 21 not in err
+        assert len(err.encode()) < 300
 
     def test_malformed_section_exit_two(self, capsys, tmp_path):
         path = write(tmp_path, "bad.section", "kind = METRIC_2D\nw11 = 1\n")

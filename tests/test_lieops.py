@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_product_section
 from vessiot.errors import DegenerateSection, InputFormatError, KindMismatch
-from vessiot.jetcalc import JetVariable, prolong, symbol_dimension
+from vessiot.jetcalc import JetVariable, LinearJetEquation, prolong, symbol_dimension
 from vessiot.lieops import (
     GeometricSection,
     KindSpec,
@@ -45,6 +45,19 @@ def projective_product():
     )
 
 
+def product_table(w1, w2, w3):
+    """The three product-triple Medolaghi equations as an explicit coefficient table."""
+    one = w1.context.one()
+    return [
+        {jv(1, 0, 1): one, jv(2, 0, 1): w1, jv(1, 1, 0): -w1, jv(2, 1, 0): -(w1 * w1),
+         jv(1, 0, 0): w1.diff(1), jv(2, 0, 0): w1.diff(2)},
+        {jv(2, 1, 0): one, jv(1, 1, 0): w2, jv(2, 0, 1): -w2, jv(1, 0, 1): -(w2 * w2),
+         jv(1, 0, 0): w2.diff(1), jv(2, 0, 0): w2.diff(2)},
+        {jv(1, 1, 0): w3, jv(2, 0, 1): w3, jv(2, 1, 0): w1 * w3, jv(1, 0, 1): w2 * w3,
+         jv(1, 0, 0): w3.diff(1), jv(2, 0, 0): w3.diff(2)},
+    ]
+
+
 class TestMedolaghi:
     def test_euclidean_killing_system(self):
         eqs = labeled_medolaghi(euclidean())
@@ -58,6 +71,17 @@ class TestMedolaghi:
         assert eqs["1"].terms == {jv(1, 0, 1): ONE}
         assert eqs["2"].terms == {jv(2, 1, 0): ONE}
         assert eqs["3"].terms == {jv(1, 1, 0): ONE, jv(2, 0, 1): ONE}
+
+    @pytest.mark.parametrize(
+        "seed", [None, *range(8)], ids=lambda s: "projective" if s is None else f"seed{s}"
+    )
+    def test_product_triple_coefficient_table(self, seed):
+        if seed is None:
+            sec = projective_product()
+        else:
+            sec = random_product_section(random.Random(seed))
+        expected = [LinearJetEquation(terms) for terms in product_table(*sec.components)]
+        assert medolaghi_equations(sec) == expected
 
     def test_one_form_reciprocal(self):
         alpha = parse_in("1/x1", CTX1)

@@ -2,7 +2,7 @@
 ``src/vessiot`` names a module of the Python standard library.  It holds no
 ``assert`` statement, since ``python -O`` strips them: invariants raise.  No
 module imports ``dataclasses``, which pulls in ``inspect`` and would be paid by
-every CLI call.
+every CLI call.  No module reads the environment: every setting is an argument.
 
 Relative imports (``from . import``, ``from .errors import``) stay inside the
 package and are not checked.  The benchmark's tracer wraps engine functions and
@@ -42,6 +42,27 @@ def assert_lines(source: str) -> list:
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
 
 
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list:
+    """Line numbers where Python source names os.environ or getenv, as an
+    attribute, a bare name or an imported name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ENVIRONMENT_NAMES:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_modules_found():
     assert SRC / "symexpr.py" in MODULES
 
@@ -53,6 +74,14 @@ def test_checker_sees_absolute_imports_only():
 
 def test_checker_sees_asserts():
     assert assert_lines("x = 1\nassert x, 'why'\ndef f():\n    assert False\n") == [2, 4]
+
+
+def test_checker_sees_environment_reads():
+    source = (
+        "import os\nx = os.environ['A']\ny = os.getenv('B')\n"
+        "from os import environ\nz = getenv\nenvironment = 1\n"
+    )
+    assert environment_reads(source) == [2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -69,6 +98,11 @@ def test_no_assert(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclasses(path):
     assert "dataclasses" not in top_level_imports(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
 def test_tracer_targets_exist():
