@@ -31,7 +31,16 @@ _LONG_TOKEN = r"'(?:[^'\\]|\\.){40,}'|\"(?:[^\"\\]|\\.){40,}\"|[^\s'\"]{42,}"
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors show each refused token through
-    ``quoted``, so a message stays short whatever the command line holds."""
+    ``quoted``, so a message stays short whatever the command line holds.
+
+    Options are matched by their full names only (its subcommand parsers are
+    of this class too): an abbreviation is an unrecognized argument, quoted
+    like any other, never argparse's "ambiguous option" message, which copies
+    the whole argument.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def parse_args(self, args=None, namespace=None):
         namespace, extras = self.parse_known_args(args, namespace)

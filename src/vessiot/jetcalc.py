@@ -10,8 +10,8 @@ from operator import not_
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import InputFormatError, OrderOverflow, quoted
-from .symexpr import MAX_LITERAL_DIGITS, Context, Expression
+from .errors import InputFormatError, OrderOverflow, SingularPoint, quoted
+from .symexpr import MAX_LITERAL_DIGITS, Context, Expression, _pconst, _Poly, common_denominator
 
 MultiIndex = Tuple[int, ...]
 
@@ -54,22 +54,70 @@ class JetVariable(NamedTuple):
 
 
 class LinearJetEquation:
-    """A finite sum of expression coefficients times jet variables, equated to 0.
+    """A finite sum of coefficients times jet variables, equated to 0, in two
+    views of one equation.
+
+    ``terms`` maps each jet variable to its ``Expression`` coefficient.  The
+    row view is ``row``, a kernel polynomial per jet variable, over one
+    polynomial ``den``: terms[jv] = row[jv] / den.  An equation built from
+    terms clears them over their lcm (``common_denominator``) when its row is
+    first read; one built from a row (``prolong``) forms its terms when they
+    are first read.  Each view is kept once formed.
 
     ``order`` is the largest |mu| over the nonzero terms (0 for the zero
-    equation), fixed when the equation is built.
+    equation), and ``context`` the coefficients' context (None for a zero
+    equation built from terms); both are fixed when the equation is built.
     """
 
-    __slots__ = ("terms", "order")
+    __slots__ = ("context", "order", "_terms", "_row", "_den")
 
     def __init__(self, terms: Mapping[JetVariable, Expression]):
-        self.terms: Dict[JetVariable, Expression] = {
+        self._terms: Dict[JetVariable, Expression] = {
             jv: c for jv, c in terms.items() if not c.is_zero()
         }
-        self.order = max((jv.order for jv in self.terms), default=0)
+        self._row = self._den = None
+        self.context = next((c.context for c in self._terms.values()), None)
+        self.order = max((jv.order for jv in self._terms), default=0)
+
+    @classmethod
+    def from_row(
+        cls, context: Context, row: Mapping[JetVariable, _Poly], den: _Poly
+    ) -> "LinearJetEquation":
+        """The equation sum (row[jv] / den) * jv = 0, for a nonzero ``den``."""
+        eq = object.__new__(cls)
+        eq._row = {jv: p for jv, p in row.items() if p.terms}
+        eq._den, eq._terms, eq.context = den, None, context
+        eq.order = max((jv.order for jv in eq._row), default=0)
+        return eq
+
+    @property
+    def terms(self) -> Dict[JetVariable, Expression]:
+        if self._terms is None:
+            context, den = self.context, self._den
+            self._terms = {jv: Expression(context, p, den) for jv, p in self._row.items()}
+        return self._terms
+
+    @property
+    def row(self) -> Dict[JetVariable, _Poly]:
+        if self._row is None:
+            self._clear()
+        return self._row
+
+    @property
+    def den(self) -> _Poly:
+        if self._row is None:
+            self._clear()
+        return self._den
+
+    def _clear(self) -> None:
+        if self._terms:
+            self._den, nums = common_denominator(self._terms.values())
+            self._row = dict(zip(self._terms, nums))
+        else:
+            self._row, self._den = {}, _pconst(1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._row if self._terms is None else self._terms)
 
     def scaled(self, factor: Expression) -> "LinearJetEquation":
         return LinearJetEquation({jv: c * factor for jv, c in self.terms.items()})
@@ -99,8 +147,9 @@ class LinearJetEquation:
         return " + ".join(parts).replace("+ -", "- ") + " = 0"
 
 
-def add_term(terms: Dict[JetVariable, Expression], jv: JetVariable, coeff: Expression) -> None:
-    """terms[jv] += coeff, inserting jv when absent."""
+def add_term(terms: dict, jv: JetVariable, coeff) -> None:
+    """terms[jv] += coeff, inserting jv when absent (Expression or kernel
+    polynomial coefficients)."""
     if jv in terms:
         terms[jv] = terms[jv] + coeff
     else:
@@ -110,23 +159,24 @@ def add_term(terms: Dict[JetVariable, Expression], jv: JetVariable, coeff: Expre
 def proportional(a: LinearJetEquation, b: LinearJetEquation) -> bool:
     """True iff a = f*b for a nonzero rational function f: the duplicate rule.
 
-    Decided without division: equal supports, then equal terms or every
-    coefficient cross-multiplied against the other side's leading one.
+    Decided on the rows, without division: equal supports, then equal rows or
+    every other row polynomial cross-multiplied against the leading ones.
     """
-    if a.terms.keys() != b.terms.keys():
+    ra, rb = a.row, b.row
+    if ra.keys() != rb.keys():
         return False
-    if a.terms == b.terms:
+    if ra == rb:
         return True
-    lead = max(a.terms, key=JetVariable.sort_key)
-    la, lb = a.terms[lead], b.terms[lead]
-    return all(c * lb == b.terms[jv] * la for jv, c in a.terms.items())
+    lead = max(ra, key=JetVariable.sort_key)
+    la, lb = ra[lead], rb[lead]
+    return all(p * lb == rb[jv] * la for jv, p in ra.items() if jv != lead)
 
 
 def system_context(system: Iterable[LinearJetEquation]) -> Context:
     """The context of a system's coefficients (ValueError if it has none)."""
     for eq in system:
-        for coeff in eq.terms.values():
-            return coeff.context
+        if not eq.is_zero():
+            return eq.context
     raise ValueError("a system without nonzero equations has no context")
 
 
@@ -146,9 +196,30 @@ def formal_derivative_multi(eq: LinearJetEquation, mu: MultiIndex) -> LinearJetE
     return eq
 
 
-def prolong(system: Sequence[LinearJetEquation], r: int) -> List[LinearJetEquation]:
-    """The system together with all formal derivatives d_mu, |mu| <= r.
+def row_derivative(eq: LinearJetEquation, i: int) -> LinearJetEquation:
+    """d_i of the row over the same den: p*xi^k_mu -> (d_i p)*xi^k_mu + p*xi^k_{mu+1_i}.
 
+    The row is den*E for the equation E, so this is d_i(den*E) over den: kernel
+    derivatives and sums only, with no gcd and no quotient rule.
+    """
+    slot = i - 1
+    out: Dict[JetVariable, _Poly] = {}
+    for jv, p in eq.row.items():
+        dp = p.diff(slot)
+        if dp.terms:
+            add_term(out, jv, dp)
+        add_term(out, JetVariable(jv.component, mi_bump(jv.index, i)), p)
+    return LinearJetEquation.from_row(eq.context, out, eq.den)
+
+
+def prolong(system: Sequence[LinearJetEquation], r: int) -> List[LinearJetEquation]:
+    """The system together with the derivatives of its rows, |mu| <= r.
+
+    Each equation E is cleared once to its row den*E (``LinearJetEquation``),
+    and above level 0 the result holds d_mu(den*E) over den from
+    ``row_derivative``.  Its top-order part is that of d_mu E, and the system
+    has the same solutions as the one of the d_mu E wherever den != 0.  The
+    input equations themselves come back at level 0, so ``prolong(s, 0) == s``.
     Each d_mu is formed once, by applying d_i only after d_j with j <= i.
     Zero equations and equations proportional to an earlier one are dropped.
     """
@@ -160,15 +231,15 @@ def prolong(system: Sequence[LinearJetEquation], r: int) -> List[LinearJetEquati
 
     def push(level: List[Tuple[LinearJetEquation, int]]) -> None:
         for eq, _ in level:
-            bucket = kept.setdefault(frozenset(eq.terms), [])
-            if eq.terms and not any(proportional(eq, k) for k in bucket):
+            bucket = kept.setdefault(frozenset(eq.row), [])
+            if eq.row and not any(proportional(eq, k) for k in bucket):
                 bucket.append(eq)
                 out.append(eq)
 
     level = [(eq, 1) for eq in system]  # (d_mu E, largest i in mu)
     push(level)
     for _ in range(r):
-        level = [(formal_derivative(eq, i), i) for eq, j in level for i in range(j, n + 1)]
+        level = [(row_derivative(eq, i), i) for eq, j in level for i in range(j, n + 1)]
         push(level)
     return out
 
@@ -181,8 +252,13 @@ def symbol_dimension(
 ) -> int:
     """dim g_q: solution-space dimension of the order-q coefficient matrix.
 
-    Coefficients are evaluated at the sample point (default: variable j at
-    j + 2) unless ``generic`` asks for exact rank over the function field.
+    At the sample point (default: variable j at j + 2) each equation is read
+    in the view it already holds: its row when it has one (``prolong``
+    output), else its terms.  Row polynomials are evaluated there, and
+    SingularPoint is raised where a row's den vanishes, since a row scaled by
+    den would lose rank there silently; an evaluated coefficient raises it
+    where its own denominator vanishes.  ``generic`` asks instead for the
+    exact rank of the terms over the function field.
     """
     context = system_context(system)
     n = context.n
@@ -194,7 +270,7 @@ def symbol_dimension(
         for k in range(1, n + 1)
         for mu in multi_indices(n, at_order)
     ]
-    rows = [eq.terms for eq in system if eq.terms and eq.order == at_order]
+    rows = [eq for eq in system if not eq.is_zero() and eq.order == at_order]
     if not rows:
         return len(variables)
     column = {jv: i for i, jv in enumerate(variables)}
@@ -202,11 +278,20 @@ def symbol_dimension(
         zero, is_zero, point = context.zero(), Expression.is_zero, None
     else:
         zero, is_zero, point = Fraction(0), not_, context.complete_point(sample_point)
-    value: Dict[Expression, object] = {}  # each distinct coefficient is evaluated once
+    value: Dict[object, object] = {}  # each distinct coefficient is evaluated once
+    dens = set()  # each distinct row den is checked once
     matrix = []
-    for terms in rows:
+    for eq in rows:
+        if generic or eq._row is None:
+            coeffs = eq.terms
+        else:
+            coeffs = eq._row
+            if eq._den not in dens:
+                if not eq._den.evaluate(point):
+                    raise SingularPoint(f"row denominator vanishes at {point}")
+                dens.add(eq._den)
         line = [zero] * len(variables)
-        for jv, c in terms.items():
+        for jv, c in coeffs.items():
             if jv in column:
                 if c not in value:
                     value[c] = c if generic else c.evaluate(point)
@@ -332,7 +417,7 @@ def check_cc_identity(
             )
         if eq.is_zero():
             continue
-        factor = system_context([eq]).rational(coeff)
+        factor = eq.context.rational(coeff)
         for jv, c in formal_derivative_multi(eq, mu).terms.items():
             add_term(terms, jv, c * factor)
     if factor is None:

@@ -595,7 +595,7 @@ class Expression:
     identical.
     """
 
-    __slots__ = ("context", "num", "den", "_diffs")  # _diffs: slot -> derivative
+    __slots__ = ("context", "num", "den")
 
     def __init__(self, context: Context, num: _Poly, den: _Poly):
         if num.terms and den.terms:  # _fill settles a zero num or den
@@ -704,25 +704,14 @@ class Expression:
         """Exact partial derivative with respect to coordinate x^i (1-based)."""
         if not 1 <= i <= self.context.n:
             raise ValueError(f"coordinate index {i} outside 1..{self.context.n}")
-        return self._diff_slot(i - 1)
-
-    def _diff_slot(self, slot: int) -> "Expression":
-        # each derivative is formed once and kept, per slot, with this expression
-        try:
-            memo = self._diffs
-        except AttributeError:
-            memo = {}
-            object.__setattr__(self, "_diffs", memo)
-        if slot not in memo:
-            n, d = self.num, self.den
-            dd = d.diff(slot)
-            if dd.is_zero():
-                memo[slot] = Expression(self.context, n.diff(slot), d)
-            else:
-                # deflate the shared factor of d and d' before the quotient rule
-                e, de, _ = _cancel(d, dd)
-                memo[slot] = Expression(self.context, n.diff(slot) * e - n * de, d * e)
-        return memo[slot]
+        slot = i - 1
+        n, d = self.num, self.den
+        dd = d.diff(slot)
+        if dd.is_zero():
+            return Expression(self.context, n.diff(slot), d)
+        # deflate the shared factor of d and d' before the quotient rule
+        e, de, _ = _cancel(d, dd)
+        return Expression(self.context, n.diff(slot) * e - n * de, d * e)
 
     def sqrt(self) -> Optional["Expression"]:
         """Rational square root with positive leading coefficient, if one exists."""

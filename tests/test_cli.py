@@ -770,10 +770,11 @@ class TestReportHygiene:
             ["dims", "--n", "2", "z" * 5000],
             ["dims", "--n", "2", "a " * 2500],
             ["dims", "--n", "2", "--f=" + "z" * 5000],
+            ["dims", "--n", "2", "--f=" + "a " * 2500],
             ["z" * 5000],
         ],
         ids=["max-order", "n", "n-equals", "n-below-one", "f1", "format", "unrecognized", "unrecognized-words",
-             "ambiguous-option", "command"],
+             "ambiguous-option", "ambiguous-option-words", "command"],
     )
     def test_refused_argument_quoted_in_part(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -781,6 +782,13 @@ class TestReportHygiene:
         assert out == ""
         assert "error: " in err and "z" * 41 not in err and "a " * 21 not in err
         assert len(err.encode()) < 300
+        assert "Traceback" not in err
+
+    def test_abbreviated_option_refused(self, capsys):
+        code, out, err = run_cli(capsys, "dims", "--n", "2", "--form", "text")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: '--form text'" in err
+        assert run_cli(capsys, "dims", "--n", "2", "--format=text")[0] == 0
 
     def test_malformed_section_exit_two(self, capsys, tmp_path):
         path = write(tmp_path, "bad.section", "kind = METRIC_2D\nw11 = 1\n")

@@ -6,6 +6,7 @@ import pytest
 from helpers import random_expression
 from vessiot.errors import InputFormatError, OrderOverflow, SingularPoint
 import vessiot.jetcalc as jetcalc
+import vessiot.symexpr as symexpr
 from vessiot.jetcalc import (
     JetVariable,
     LinearJetEquation,
@@ -22,7 +23,7 @@ from vessiot.jetcalc import (
     symbol_dimension,
 )
 from vessiot.lieops import ObjectKind, labeled_medolaghi, medolaghi_equations, section
-from vessiot.symexpr import Context, Expression, _Poly, parse_in
+from vessiot.symexpr import Context, Expression, parse_in
 
 CTX = Context(2)
 ONE = CTX.one()
@@ -108,13 +109,13 @@ class TestProlong:
     def test_each_derivative_formed_once(self, monkeypatch):
         # d1, d2, then d1d1, d1d2, d2d2 (never d2d1): 5 per equation, not 6
         calls = []
-        real = jetcalc.formal_derivative
+        real = jetcalc.row_derivative
 
         def counted(eq, i):
             calls.append(i)
             return real(eq, i)
 
-        monkeypatch.setattr(jetcalc, "formal_derivative", counted)
+        monkeypatch.setattr(jetcalc, "row_derivative", counted)
         system = flat_product()
         prolong(system, 2)
         assert len(calls) == 5 * len(system)
@@ -125,22 +126,40 @@ class TestProlong:
         assert prolong([e, e.scaled(f)], 0) == [e]
         assert prolong([e, e.scaled(CTX.rational(-3))], 2) == prolong([e], 2)
 
-    def test_cc_identity_after_prolong_forms_no_new_derivative(self, monkeypatch):
-        # check_cc_identity derives each labeled equation in the order prolong
-        # did, through the same coefficients, which keep their derivatives
-        w = parse_in("1/x2^2", CTX)
-        cc = parse_cc_spec("d11O22,+d22O11,-2d12O12", 2)
-        system = labeled_medolaghi(section(ObjectKind.METRIC_2D, [w, w, CTX.zero()]))
-        prolong(list(system.values()), 2)
+    def test_rows_above_level_zero_need_no_expression_arithmetic(self, monkeypatch):
+        # polynomial coefficients: once the level-0 rows are cleared, prolong
+        # forms no Expression derivative and runs no cancel
+        w11, w22, w12 = (parse_in(t, CTX) for t in ("x1 + 2*x2 + 3", "x1*x2 + 5", "x2 - x1"))
+        system = medolaghi_equations(section(ObjectKind.METRIC_2D, [w11, w22, w12]))
+        prolong(system, 0)
         formed = []
-        real = _Poly.diff
-        monkeypatch.setattr(_Poly, "diff", lambda p, slot: formed.append(slot) or real(p, slot))
-        residual = check_cc_identity(system, cc)
+        monkeypatch.setattr(Expression, "diff", lambda e, i: formed.append(i))
+        monkeypatch.setattr(symexpr, "_cancel", lambda a, b: formed.append((a, b)))
+        prolonged = prolong(system, 2)
         assert formed == []
-        v = parse_in("1/x2^2", CTX)
-        fresh = labeled_medolaghi(section(ObjectKind.METRIC_2D, [v, v, CTX.zero()]))
-        assert check_cc_identity(fresh, cc) == residual
-        assert formed  # without prolong first, the same check forms them
+        assert len(prolonged) > len(system) and max(eq.order for eq in prolonged) == 3
+
+    def test_cc_identity_same_with_or_without_prolong(self):
+        cc = parse_cc_spec("d11O22,+d22O11,-2d12O12", 2)
+        for text in ("1/x2^2", "x1 + 2*x2 + 3"):
+            w = parse_in(text, CTX)
+            sec = section(ObjectKind.METRIC_2D, [w, w, CTX.zero()])
+            fresh = check_cc_identity(labeled_medolaghi(sec), cc)
+            system = labeled_medolaghi(sec)
+            prolong(list(system.values()), 2)
+            after = check_cc_identity(system, cc)
+            assert after == fresh and str(after) == str(fresh)
+
+    def test_derived_row_over_the_source_denominator(self):
+        # E = xi1_1 + xi1/(x1 - 2): den = x1 - 2, d1 of the row is
+        # (x1 - 2) xi1_11 + 2 xi1_1, and its top part is den times that of d1 E
+        eq = LinearJetEquation({jv(1, (1, 0)): ONE, jv(1, (0, 0)): parse_in("1/(x1 - 2)", CTX)})
+        d1 = prolong([eq], 1)[1]
+        x1 = parse_in("x1 - 2", CTX)
+        assert d1.den == eq.den == x1.num
+        assert d1.row == {jv(1, (2, 0)): x1.num, jv(1, (1, 0)): TWO.num}
+        assert d1.terms == {jv(1, (2, 0)): ONE, jv(1, (1, 0)): TWO / x1}
+        assert d1.order == 2
 
 
 class TestProportional:
@@ -198,6 +217,17 @@ class TestSymbolDimension:
         assert symbol_dimension(system, 1) == 2
         # x1 and x1 + 1; the order-0 coefficient 2 and the absent variables are not evaluated
         assert sorted(map(str, evaluated)) == ["x1", "x1 + 1"]
+
+    def test_singular_row_denominator(self):
+        # the derived rows are over den = x1 - 2, whose top-order part
+        # (x1 - 2) xi1_(2,0) vanishes at x1 = 2: refused there, not ranked lower
+        eq = LinearJetEquation({jv(1, (1, 0)): ONE, jv(1, (0, 0)): parse_in("1/(x1 - 2)", CTX)})
+        second = [e for e in prolong([eq], 1) if e.order == 2]
+        with pytest.raises(SingularPoint):
+            symbol_dimension(second, 2)  # default point has x1 = 2
+        generic = symbol_dimension(second, 2, generic=True)
+        assert generic == 4
+        assert symbol_dimension(second, 2, sample_point=(Fraction(3), Fraction(5))) == generic
 
     def test_singular_sample_point(self):
         coeff = parse_in("1/(x1 - 2)", CTX)

@@ -186,3 +186,40 @@ def test_star_import_and_dir_cover_all():
         "print(sorted(name for name in vessiot.__all__ if name not in globals()))\n"
     )
     assert out.split() == ["[]", "[]"]
+
+
+# ----------------------------------------------------------------------
+# python -O: no check depends on assert
+# ----------------------------------------------------------------------
+
+
+def run_python(*args: str, optimize: bool) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_check_cc_same_under_optimize():
+    argv = ["-m", "vessiot.cli", "check-cc", "--section", "sections/metric_half_plane.section",
+            "--cc", "d11O22,+d22O11,-2d12O12"]
+    plain, optimized = (run_python(*argv, optimize=flag) for flag in (False, True))
+    assert plain.stdout and plain.stdout == optimized.stdout
+    assert plain.returncode == optimized.returncode == 1  # a nonzero residual
+
+
+def test_singular_row_refused_under_optimize():
+    code = (
+        "from vessiot.errors import SingularPoint\n"
+        "from vessiot.jetcalc import JetVariable, LinearJetEquation, prolong, symbol_dimension\n"
+        "from vessiot.symexpr import Context, parse_in\n"
+        "ctx = Context(2)\n"
+        "eq = LinearJetEquation({JetVariable(1, (1, 0)): ctx.one(),"
+        " JetVariable(1, (0, 0)): parse_in('1/(x1 - 2)', ctx)})\n"
+        "second = [e for e in prolong([eq], 1) if e.order == 2]\n"
+        "try:\n"
+        "    print(symbol_dimension(second, 2))\n"
+        "except SingularPoint:\n"
+        "    print('SingularPoint')\n"
+    )
+    assert run_python("-c", code, optimize=True).stdout == "SingularPoint\n"

@@ -239,20 +239,6 @@ class TestDiff:
         with pytest.raises(ValueError):
             parse("x1", 2).diff(3)
 
-    def test_each_derivative_formed_once(self, monkeypatch):
-        formed = []
-        real = _Poly.diff
-        monkeypatch.setattr(_Poly, "diff", lambda p, slot: formed.append(slot) or real(p, slot))
-        e = parse("(x1^2 + x2)/(x1 - x2)", 2)
-        first = e.diff(1)
-        assert e.diff(1) is first
-        assert e.diff(2) == parse("(x1^2 + x1)/(x1 - x2)^2", 2)
-        assert sorted(formed) == [0, 0, 1, 1]  # numerator and denominator, once per slot
-        # the derivatives stay with their expression: an equal one forms its own
-        twin = parse("(x1^2 + x2)/(x1 - x2)", 2)
-        assert twin.diff(1) == first and twin.diff(1) is not first
-        assert len(formed) == 6
-
     def test_kept_derivatives_leave_the_expression_unchanged(self):
         e = parse("(x1^2 + x2)/(x1 - x2)", 2)
         twin = parse("(x1^2 + x2)/(x1 - x2)", 2)
