@@ -119,9 +119,6 @@ class LinearJetEquation:
     def is_zero(self) -> bool:
         return not (self._row if self._terms is None else self._terms)
 
-    def scaled(self, factor: Expression) -> "LinearJetEquation":
-        return LinearJetEquation({jv: c * factor for jv, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearJetEquation) and self.terms == other.terms
 

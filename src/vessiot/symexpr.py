@@ -29,7 +29,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 from math import comb, isqrt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -52,7 +52,7 @@ class Context:
     reproducible.
     """
 
-    __slots__ = ("n", "params", "names", "_index", "_coordinates")
+    __slots__ = ("n", "params", "names", "_index", "_coordinates", "_atoms")
 
     def __init__(self, n: int, params: Iterable[str] = ()):
         if not 1 <= n <= 9:
@@ -70,6 +70,11 @@ class Context:
         self._index = {name: i for i, name in enumerate(self.names)}
         # the coordinate fields of a key: n fields above the parameters' ones
         self._coordinates = _ones(n - 1) * _FIELD << _W * len(params)
+        # name -> the single-term kernel polynomial of that variable
+        self._atoms = {
+            name: _Poly({_pack(tuple(int(j == slot) for j in range(len(self.names)))): 1})
+            for slot, name in enumerate(self.names)
+        }
 
     @property
     def nvars(self) -> int:
@@ -116,8 +121,7 @@ class Context:
         return self._variable(self._index[name])
 
     def _variable(self, slot: int) -> "Expression":
-        mono = _pack(tuple(int(j == slot) for j in range(self.nvars)))
-        return _from_reduced(self, _Poly({mono: 1}), _pconst(1))
+        return _from_reduced(self, self._atoms[self.names[slot]], _pconst(1))
 
     def default_point(self) -> tuple:
         """Default sample point: variable j evaluates to j + 2 (so x^i = i + 1)."""
@@ -286,6 +290,9 @@ class _Poly:
         terms = min(comb(len(self.terms) + k - 1, k), comb(degree + slots, slots)) if k else 1
         if terms > MAX_POWER_TERMS:
             raise InputTooLarge(f"power of up to {terms} terms exceeds the limit of {MAX_POWER_TERMS}")
+        if len(self.terms) == 1:  # k times every field of the key
+            ((mono, c),) = self.terms.items()
+            return _Poly({mono * k: c**k})
         result = _pconst(1)
         base = self
         while k:
@@ -883,31 +890,31 @@ def _poly_str(p: _Poly, names) -> str:
 # parser
 # ----------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
+# one token per match, after its leading whitespace; the last group catches a
+# character outside the grammar
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S))")
 
 
-def _tokenize(text: str) -> Iterator[tuple]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
-        if m.group(1) is not None:
-            if len(m.group(1)) > MAX_LITERAL_DIGITS:
-                raise ExprSyntaxError(
-                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits", m.start(1)
-                )
-            yield ("int", int(m.group(1)), m.start(1))
-        elif m.group(2) is not None:
-            yield ("ident", m.group(2), m.start(2))
+def _tokenize(text: str) -> list:
+    """(kind, value, position) for each token of text, then ("end", None,
+    len(text)); ExprSyntaxError at the first character outside the grammar or
+    the first integer literal longer than MAX_LITERAL_DIGITS."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        digits, ident, op, bad = m.groups()
+        at = m.end() - len(op or ident or digits or bad)  # the token ends the match
+        if op:
+            tokens.append(("op", op, at))
+        elif ident:
+            tokens.append(("ident", ident, at))
+        elif digits:
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ExprSyntaxError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", at)
+            tokens.append(("int", int(digits), at))
         else:
-            yield ("op", m.group(3), m.start(3))
-        pos = m.end()
-    yield ("end", None, len(text))
+            raise ExprSyntaxError(f"unexpected character {bad!r}", at)
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 # Input budget.  Each nesting level costs the recursive descent at most five
@@ -939,13 +946,15 @@ MAX_SECTION_BYTES = 1_000_000
 _COEFF_LIMIT = 10**MAX_LITERAL_DIGITS
 
 
-def _within_budget(expr: Expression) -> Expression:
-    """expr itself; InputTooLarge if a coefficient of its numerator or
-    denominator exceeds 10^MAX_LITERAL_DIGITS in magnitude."""
-    for poly in (expr.num, expr.den):
-        if any(abs(c) > _COEFF_LIMIT for c in poly.terms.values()):
+def _within_budget(value: _Poly | Expression) -> _Poly | Expression:
+    """value itself, a kernel polynomial or an Expression; InputTooLarge if a
+    coefficient of it (of its numerator or denominator) exceeds
+    10^MAX_LITERAL_DIGITS in magnitude.  A polynomial p stands for its
+    canonical pair (p, 1), so both routes of the parser read the same numbers."""
+    for poly in (value,) if type(value) is _Poly else (value.num, value.den):
+        if poly.terms and max(map(abs, poly.terms.values())) > _COEFF_LIMIT:
             raise InputTooLarge(f"coefficient beyond 10^{MAX_LITERAL_DIGITS} in magnitude")
-    return expr
+    return value
 
 
 class _Parser:
@@ -954,10 +963,17 @@ class _Parser:
     Precedence: ``^`` > unary ``-`` > ``*``/``/`` > ``+``/``-``, all binary
     operators left-associative; ``^`` only takes integer literal exponents.
     Parentheses and unary minus nest at most ``MAX_NESTING`` deep.
+
+    A subtree without ``/`` or a negative power is carried as a bare kernel
+    polynomial p, whose canonical pair is (p, 1): ``+``, ``-``, ``*`` and
+    ``^k`` (k >= 0) on two of them need no gcd and no content step.  A value
+    becomes an ``Expression`` at ``/``, at a negative power, when it meets
+    an ``Expression`` operand, or once at the end of ``parse``.  Every value
+    either route builds is held to the same budgets.
     """
 
     def __init__(self, text: str, context: Context):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.context = context
         self.depth = 0
@@ -981,25 +997,33 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", at)
         return self.advance()
 
+    def lift(self, value: _Poly | Expression) -> Expression:
+        """value as an Expression: a polynomial p becomes its pair (p, 1)."""
+        if type(value) is _Poly:
+            return _from_reduced(self.context, value, _pconst(1))
+        return value
+
     def parse(self) -> Expression:
-        expr = self.sum()
+        value = self.sum()
         kind, val, at = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {quoted(val)}", at)
-        return expr
+        return self.lift(value)
 
-    def sum(self) -> Expression:
+    def sum(self) -> _Poly | Expression:
         left = self.product()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
                 right = self.product()
+                if type(left) is not type(right):
+                    left, right = self.lift(left), self.lift(right)
                 left = _within_budget(left + right if val == "+" else left - right)
             else:
                 return left
 
-    def product(self) -> Expression:
+    def product(self) -> _Poly | Expression:
         left = self.unary()
         while True:
             kind, val, at = self.peek()
@@ -1007,17 +1031,19 @@ class _Parser:
                 self.advance()
                 right = self.unary()
                 if val == "*":
+                    if type(left) is not type(right):
+                        left, right = self.lift(left), self.lift(right)
                     left = _within_budget(left * right)
                 else:
                     if right.is_zero():
                         raise DivisionByZeroLiteral(
                             f"denominator is zero (at position {at})"
                         )
-                    left = _within_budget(left / right)
+                    left = _within_budget(self.lift(left) / self.lift(right))
             else:
                 return left
 
-    def unary(self) -> Expression:
+    def unary(self) -> _Poly | Expression:
         kind, val, at = self.peek()
         if kind == "op" and val == "-":
             self.advance()
@@ -1027,7 +1053,7 @@ class _Parser:
             return value
         return self.power()
 
-    def power(self) -> Expression:
+    def power(self) -> _Poly | Expression:
         base = self.atom()
         while True:
             kind, val, at = self.peek()
@@ -1036,11 +1062,13 @@ class _Parser:
                 exp = self.exponent()
                 if abs(exp) > MAX_EXPONENT:
                     raise ExprSyntaxError(f"exponent beyond +-{MAX_EXPONENT}", at)
-                if exp < 0 and base.is_zero():
-                    raise DivisionByZeroLiteral(
-                        f"zero raised to a negative power (at position {at})"
-                    )
-                base = _within_budget(base**exp)
+                if exp < 0:
+                    if base.is_zero():
+                        raise DivisionByZeroLiteral(
+                            f"zero raised to a negative power (at position {at})"
+                        )
+                    base = self.lift(base)
+                base = _within_budget(base.pow(exp) if type(base) is _Poly else base**exp)
             else:
                 return base
 
@@ -1065,23 +1093,21 @@ class _Parser:
             return value
         raise ExprSyntaxError("expected integer exponent", at)
 
-    def atom(self) -> Expression:
+    def atom(self) -> _Poly | Expression:
         kind, val, at = self.advance()
         if kind == "int":
-            return self.context.rational(val)
+            return _pconst(val)
         if kind == "ident":
-            if val in self.context._index:
-                idx = self.context._index[val]
-                if idx < self.context.n:
-                    return self.context.coordinate(idx + 1)
-                return self.context.parameter(val)
-            raise UnknownIdentifier(f"unknown identifier {quoted(val)}", at)
+            poly = self.context._atoms.get(val)
+            if poly is None:
+                raise UnknownIdentifier(f"unknown identifier {quoted(val)}", at)
+            return poly
         if kind == "op" and val == "(":
             self.nest(at)
-            expr = self.sum()
+            value = self.sum()
             self.expect_op(")")
             self.depth -= 1
-            return expr
+            return value
         raise ExprSyntaxError(
             "expected integer, identifier or parenthesized expression", at
         )

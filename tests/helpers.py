@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from vessiot.errors import SingularPoint
+from vessiot.jetcalc import LinearJetEquation
 from vessiot.lieops import GeometricSection, ObjectKind, section
 from vessiot.symexpr import Context, Expression, _pack, _Poly, _unpack, parse_in
 
@@ -52,6 +53,11 @@ def random_expression_with_history(ctx: Context, rng: random.Random, depth: int 
     if op == "*":
         return left * right, (lambda p, f=left_fn, g=right_fn: f(p) * g(p))
     return left / right, (lambda p, f=left_fn, g=right_fn: f(p) / g(p))
+
+
+def scaled(eq: LinearJetEquation, factor: Expression) -> LinearJetEquation:
+    """The equation with every coefficient multiplied by factor."""
+    return LinearJetEquation({jv: c * factor for jv, c in eq.terms.items()})
 
 
 def random_poly(rng: random.Random, draws: int, exps=(3, 3, 2), bound: int = 9) -> _Poly:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_expression
+from helpers import random_expression, scaled
 from vessiot.errors import InputFormatError, OrderOverflow, SingularPoint
 import vessiot.jetcalc as jetcalc
 import vessiot.symexpr as symexpr
@@ -123,8 +123,8 @@ class TestProlong:
     def test_multiple_of_an_equation_is_dropped(self):
         e = flat_product()[2]
         f = parse_in("x1^2 + x2", CTX)
-        assert prolong([e, e.scaled(f)], 0) == [e]
-        assert prolong([e, e.scaled(CTX.rational(-3))], 2) == prolong([e], 2)
+        assert prolong([e, scaled(e, f)], 0) == [e]
+        assert prolong([e, scaled(e, CTX.rational(-3))], 2) == prolong([e], 2)
 
     def test_rows_above_level_zero_need_no_expression_arithmetic(self, monkeypatch):
         # polynomial coefficients: once the level-0 rows are cleared, prolong
@@ -165,7 +165,7 @@ class TestProlong:
 class TestProportional:
     def test_scaled_copy(self):
         e = flat_product()[0]
-        assert proportional(e, e.scaled(parse_in("1/(x1 - x2)", CTX)))
+        assert proportional(e, scaled(e, parse_in("1/(x1 - x2)", CTX)))
         assert proportional(e, e)
 
     def test_same_support_other_ratio(self):
@@ -196,8 +196,8 @@ class TestSymbolDimension:
     def test_rescaling_invariance(self):
         system = flat_killing()
         factor = parse_in("x1 + 5", CTX)
-        scaled = [system[0].scaled(factor)] + list(system[1:])
-        assert symbol_dimension(scaled, 1) == symbol_dimension(system, 1)
+        rescaled = [scaled(system[0], factor)] + list(system[1:])
+        assert symbol_dimension(rescaled, 1) == symbol_dimension(system, 1)
 
     def test_generic_rank_agrees(self):
         system = flat_product()

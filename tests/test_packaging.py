@@ -223,3 +223,14 @@ def test_singular_row_refused_under_optimize():
         "    print('SingularPoint')\n"
     )
     assert run_python("-c", code, optimize=True).stdout == "SingularPoint\n"
+
+
+def test_coefficient_budget_refused_under_optimize(tmp_path):
+    # 10^1000*10 breaks the budget on the kernel-polynomial route, before any /
+    path = tmp_path / "big.section"
+    path.write_text("kind = METRIC_2D\nw11 = 10^1000*10 + x1\nw22 = 1\nw12 = 0\n")
+    argv = ["-m", "vessiot.cli", "compute", "--section", str(path)]
+    plain, optimized = (run_python(*argv, optimize=flag) for flag in (False, True))
+    assert plain.returncode == optimized.returncode == 2
+    assert "coefficient beyond 10^1000" in plain.stderr
+    assert plain.stderr == optimized.stderr and plain.stdout == optimized.stdout == ""

@@ -23,10 +23,12 @@ from vessiot.errors import (
     InputTooLarge,
     SingularPoint,
     UnknownIdentifier,
+    VessiotError,
 )
 from vessiot.symexpr import (
     MAX_TOTAL_DEGREE,
     Context,
+    Expression,
     _cancel,
     _eval_at,
     _interp,
@@ -195,6 +197,118 @@ class TestParse:
         ):
             with pytest.raises(InputTooLarge, match="coefficient"):
                 parse(text, 1)
+
+
+COEFFICIENT = "coefficient beyond 10^1000 in magnitude"
+
+# (text with a {d} mark, exception, message with {at}, position in the
+# polynomial text).  The polynomial text drops the mark; the Expression text
+# puts "/1" there, so the operand before it, and every step after it that
+# meets it, runs on Expression operands.
+ERROR_CONTRACT = [
+    pytest.param("x1{d} + " + "1" * 1001, ExprSyntaxError,
+                 "integer literal longer than 1000 digits (at position {at})", 5, id="literal"),
+    pytest.param("(x1{d})^1001", ExprSyntaxError,
+                 "exponent beyond +-1000 (at position {at})", 4, id="exponent"),
+    pytest.param("(x1{d})^-1001", ExprSyntaxError,
+                 "exponent beyond +-1000 (at position {at})", 4, id="negative-exponent"),
+    pytest.param("(x1 + x2 + 1{d})^101", InputTooLarge,
+                 "power of total degree 101 exceeds the limit of 100", None, id="power-degree"),
+    pytest.param("(x1 + x2 + x3 + x4 + x5 + x6 + 1{d})^12", InputTooLarge,
+                 "power of up to 18564 terms exceeds the limit of 10000", None, id="power-terms"),
+    pytest.param("10^1000{d} + 1", InputTooLarge, COEFFICIENT, None, id="coefficient-sum"),
+    pytest.param("10^600{d} * 10^600", InputTooLarge, COEFFICIENT, None, id="coefficient-product"),
+    pytest.param("(11{d})^1000", InputTooLarge, COEFFICIENT, None, id="coefficient-power"),
+    pytest.param("x1{d} + " + "(" * 101 + "1" + ")" * 101, ExprSyntaxError,
+                 "nesting deeper than 100 levels (at position {at})", 105, id="nesting"),
+    pytest.param("x1/(x2{d} - x2)", DivisionByZeroLiteral,
+                 "denominator is zero (at position {at})", 2, id="zero-denominator"),
+    pytest.param("(0{d})^-1", DivisionByZeroLiteral,
+                 "zero raised to a negative power (at position {at})", 3, id="zero-negative-power"),
+    pytest.param("x1{d} + b", UnknownIdentifier,
+                 "unknown identifier 'b' (at position {at})", 5, id="unknown-identifier"),
+    pytest.param("x1{d} + 1 )", ExprSyntaxError,
+                 "unexpected trailing input ')' (at position {at})", 7, id="trailing-input"),
+]
+
+
+class TestParseErrorContract:
+    """Every refusal reads the same whether the failing step runs on kernel
+    polynomials or on Expressions."""
+
+    @pytest.mark.parametrize("route", ["polynomial", "expression"])
+    @pytest.mark.parametrize("template, error, message, at", ERROR_CONTRACT)
+    def test_same_error_on_both_routes(self, template, error, message, at, route):
+        mark = "/1" if route == "expression" else ""
+        text = template.format(d=mark)
+        if at is not None and template.index("{d}") <= at:
+            at += len(mark)
+        with pytest.raises(VessiotError) as err:
+            parse(text, 6)
+        assert type(err.value) is error
+        assert str(err.value) == message.format(at=at)
+
+    def test_random_token_strings_fail_cleanly(self):
+        # a value, or a VessiotError whose message stays short
+        rng = random.Random(18)
+        tokens = ["x1", "x2", "a", "b", "0", "7", "10^999", "9" * 1001, "^2", "^101", "^1001",
+                  "^-1", "^0", " + ", " - ", "*", "/", "(", ")", "-", "?"]
+        ctx = Context(2, ["a"])
+        outcomes = set()
+        for _ in range(5000):
+            text = "".join(rng.choice(tokens) for _ in range(rng.randint(1, 12)))
+            try:
+                parse_in(text, ctx)
+                outcomes.add("value")
+            except VessiotError as exc:
+                outcomes.add(type(exc).__name__)
+                assert len(str(exc).encode()) < 300, text
+        assert outcomes == {"value", "ExprSyntaxError", "UnknownIdentifier", "InputTooLarge",
+                            "DivisionByZeroLiteral"}
+
+
+class TestParseCost:
+    """A polynomial subtree parses on kernel polynomials: no gcd, and one
+    content step at the end."""
+
+    DENSE_D3 = "-x1^3 + x1^2*x2 - x1*x2^2 + x2^3 - x1^2 + x1*x2 + x2^2 + x1 - x2 + 7"
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """("cancel" or "fill", whether it ran inside a division) for each
+        cancel and content step, in order."""
+        calls, dividing = [], [0]
+        cancel, fill, truediv = symexpr._cancel, symexpr._fill, Expression.__truediv__
+
+        def counted_cancel(a, b):
+            calls.append(("cancel", dividing[0] > 0))
+            return cancel(a, b)
+
+        def counted_fill(*args):
+            calls.append(("fill", dividing[0] > 0))
+            return fill(*args)
+
+        def tracked_truediv(a, b):
+            dividing[0] += 1
+            try:
+                return truediv(a, b)
+            finally:
+                dividing[0] -= 1
+
+        monkeypatch.setattr(symexpr, "_cancel", counted_cancel)
+        monkeypatch.setattr(symexpr, "_fill", counted_fill)
+        monkeypatch.setattr(Expression, "__truediv__", tracked_truediv)
+        return calls
+
+    def test_polynomial_text_fills_once(self, steps):
+        e = parse(self.DENSE_D3, 2)
+        assert len(e.num.terms) == 10 and _is_unit_poly(e.den)
+        assert steps == [("fill", False)]
+
+    def test_cancels_only_from_the_division_on(self, steps):
+        assert str(parse("1/(x2 + 5)", 2)) == "1/(x2 + 5)"
+        cancels = [inside for step, inside in steps if step == "cancel"]
+        assert cancels and all(cancels)
 
 
 class TestArithmetic:
