@@ -3,10 +3,13 @@
 Every command prints one report (JSON by default, sorted keys) and exits 0 on
 an integrable/passing outcome, 1 on a computed obstruction or non-integrable
 section, 2 on broken input or usage errors, and 3 when the engine itself fails
-(a violated internal invariant: a bug, never a verdict on the input).
+(a violated internal invariant, such as the product or contact Jacobi check:
+a bug, never a verdict on the input).
 
 Each command handler imports the engine modules it runs, so a usage error
-loads none of them and ``dims`` loads only ``jetcalc`` and its kernel.
+loads none of them and ``dims`` loads only ``jetcalc`` and its kernel.  A
+handler returns the parts of its report and whether the outcome passed;
+``main`` alone builds the report and maps the outcome to an exit code.
 """
 
 from __future__ import annotations
@@ -109,7 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT if exc.code else PASS_EXIT
     handler = _HANDLERS[args.command]
     try:
-        payload, code = handler(args)
+        inputs, result, residuals, verdict, passed = handler(args)
+        payload = {"command": args.command, "inputs": inputs, "result": result,
+                   "residuals": residuals, "verdict": verdict}
         _emit(payload, args.format)
     except VessiotError as exc:
         print(f"vessiot: error: {exc}", file=sys.stderr)
@@ -121,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"vessiot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
-    return code
+    return PASS_EXIT if passed else OBSTRUCTION_EXIT
 
 
 def run(argv: list[str] | None = None) -> None:
@@ -133,22 +138,16 @@ def run(argv: list[str] | None = None) -> None:
 # ----------------------------------------------------------------------
 
 
-def _cmd_compute(args) -> tuple[dict, int]:
+def _cmd_compute(args) -> tuple[dict, dict, list, str, bool]:
     from . import lieops, structure
 
     sec, extras = lieops.load_section(args.section)
     report, residuals = structure.structure_report(sec, extras)
-    payload = _payload(
-        "compute",
-        {"section": args.section},
-        report.to_json_dict(),
-        residuals,
-        "integrable" if report.integrable else "non-integrable",
-    )
-    return payload, PASS_EXIT if report.integrable else OBSTRUCTION_EXIT
+    verdict = "integrable" if report.integrable else "non-integrable"
+    return {"section": args.section}, report.to_json_dict(), residuals, verdict, report.integrable
 
 
-def _cmd_equivalence(args) -> tuple[dict, int]:
+def _cmd_equivalence(args) -> tuple[dict, dict, list, str, bool]:
     from . import lieops, structure
 
     left, _ = lieops.load_section(args.left)
@@ -158,18 +157,12 @@ def _cmd_equivalence(args) -> tuple[dict, int]:
     try:
         verdict = structure.equivalence_gate(left, right, sample_point=point)
     except NotIntegrable as exc:
-        payload = _payload(
-            "equivalence", inputs, {"status": "NotIntegrable", "reasons": [str(exc)]},
-            [], "NotIntegrable",
-        )
-        return payload, OBSTRUCTION_EXIT
-    payload = _payload(
-        "equivalence", inputs, verdict.to_json_dict(), [], verdict.status
-    )
-    return payload, OBSTRUCTION_EXIT if verdict.obstructed else PASS_EXIT
+        result = {"status": "NotIntegrable", "reasons": [str(exc)]}
+        return inputs, result, [], "NotIntegrable", False
+    return inputs, verdict.to_json_dict(), [], verdict.status, not verdict.obstructed
 
 
-def _cmd_dims(args) -> tuple[dict, int]:
+def _cmd_dims(args) -> tuple[dict, dict, list, str, bool]:
     from . import jetcalc
     from .symexpr import MAX_LITERAL_DIGITS
 
@@ -178,13 +171,10 @@ def _cmd_dims(args) -> tuple[dict, int]:
     if args.f1 is not None and not 0 <= args.f1 < 10**MAX_LITERAL_DIGITS:
         raise InputFormatError(f"--f1 must be at least 0 and below 10^{MAX_LITERAL_DIGITS}")
     table = jetcalc.dim_table(args.n, args.f1)
-    payload = _payload(
-        "dims", {"f1": table.f1, "n": args.n}, table.to_json_dict(), [], "ok"
-    )
-    return payload, PASS_EXIT
+    return {"f1": table.f1, "n": args.n}, table.to_json_dict(), [], "ok", True
 
 
-def _cmd_check_cc(args) -> tuple[dict, int]:
+def _cmd_check_cc(args) -> tuple[dict, dict, list, str, bool]:
     from . import jetcalc, lieops
 
     if args.max_order < 1:
@@ -194,23 +184,14 @@ def _cmd_check_cc(args) -> tuple[dict, int]:
     cc = jetcalc.parse_cc_spec(args.cc, sec.n)
     residual = jetcalc.check_cc_identity(system, cc, max_order=args.max_order)
     zero = residual.is_zero()
-    result = {
-        "labels": list(sec.kind.spec.labels),
-        "zero": zero,
-        "residual_equation": str(residual),
-    }
+    result = {"labels": list(sec.kind.spec.labels), "zero": zero,
+              "residual_equation": str(residual)}
     residuals = [] if zero else [str(residual)]
-    payload = _payload(
-        "check-cc",
-        {"cc": args.cc, "section": args.section},
-        result,
-        residuals,
-        "identity" if zero else "nonzero-residual",
-    )
-    return payload, PASS_EXIT if zero else OBSTRUCTION_EXIT
+    inputs = {"cc": args.cc, "section": args.section}
+    return inputs, result, residuals, "identity" if zero else "nonzero-residual", zero
 
 
-def _cmd_curvature(args) -> tuple[dict, int]:
+def _cmd_curvature(args) -> tuple[dict, dict, list, str, bool]:
     from . import curvature, lieops
 
     sec, _ = lieops.load_section(args.section)
@@ -223,19 +204,13 @@ def _cmd_curvature(args) -> tuple[dict, int]:
             "det": str(metric.det()),
             "report": report.to_json_dict(),
         }
-        payload = _payload(
-            "curvature", inputs, result, [],
-            "integrable" if report.integrable else "non-integrable",
-        )
-        return payload, PASS_EXIT if report.integrable else OBSTRUCTION_EXIT
+        verdict = "integrable" if report.integrable else "non-integrable"
+        return inputs, result, [], verdict, report.integrable
     if sec.kind is lieops.ObjectKind.CHRISTOFFEL_2D:
         data = curvature.riemann(curvature.Connection2D.from_section(sec))
         flat = data.is_flat()
         result = {"curvature": data.to_json_dict(), "flat": flat}
-        payload = _payload(
-            "curvature", inputs, result, data.residual_lines(), "flat" if flat else "nonflat"
-        )
-        return payload, PASS_EXIT if flat else OBSTRUCTION_EXIT
+        return inputs, result, data.residual_lines(), "flat" if flat else "nonflat", flat
     raise VessiotError(
         f"curvature needs a METRIC_2D or CHRISTOFFEL_2D section, got {sec.kind.value}"
     )
@@ -253,16 +228,6 @@ _HANDLERS = {
 # ----------------------------------------------------------------------
 # report emission
 # ----------------------------------------------------------------------
-
-
-def _payload(command: str, inputs: dict, result: dict, residuals: list[str], verdict: str) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "residuals": residuals,
-        "verdict": verdict,
-    }
 
 
 def _parse_point(text: str | None) -> tuple[Fraction, ...] | None:

@@ -228,11 +228,6 @@ def metric_constants(metric: Metric2D) -> StructureReport:
         if not w.is_zero():
             break
     quotient = Expression(ctx, rho(k, l) * w.den, e2 * w.num)
-
-    integrable = quotient.is_constant()
-    return StructureReport(
-        kind=ObjectKind.METRIC_2D.value,
-        constants={"c1": quotient, "c2": ctx.zero()} if integrable else {},
-        integrable=integrable,
-        residual=None if integrable else quotient,
+    return StructureReport.of(
+        ObjectKind.METRIC_2D.value, {"c1": quotient}, shown={"c1": quotient, "c2": ctx.zero()}
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .symexpr import Expression
 
@@ -15,9 +15,9 @@ class StructureReport:
     """Extracted structure constants, Jacobi residuals, and the integrability verdict.
 
     ``constants`` holds coordinate-constant expressions (exact rationals, or
-    rational functions of the declared parameters).  When a would-be constant
-    fails the constancy test, ``integrable`` is False and ``residual`` carries
-    the offending expression instead.
+    rational functions of the declared parameters).  A report is integrable
+    exactly when it carries no ``residual``, the offending expression of a
+    non-integrable section; ``of`` builds every engine report.
     """
 
     def __init__(
@@ -25,20 +25,36 @@ class StructureReport:
         kind: str,
         constants: Dict[str, Expression],
         jacobi_residuals: Optional[List[Expression]] = None,
-        integrable: bool = True,
         residual: Optional[Expression] = None,
     ):
         jacobi_residuals = [] if jacobi_residuals is None else jacobi_residuals
-        if integrable:
-            if residual is not None:
-                raise ValueError("an integrable report carries no residual")
+        if residual is None:
             for name, c in constants.items():
                 if not c.is_constant():
                     raise ValueError(f"structure constant {name} = {c} is not constant")
             if not all(r.is_zero() for r in jacobi_residuals):
                 raise ValueError("an integrable report has a nonzero Jacobi residual")
-        self.kind, self.constants, self.integrable = kind, constants, integrable
+        self.kind, self.constants = kind, constants
         self.jacobi_residuals, self.residual = jacobi_residuals, residual
+
+    @classmethod
+    def of(
+        cls, kind: str, constants: Dict[str, Expression], jacobi: Sequence[Expression] = (),
+        shown: Optional[Dict[str, Expression]] = None,
+    ) -> "StructureReport":
+        """The one verdict rule.  The first would-be constant that is not
+        constant becomes the residual, and no constant is reported.  Otherwise
+        a nonzero Jacobi residual is an engine fault (RuntimeError).  Otherwise
+        the report is integrable and lists ``shown`` (default: ``constants``)."""
+        residual = next((c for c in constants.values() if not c.is_constant()), None)
+        if residual is None and not all(r.is_zero() for r in jacobi):
+            raise RuntimeError(f"Jacobi identity violated by {kind} constants")
+        shown = constants if shown is None else shown
+        return cls(kind, {} if residual is not None else shown, list(jacobi), residual)
+
+    @property
+    def integrable(self) -> bool:
+        return self.residual is None
 
     def constant(self, name: str) -> Expression:
         return self.constants[name]

@@ -43,7 +43,7 @@ def affine_constant_1d(alpha: Expression, gamma: Expression) -> StructureReport:
     if alpha.is_zero():
         raise DegenerateSection("alpha is identically zero")
     c = (alpha.diff(1) - gamma * alpha) / (alpha * alpha)
-    return _single_constant_report("AFFINE_1D", "c", c)
+    return StructureReport.of("AFFINE_1D", {"c": c})
 
 
 def isometry_constant_1d(
@@ -64,7 +64,7 @@ def isometry_constant_1d(
     elif not (sigma * sigma - omega).is_zero():
         raise NotAPerfectSquare("supplied sigma does not satisfy sigma^2 = omega")
     c = (omega.diff(1) - _two(omega.context) * omega * gamma) / (sigma**3)
-    return _single_constant_report("ISOMETRY_1D", "c_prime", c)
+    return StructureReport.of("ISOMETRY_1D", {"c_prime": c})
 
 
 def projective_residual_1d(gamma: Expression, nu: Expression) -> Expression:
@@ -75,12 +75,6 @@ def projective_residual_1d(gamma: Expression, nu: Expression) -> Expression:
 
 def _two(ctx: Context) -> Expression:
     return ctx.rational(2)
-
-
-def _single_constant_report(kind: str, name: str, value: Expression) -> StructureReport:
-    if value.is_constant():
-        return StructureReport(kind=kind, constants={name: value}, integrable=True)
-    return StructureReport(kind=kind, constants={}, integrable=False, residual=value)
 
 
 # ----------------------------------------------------------------------
@@ -133,31 +127,20 @@ def product_constants(sec: GeometricSection) -> StructureReport:
 
     c' and c'' are the quotients of d2 w4 - d1 w5 and d1 w7 - d2 w8 by the
     witness w3*(1 - w1*w2); the Jacobi condition forces c' = c'' whenever
-    both are constant, and the single constant c is reported.  Only w4, w5,
-    w7 and w8 are formed, and each curl is one reduction (``_curl``).
+    both are constant (``StructureReport.of`` raises otherwise), and the
+    single constant c is reported.  Only w4, w5, w7 and w8 are formed, and
+    each curl is one reduction (``_curl``).
     """
     witness, d1w1, d2w2, matrix, rhs = _product_system(sec)
     w1, w2, _ = sec.components
     w4, w7 = solve_square(matrix, rhs)
     c_prime = _curl(w4, 2, d1w1 + w1 * w4, 1, witness)
     c_second = _curl(w7, 1, d2w2 + w2 * w7, 2, witness)
-    jacobi = c_prime - c_second
-    if c_prime.is_constant() and c_second.is_constant():
-        if not jacobi.is_zero():
-            raise RuntimeError("Jacobi identity c' = c'' violated")
-        return StructureReport(
-            kind=ObjectKind.PRODUCT_TRIPLE_2D.value,
-            constants={"c": c_prime},
-            jacobi_residuals=[jacobi],
-            integrable=True,
-        )
-    residual = c_prime if not c_prime.is_constant() else c_second
-    return StructureReport(
-        kind=ObjectKind.PRODUCT_TRIPLE_2D.value,
-        constants={},
-        jacobi_residuals=[jacobi],
-        integrable=False,
-        residual=residual,
+    return StructureReport.of(
+        ObjectKind.PRODUCT_TRIPLE_2D.value,
+        {"c_prime": c_prime, "c_second": c_second},
+        jacobi=[c_prime - c_second],
+        shown={"c": c_prime},
     )
 
 
@@ -198,12 +181,8 @@ def scaling_law(report: StructureReport, a: ScaleLike) -> StructureReport:
     context = factor.context
     constants = {k: v.in_context(context) for k, v in report.constants.items()}
     constants[name] = constants[name] / factor
-    return StructureReport(
-        kind=report.kind,
-        constants=constants,
-        jacobi_residuals=[r.in_context(context) for r in report.jacobi_residuals],
-        integrable=True,
-    )
+    jacobi = [r.in_context(context) for r in report.jacobi_residuals]
+    return StructureReport(report.kind, constants, jacobi)
 
 
 def _as_scale(ctx: Context, a: ScaleLike) -> Expression:
@@ -307,7 +286,8 @@ def contact_constants(alpha: DifferentialForm, beta: DifferentialForm) -> Struct
     """Constants of the contact pair: d(alpha) = c' beta, d(beta) = c'' alpha^beta.
 
     The Jacobi condition c'*c'' = 0 follows from d(d(alpha)) = 0 once both
-    proportionalities hold; its residual is reported.
+    proportionalities hold; its residual is reported, and a nonzero one with
+    both constant is an engine fault (``StructureReport.of``).
     """
     if alpha.degree != 1 or beta.degree != 2 or alpha.context.n != 3:
         raise ValueError("need a 1-form and a 2-form on a 3-dimensional chart")
@@ -318,22 +298,10 @@ def contact_constants(alpha: DifferentialForm, beta: DifferentialForm) -> Struct
     c_prime = _proportionality(d_alpha, beta, "d(alpha)", "beta")
     d_beta = exterior_derivative(beta)
     c_second = _proportionality(d_beta, volume, "d(beta)", "alpha^beta")
-    if c_prime.is_constant() and c_second.is_constant():
-        jacobi = c_prime * c_second
-        return StructureReport(
-            kind=ObjectKind.CONTACT_PAIR_3D.value,
-            constants={"c_prime": c_prime, "c_second": c_second},
-            jacobi_residuals=[jacobi],
-            integrable=jacobi.is_zero(),
-            residual=None if jacobi.is_zero() else jacobi,
-        )
-    residual = c_prime if not c_prime.is_constant() else c_second
-    return StructureReport(
-        kind=ObjectKind.CONTACT_PAIR_3D.value,
-        constants={},
-        jacobi_residuals=[c_prime * c_second],
-        integrable=False,
-        residual=residual,
+    return StructureReport.of(
+        ObjectKind.CONTACT_PAIR_3D.value,
+        {"c_prime": c_prime, "c_second": c_second},
+        jacobi=[c_prime * c_second],
     )
 
 
@@ -407,9 +375,9 @@ def _contact_report(sec, extras):
 
 def _residual_report(kind: str, residual: Optional[Expression]) -> StructureReport:
     """A constant-free report, integrable iff the residual vanishes."""
-    if residual is None or residual.is_zero():
-        return StructureReport(kind=kind, constants={}, integrable=True)
-    return StructureReport(kind=kind, constants={}, integrable=False, residual=residual)
+    return StructureReport(
+        kind, {}, residual=None if residual is None or residual.is_zero() else residual
+    )
 
 
 _BUILDERS = {

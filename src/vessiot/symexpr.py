@@ -1011,17 +1011,31 @@ class _Parser:
         return self.lift(value)
 
     def sum(self) -> _Poly | Expression:
-        left = self.product()
+        """A polynomial sum adds each operand into terms the loop owns and checks
+        only the coefficients it touches: no ``_Poly.__add__`` copy per term."""
+        left, owned = self.product(), None
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                right = self.product()
-                if type(left) is not type(right):
-                    left, right = self.lift(left), self.lift(right)
-                left = _within_budget(left + right if val == "+" else left - right)
-            else:
+            if kind != "op" or val not in "+-":
                 return left
+            self.advance()
+            right = self.product()
+            if type(left) is not _Poly or type(right) is not _Poly:
+                left, right = self.lift(left), self.lift(right)
+                left = _within_budget(left + right if val == "+" else left - right)
+                continue
+            if owned is None:  # a copy: atoms are shared polynomials
+                owned = dict(left.terms)
+                left = _Poly(owned)
+            sign = 1 if val == "+" else -1
+            for mono, c in right.terms.items():
+                s = owned.get(mono, 0) + sign * c
+                if not s:
+                    del owned[mono]
+                elif abs(s) > _COEFF_LIMIT:
+                    raise InputTooLarge(f"coefficient beyond 10^{MAX_LITERAL_DIGITS} in magnitude")
+                else:
+                    owned[mono] = s
 
     def product(self) -> _Poly | Expression:
         left = self.unary()

@@ -816,6 +816,24 @@ class TestReportHygiene:
         assert err == "vessiot: internal error: RuntimeError: Jacobi identity c' = c'' violated\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["product_flat", "contact_standard"])
+    def test_violated_jacobi_exit_three(self, capsys, monkeypatch, name):
+        # constant structure functions with a nonzero Jacobi residual: c' = 1,
+        # c'' = 2 for the product, c' = c'' = 1 for the contact pair
+        if name == "product_flat":
+            values = iter([1, 2])
+            monkeypatch.setattr(
+                structure, "_curl", lambda a, i, b, j, w: w.context.rational(next(values))
+            )
+        else:
+            monkeypatch.setattr(
+                structure, "_proportionality", lambda num, ref, *_: ref.context.one()
+            )
+        path = str(SECTIONS / f"{name}.section")
+        code, out, err = run_cli(capsys, "compute", "--section", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("vessiot: internal error: RuntimeError: Jacobi identity violated")
+
     def test_unknown_command_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
 

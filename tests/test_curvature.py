@@ -329,11 +329,8 @@ def sym_over_metric_report(metric):
     data = riemann(christoffel(metric))
     i, j = next(ij for ij in IJ if not metric.component(*ij).is_zero())
     quotient = data.sym[(i, j)] / metric.component(i, j)
-    kind = ObjectKind.METRIC_2D.value
-    if quotient.is_constant():
-        constants = {"c1": quotient, "c2": metric.context.zero()}
-        return StructureReport(kind=kind, constants=constants, integrable=True)
-    return StructureReport(kind=kind, constants={}, integrable=False, residual=quotient)
+    shown = {"c1": quotient, "c2": metric.context.zero()}
+    return StructureReport.of(ObjectKind.METRIC_2D.value, {"c1": quotient}, shown=shown)
 
 
 def gauss_route_metrics():

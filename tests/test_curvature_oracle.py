@@ -17,10 +17,11 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import Phase, assume, given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import unpacked  # noqa: E402
+from oracle_support import oracle_settings  # noqa: E402
 from vessiot.curvature import IJ, Connection2D, Metric2D, christoffel, riemann  # noqa: E402
 from vessiot.symexpr import Context, parse_in  # noqa: E402
 
@@ -29,12 +30,7 @@ FIELD, X1, X2, A = sympy.field("x1,x2,a", sympy.QQ)
 XS = (X1, X2)
 KEYS = [(k, i, j) for k in (1, 2) for i, j in IJ]
 
-# no shrinking: a failing example reports at once instead of after minutes of
-# sympy calls on ever smaller candidates
-ORACLE = settings(
-    max_examples=15, derandomize=True, database=None, deadline=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+ORACLE = oracle_settings(15)
 # the reference Riemann tensor of a rational metric costs sympy 2-3 s
 METRIC_ORACLE = settings(ORACLE, max_examples=5)
 

@@ -21,10 +21,11 @@ pytest.importorskip("hypothesis")
 
 import random  # noqa: E402
 
-from hypothesis import Phase, given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import random_expression, unpacked  # noqa: E402
+from helpers import random_expression  # noqa: E402
+from oracle_support import expr_sympy, oracle_settings, poly_sympy  # noqa: E402
 from vessiot.jetcalc import (  # noqa: E402
     JetVariable,
     LinearJetEquation,
@@ -34,32 +35,17 @@ from vessiot.jetcalc import (  # noqa: E402
     prolong,
     symbol_dimension,
 )
-from vessiot.symexpr import Context, _Poly  # noqa: E402
+from vessiot.symexpr import Context  # noqa: E402
 
 CTX = Context(2)
 SYMS = sympy.symbols(" ".join(CTX.names))
 
-# no shrinking: a failing example reports at once instead of after minutes of
-# sympy calls on ever smaller candidates
-ORACLE = settings(
-    max_examples=30, derandomize=True, database=None, deadline=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+ORACLE = oracle_settings(30)
 
 seeds = st.integers(0, 2**32)
 MUS = [mu for order in (1, 2) for mu in multi_indices(2, order)]
 VARIABLES = [JetVariable(k, mu) for k in (1, 2) for order in (0, 1)
              for mu in multi_indices(2, order)]
-
-
-def poly_sympy(p: _Poly):
-    return sympy.Add(
-        *(c * sympy.Mul(*(s**e for s, e in zip(SYMS, m))) for m, c in unpacked(p, len(SYMS)))
-    )
-
-
-def expr_sympy(e):
-    return poly_sympy(e.num) / poly_sympy(e.den)
 
 
 def random_equation(rng: random.Random) -> LinearJetEquation:
@@ -111,7 +97,7 @@ class TestDerivedRows:
     @given(seeds)
     def test_rows_are_derivatives_of_the_cleared_equation(self, seed):
         for eq in random_system(seed):
-            den = poly_sympy(eq.den)
+            den = poly_sympy(eq.den, SYMS)
             cleared = {jv: den * expr_sympy(c) for jv, c in eq.terms.items()}
             prolonged = prolong([eq], 2)
             assert prolonged[0] is eq and len(prolonged) == 1 + len(MUS)
@@ -124,10 +110,10 @@ class TestDerivedRows:
                 wanted = sympy_derivative(cleared, mu)
                 assert set(row.row) <= set(wanted)
                 for jv, c in wanted.items():
-                    got = poly_sympy(row.row[jv]) if jv in row.row else 0
+                    got = poly_sympy(row.row[jv], SYMS) if jv in row.row else 0
                     assert sympy.cancel(got - c) == 0
                 for jv, c in top.items():
-                    assert sympy.cancel(poly_sympy(row.row[jv]) - den * expr_sympy(c)) == 0
+                    assert sympy.cancel(poly_sympy(row.row[jv], SYMS) - den * expr_sympy(c)) == 0
 
 
 class TestGenericSymbolDimension:

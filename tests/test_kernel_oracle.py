@@ -16,10 +16,11 @@ pytest.importorskip("hypothesis")
 
 import random  # noqa: E402
 
-from hypothesis import Phase, assume, given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import packed, random_poly, shared_factor_pair, unpacked  # noqa: E402
+from helpers import packed, random_poly, shared_factor_pair  # noqa: E402
+from oracle_support import expr_sympy, oracle_settings, poly_sympy  # noqa: E402
 from vessiot import symexpr  # noqa: E402
 from vessiot.errors import InputTooLarge  # noqa: E402
 from vessiot.symexpr import Context, Expression, _cancel, _pconst, _Poly, _primitive  # noqa: E402
@@ -27,12 +28,7 @@ from vessiot.symexpr import Context, Expression, _cancel, _pconst, _Poly, _primi
 CTX = Context(2, ["a"])
 SYMS = sympy.symbols(" ".join(CTX.names))
 
-# no shrinking: a failing example reports at once instead of after minutes of
-# sympy calls on ever smaller candidates
-ORACLE = settings(
-    max_examples=40, derandomize=True, database=None, deadline=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+ORACLE = oracle_settings(40)
 
 
 def _polys(monomials, min_size=0):
@@ -53,17 +49,6 @@ expressions = _expressions(_monomials)
 parameter_expressions = _expressions(st.tuples(st.just(0), st.just(0), st.integers(0, 2)))
 
 
-def poly_sympy(p: _Poly, syms=SYMS):
-    return sympy.Add(
-        *(c * sympy.Mul(*(s**e for s, e in zip(syms, m))) for m, c in unpacked(p, len(syms)))
-    )
-
-
-def expr_sympy(e: Expression):
-    syms = sympy.symbols(e.context.names)
-    return poly_sympy(e.num, syms) / poly_sympy(e.den, syms)
-
-
 def assert_same_function(e: Expression, reference) -> None:
     assert sympy.cancel(expr_sympy(e) - reference) == 0
     # the stored pair is reduced: no common factor beyond a constant
@@ -75,7 +60,7 @@ def is_square_sympy(p: _Poly) -> bool:
     """p = s^2 for an integer polynomial s, decided by sympy's factorization."""
     if not p.terms:
         return True
-    coeff, factors = sympy.factor_list(poly_sympy(p))
+    coeff, factors = sympy.factor_list(poly_sympy(p, SYMS))
     if coeff < 0 or any(k % 2 for _, k in factors):
         return False
     return sympy.sqrt(coeff).is_rational
@@ -126,8 +111,8 @@ class TestGcd:
     @given(nonzero_polys, nonzero_polys, nonzero_polys)
     def test_against_sympy_up_to_constant(self, common, p, q):
         f, g = common * p, common * q
-        ours = poly_sympy(_cancel(f, g)[2])
-        theirs = sympy.gcd(poly_sympy(f), poly_sympy(g))
+        ours = poly_sympy(_cancel(f, g)[2], SYMS)
+        theirs = sympy.gcd(poly_sympy(f, SYMS), poly_sympy(g, SYMS))
         ratio = sympy.cancel(ours / theirs)
         assert ratio.is_number and ratio != 0
 
@@ -247,9 +232,9 @@ class TestDivexact:
     )
     def test_against_sympy(self, pair):
         f, g = pair
-        num, den = sympy.cancel(poly_sympy(f) / poly_sympy(g)).as_numer_denom()
+        num, den = sympy.cancel(poly_sympy(f, SYMS) / poly_sympy(g, SYMS)).as_numer_denom()
         if den == 1:
-            assert poly_sympy(f.divexact(g)) - num == 0
+            assert poly_sympy(f.divexact(g), SYMS) - num == 0
         else:
             # not a polynomial, or a polynomial without integer coefficients
             with pytest.raises(ArithmeticError):

@@ -21,22 +21,16 @@ pytest.importorskip("hypothesis")
 import random  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
-from hypothesis import Phase, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import random_expression, unpacked  # noqa: E402
+from helpers import random_expression  # noqa: E402
+from oracle_support import expr_sympy, oracle_settings  # noqa: E402
 from vessiot.linalg import rank_rational, solve_square  # noqa: E402
-from vessiot.symexpr import Context, _Poly  # noqa: E402
+from vessiot.symexpr import Context  # noqa: E402
 
 CTX = Context(2)
-SYMS = sympy.symbols(" ".join(CTX.names))
-
-# no shrinking: a failing example reports at once instead of after minutes of
-# sympy calls on ever smaller candidates
-ORACLE = settings(
-    max_examples=40, derandomize=True, database=None, deadline=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+ORACLE = oracle_settings(40)
 
 seeds = st.integers(0, 2**32)
 # the symbol matrices of jet_systems, wider and taller than square, and edge shapes
@@ -79,12 +73,6 @@ def sympy_rank(m: list) -> int:
     return to_sympy(m).to_DM().rank()
 
 
-def poly_sympy(p: _Poly):
-    return sympy.Add(
-        *(c * sympy.Mul(*(s**e for s, e in zip(SYMS, m))) for m, c in unpacked(p, len(SYMS)))
-    )
-
-
 class TestRank:
     @settings(ORACLE, max_examples=80)
     @given(seeds, st.sampled_from(SHAPES), st.booleans())
@@ -121,7 +109,7 @@ class TestSolveSquare:
         try:
             x = solve_square(a, b)
         except ArithmeticError:
-            entries = [[poly_sympy(v.num) / poly_sympy(v.den) for v in row] for row in a]
+            entries = [[expr_sympy(v) for v in row] for row in a]
             assert sympy.cancel(sympy.Matrix(entries).det()) == 0
             return
         for row, rhs in zip(a, b):

@@ -19,10 +19,10 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import Phase, assume, given, settings  # noqa: E402
+from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import unpacked  # noqa: E402
+from oracle_support import oracle_settings, poly_sympy  # noqa: E402
 from vessiot.errors import DivisionByZeroLiteral  # noqa: E402
 from vessiot.symexpr import Context, _is_unit_poly, parse_in  # noqa: E402
 
@@ -30,10 +30,7 @@ CTX = Context(2, ["a"])
 SYMS = sympy.symbols(CTX.names)
 SYMBOL = dict(zip(CTX.names, SYMS))
 
-ORACLE = settings(
-    max_examples=150, derandomize=True, database=None, deadline=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+ORACLE = oracle_settings(150)
 
 # precedence levels of the grammar, loosest first
 SUM, PRODUCT, UNARY, POWER, ATOM = range(5)
@@ -130,15 +127,9 @@ def degree_bound(node) -> int:
     return degree_bound(node[1]) + degree_bound(node[2])
 
 
-def poly_sympy(p):
-    return sympy.Add(
-        *(c * sympy.Mul(*(s**e for s, e in zip(SYMS, m))) for m, c in unpacked(p, len(SYMS)))
-    )
-
-
 def assert_matches(text: str, reference) -> None:
     e = parse_in(text, CTX)
-    num, den = poly_sympy(e.num), poly_sympy(e.den)
+    num, den = poly_sympy(e.num, SYMS), poly_sympy(e.den, SYMS)
     assert sympy.cancel(num / den - reference) == 0, text
     # canonical: coprime, unit content across the pair, positive leading
     # denominator coefficient

@@ -23,10 +23,11 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import Phase, assume, given, settings  # noqa: E402
+from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import unpacked  # noqa: E402
+from oracle_support import oracle_settings  # noqa: E402
 from vessiot.lieops import ObjectKind, section  # noqa: E402
 from vessiot.structure import product_constants  # noqa: E402
 from vessiot.symexpr import Context, parse_in  # noqa: E402
@@ -34,12 +35,7 @@ from vessiot.symexpr import Context, parse_in  # noqa: E402
 CTX = Context(2, ["a"])
 FIELD, X1, X2, A = sympy.field("x1,x2,a", sympy.QQ)
 
-# no shrinking: a failing example reports at once instead of after minutes of
-# sympy calls on ever smaller candidates
-ORACLE = settings(
-    max_examples=15, derandomize=True, database=None, deadline=None,
-    phases=(Phase.explicit, Phase.generate),
-)
+ORACLE = oracle_settings(15)
 
 small = st.integers(-3, 3)
 # (c0, c1, c2): the linear form c0 + c1*x1 + c2*x2, not constant

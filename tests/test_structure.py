@@ -585,10 +585,6 @@ class TestReportInvariants:
                 "structure constant c = x1 is not constant",
             ),
             (
-                {"constants": {}, "residual": CTX2.one()},
-                "an integrable report carries no residual",
-            ),
-            (
                 {"constants": {}, "jacobi_residuals": [CTX2.one()]},
                 "an integrable report has a nonzero Jacobi residual",
             ),
@@ -606,9 +602,7 @@ class TestReportInvariants:
             EquivalenceVerdict(status="Obstructed")
 
     def test_keyword_construction(self):
-        report = StructureReport(
-            kind="PRODUCT_TRIPLE_2D", constants={}, integrable=False, residual=CTX2.one()
-        )
+        report = StructureReport(kind="PRODUCT_TRIPLE_2D", constants={}, residual=CTX2.one())
         assert report.kind == "PRODUCT_TRIPLE_2D"
         assert (report.constants, report.integrable) == ({}, False)
         assert report.residual == CTX2.one()
@@ -638,3 +632,60 @@ class TestReportInvariants:
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert out.stdout == "rejected\n"
+
+
+# one non-integrable section of every kind the compute pipeline builds
+NON_INTEGRABLE = {
+    "ONE_FORM_1D": "alpha = x1\ngamma = 0",
+    "CHRISTOFFEL_1D": "gamma = 0\nnu = x1",
+    "METRIC_2D": "w11 = 1\nw22 = 1 + x1^2\nw12 = 0",
+    "PRODUCT_TRIPLE_2D": "w1 = 0\nw2 = 0\nw3 = 1 + x1*x2",
+    "CHRISTOFFEL_2D": "g1_11 = x2\ng1_12 = 0\ng1_22 = 0\ng2_11 = 0\ng2_12 = 0\ng2_22 = 0",
+    # d(alpha) = beta/(x1^2 + 1), d(beta) = 2*x1/(x1^2 + 1) alpha^beta
+    "CONTACT_PAIR_3D": "a1 = 1\na2 = -x3\na3 = 0\nb23 = x1^2 + 1\nb31 = 0\nb12 = 0",
+}
+
+
+class TestVerdictRule:
+    """``StructureReport.of`` is the one rule from would-be constants and
+    Jacobi residuals to a report."""
+
+    @pytest.mark.parametrize("path", sorted(SECTIONS.glob("*.section")), ids=lambda p: p.name)
+    def test_bundled_sections_integrable_iff_no_residual(self, path):
+        report, _ = structure.structure_report(*load_section(path))
+        assert report.integrable == (report.residual is None)
+
+    @pytest.mark.parametrize("kind", sorted(NON_INTEGRABLE))
+    def test_non_integrable_section_carries_its_residual(self, kind):
+        report, _ = structure.structure_report(
+            *parse_section_text(f"kind = {kind}\n{NON_INTEGRABLE[kind]}")
+        )
+        assert not report.integrable
+        assert report.integrable == (report.residual is None)
+        assert report.constants == {}
+
+    def test_residual_is_c_prime_before_c_second(self):
+        x1, x2 = parse_in("x1", CTX2), parse_in("x2", CTX2)
+        report = StructureReport.of("PRODUCT_TRIPLE_2D", {"c_prime": x1, "c_second": x2})
+        assert report.residual == x1
+        report = StructureReport.of("PRODUCT_TRIPLE_2D", {"c_prime": CTX2.one(), "c_second": x2})
+        assert report.residual == x2
+        sec, _ = parse_section_text(
+            f"kind = CONTACT_PAIR_3D\n{NON_INTEGRABLE['CONTACT_PAIR_3D']}"
+        )
+        report = contact_constants(*structure.contact_pair_forms(sec))
+        assert report.residual == parse_in("1/(x1^2 + 1)", CTX3)
+
+    def test_shown_constants_of_an_integrable_report(self):
+        report = StructureReport.of(
+            "PRODUCT_TRIPLE_2D", {"c_prime": CTX2.one(), "c_second": CTX2.one()},
+            jacobi=[CTX2.zero()], shown={"c": CTX2.one()},
+        )
+        assert report.integrable and report.constants == {"c": CTX2.one()}
+
+    def test_nonzero_jacobi_with_constant_functions_is_an_engine_fault(self):
+        with pytest.raises(RuntimeError, match="^Jacobi identity violated"):
+            StructureReport.of(
+                "CONTACT_PAIR_3D", {"c_prime": CTX3.one(), "c_second": CTX3.one()},
+                jacobi=[CTX3.one()],
+            )

@@ -310,6 +310,32 @@ class TestParseCost:
         cancels = [inside for step, inside in steps if step == "cancel"]
         assert cancels and all(cancels)
 
+    def test_polynomial_sum_copies_no_partial_sum(self, monkeypatch):
+        # each operand adds into terms the loop owns: a _Poly.__add__ or
+        # __sub__ per operand would copy the partial sum, quadratic in its length
+        terms = [f"{k}*x1^{k % 7}*x2^{k % 5}*x3^{k % 3}" for k in range(1, 200)]
+        text = " + ".join(terms) + " - x1 - (x2 - x3)"
+        ctx = Context(3)
+        reference = parse_in(terms[0], ctx)
+        for term in terms[1:] + ["-x1", "-x2", "x3"]:
+            reference = reference + parse_in(term, ctx)
+        calls = []
+        for name in ("__add__", "__sub__"):
+            op = getattr(symexpr._Poly, name)
+            monkeypatch.setattr(
+                symexpr._Poly, name, lambda a, b, op=op: calls.append(op) or op(a, b)
+            )
+        assert parse_in(text, ctx) == reference
+        assert calls == []
+        # the shared atom of x1 is copied, never added into
+        assert parse_in("x1 + x2", ctx) == parse_in("x2 + x1", ctx)
+        assert str(parse_in("x1", ctx)) == "x1"
+
+    @pytest.mark.parametrize("text", ["x1 + 10^1000 + 1", "-10^1000 - x1 - 1", "x1 - 10^1000 - 1"])
+    def test_coefficient_beyond_the_budget_inside_a_long_sum(self, text):
+        with pytest.raises(InputTooLarge, match=r"^coefficient beyond 10\^1000 in magnitude$"):
+            parse(text, 2)
+
 
 class TestArithmetic:
     def test_additive_inverse(self):
