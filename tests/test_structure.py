@@ -585,6 +585,10 @@ class TestReportInvariants:
                 "structure constant c = x1 is not constant",
             ),
             (
+                {"constants": {"c_prime": CTX2.one(), "c_second": parse_in("x2", CTX2)}},
+                "structure constant c_second = x2 is not constant",
+            ),
+            (
                 {"constants": {}, "jacobi_residuals": [CTX2.one()]},
                 "an integrable report has a nonzero Jacobi residual",
             ),
