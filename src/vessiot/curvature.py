@@ -1,21 +1,39 @@
 """Riemannian chain for 2-dimensional charts.
 
 Christoffel symbols, Riemann and Ricci tensors, the antisymmetric/symmetric
-Ricci split specific to n = 2, and the constant-curvature structure report,
-read off one Riemann component.
+Ricci split specific to n = 2, and the constant-curvature structure report.
+A metric is cleared once (``Metric2D.cleared``): the Christoffel numerators
+and the curvature K = R_1212 / det(w) are polynomial arithmetic on that
+data, each reduced by one cancel when read.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DegenerateMetric
 from .lieops import GeometricSection, ObjectKind
 from .reports import StructureReport
-from .symexpr import Context, Expression, common_denominator, curl_numerator
+from .symexpr import Context, Expression, _pconst, _Poly, common_denominator, curl_numerator
 
 IJ = ((1, 1), (2, 2), (1, 2))
+
+
+class ClearedMetric(NamedTuple):
+    """A metric w = W/d over the common denominator d of its components.
+
+    ``N[p, i, j]`` = 2 d^2 Gamma_{p,ij}, the first-kind Christoffel symbols
+    Gamma_{p,ij} = (1/2)(d_i w_pj + d_j w_ip - d_p w_ij) cleared of d^2:
+    N_pij = d (d_i W_pj + d_j W_ip - d_p W_ij) - (W_pj d_i d + W_ip d_j d - W_ij d_p d).
+    All kernel polynomials, formed with no gcd and no division.
+    """
+
+    d: _Poly
+    dd: Tuple[_Poly, _Poly]  # (d_1 d, d_2 d)
+    det: _Poly  # det(W)
+    adj: Dict[Tuple[int, int], _Poly]  # adj(W), so w^{-1} = d adj(W) / det(W)
+    N: Dict[Tuple[int, int, int], _Poly]  # (p, i, j), i <= j
 
 
 class Metric2D:
@@ -46,6 +64,24 @@ class Metric2D:
     @cached_property
     def _det(self) -> Expression:
         return self.w11 * self.w22 - self.w12 * self.w12
+
+    @cached_property
+    def cleared(self) -> ClearedMetric:
+        """The metric over its common denominator, formed once per metric."""
+        d, (w11, w22, w12) = common_denominator((self.w11, self.w22, self.w12))
+        det = w11 * w22 - w12 * w12
+        if det.is_zero():
+            raise DegenerateMetric("det(w) is identically zero")
+        W = {(1, 1): w11, (2, 2): w22, (1, 2): w12, (2, 1): w12}
+        dd = (d.diff(0), d.diff(1))
+        N = {
+            (p, i, j): d * (W[p, j].diff(i - 1) + W[i, p].diff(j - 1) - W[i, j].diff(p - 1))
+            - (W[p, j] * dd[i - 1] + W[i, p] * dd[j - 1] - W[i, j] * dd[p - 1])
+            for p in (1, 2)
+            for i, j in IJ
+        }
+        adj = {(1, 1): w22, (2, 2): w11, (1, 2): -w12, (2, 1): -w12}
+        return ClearedMetric(d, dd, det, adj, N)
 
     @cached_property
     def levi_civita(self) -> "Connection2D":
@@ -98,28 +134,6 @@ class Connection2D:
     def gamma(self, k: int, i: int, j: int) -> Expression:
         return self.components[(k, min(i, j), max(i, j))]
 
-    @cached_property
-    def _riemann_numerators(self) -> tuple:
-        """(e^2, rho): rho(k, l) is the kernel numerator of rho^k_{l,12} over e^2.
-
-        Over the pair (e, G) = ``over``, e^2 rho^k_{l,12} is the curl of G^k_l2
-        and G^k_l1 plus G^r_l2 G^k_r1 - G^r_l1 G^k_r2, all polynomial.  e^2,
-        d e, G and each rho are formed at most once per connection, however
-        many callers read them.
-        """
-        e, numer = self.over
-        de = (e.diff(0), e.diff(1))
-        G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
-
-        @cache
-        def rho(k: int, l: int):
-            total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
-            for r in (1, 2):
-                total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
-            return total
-
-        return e * e, rho
-
 
 class CurvatureData(NamedTuple):
     """Riemann components rho^k_{l,ij}, Ricci, and its antisymmetric/symmetric split."""
@@ -155,28 +169,15 @@ class CurvatureData(NamedTuple):
 def christoffel(metric: Metric2D) -> Connection2D:
     """Levi-Civita connection gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij).
 
-    With the metric over its common denominator d, w = W/d, every component
+    Over the cleared metric w = W/d (``Metric2D.cleared``), every component
     is G^k_ij / E over the one designed denominator E = 2 det(W) d, where
-    G^k_ij = sum_r adj(W)^{kr} N_rij and
-    N_rij = d (d_i W_rj + d_j W_ir - d_r W_ij) - (W_rj d_i d + W_ir d_j d - W_ij d_r d).
-    All of it is polynomial arithmetic: no gcd and no division.
+    G^k_ij = sum_r adj(W)^{kr} N_rij.  All of it is polynomial arithmetic:
+    no gcd and no division.
     """
-    d, (w11, w22, w12) = common_denominator((metric.w11, metric.w22, metric.w12))
-    det = w11 * w22 - w12 * w12
-    if det.is_zero():
-        raise DegenerateMetric("det(w) is identically zero")
-    W = {(1, 1): w11, (2, 2): w22, (1, 2): w12, (2, 1): w12}
-    dd = {i: d.diff(i - 1) for i in (1, 2)}
-    numer = {
-        (r, i, j): d * (W[r, j].diff(i - 1) + W[i, r].diff(j - 1) - W[i, j].diff(r - 1))
-        - (W[r, j] * dd[i] + W[i, r] * dd[j] - W[i, j] * dd[r])
-        for r in (1, 2)
-        for i, j in IJ
-    }
-    adj = {(1, 1): w22, (2, 2): w11, (1, 2): -w12, (2, 1): -w12}
+    d, _, det, adj, N = metric.cleared
     e = det * d
     return Connection2D(context=metric.context, over=(e + e, {
-        (k, i, j): adj[k, 1] * numer[1, i, j] + adj[k, 2] * numer[2, i, j]
+        (k, i, j): adj[k, 1] * N[1, i, j] + adj[k, 2] * N[2, i, j]
         for k in (1, 2)
         for i, j in IJ
     }))
@@ -187,9 +188,21 @@ def riemann(conn: Connection2D) -> CurvatureData:
 
     rho^k_{l,ij} = d_i g^k_lj - d_j g^k_li + g^r_lj g^k_ri - g^r_li g^k_rj,
     Ricci rho_ij = rho^r_{i,rj}, and the n = 2 split (phi, sym) of Ricci.
-    Each stored rho^k_{l,12} is one kernel numerator over e^2, reduced once.
+    Over the pair (e, G) = ``conn.over``, e^2 rho^k_{l,12} is the curl of
+    G^k_l2 and G^k_l1 plus G^r_l2 G^k_r1 - G^r_l1 G^k_r2, all polynomial, so
+    each stored rho^k_{l,12} is one kernel numerator over e^2, reduced once.
     """
-    e2, rho = conn._riemann_numerators
+    e, numer = conn.over
+    de = (e.diff(0), e.diff(1))
+    G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
+
+    def rho(k: int, l: int):
+        total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
+        for r in (1, 2):
+            total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
+        return total
+
+    e2 = e * e
     riem = {
         (k, l, 1, 2): Expression(conn.context, rho(k, l), e2) for k in (1, 2) for l in (1, 2)
     }
@@ -212,22 +225,37 @@ def riemann(conn: Connection2D) -> CurvatureData:
 
 
 def metric_constants(metric: Metric2D) -> StructureReport:
-    """Structure report of a 2D metric through the Levi-Civita chain.
+    """Structure report of a 2D metric: c1 = K, the Gauss curvature, and c2 = 0.
 
     In 2D the Levi-Civita curvature is rho^k_{l,ij} = K (delta^k_i w_lj -
-    delta^k_j w_li) (Gauss), so rho^2_{1,12} = -K w11, rho^1_{2,12} = K w22
-    and rho^1_{1,12} = K w12.  c1 = K is the quotient for the first nonzero
-    w_ij in IJ order: one numerator over e^2 and one reduction.  c2 multiplies
+    delta^k_j w_li) (Gauss), so R_1212 = w_1k rho^k_{2,12} = K det(w).  In
+    first-kind symbols (Brioschi's formula),
+
+        R_1212 = d_2 Gamma_{2,11} - d_1 Gamma_{2,12}
+                 + w^{pq} (Gamma_{p,12} Gamma_{q,12} - Gamma_{p,11} Gamma_{q,22}).
+
+    Over the cleared metric, Gamma = N / (2 d^2) and w^{-1} = d adj(W) / det(W),
+    so K = P / (4 d det(W)^2) with
+
+        P = 2 det(W) C + sum_{p,q} adj(W)^{pq} (N_p12 N_q12 - N_p11 N_q22),
+
+    where C = 2 d^3 (d_2 Gamma_{2,11} - d_1 Gamma_{2,12}) is the curl of
+    N_211 and N_212 over d, taken with d_s(d^2) = d (2 d_s d).  That is
+    kernel arithmetic and one cancel; no connection is built.  c2 multiplies
     det(w)^(1/2) against phi_12/2, and phi_12 vanishes identically for the
     Levi-Civita connection, so c2 = 0.
     """
     ctx = metric.context
-    # christoffel raises DegenerateMetric first, so some w_ij below is nonzero
-    e2, rho = metric.levi_civita._riemann_numerators
-    for (k, l), w in (((2, 1), -metric.w11), ((1, 2), metric.w22), ((1, 1), metric.w12)):
-        if not w.is_zero():
-            break
-    quotient = Expression(ctx, rho(k, l) * w.den, e2 * w.num)
+    d, dd, det, adj, N = metric.cleared
+    curl = curl_numerator(d, (dd[0] + dd[0], dd[1] + dd[1]), N[2, 1, 1], 1, N[2, 1, 2], 0)
+    # the sum over p, q, with adj(W) symmetric
+    cross = N[1, 1, 2] * N[2, 1, 2]
+    quadratic = (
+        adj[1, 1] * (N[1, 1, 2] * N[1, 1, 2] - N[1, 1, 1] * N[1, 2, 2])
+        + adj[2, 2] * (N[2, 1, 2] * N[2, 1, 2] - N[2, 1, 1] * N[2, 2, 2])
+        + adj[1, 2] * (cross + cross - N[1, 1, 1] * N[2, 2, 2] - N[2, 1, 1] * N[1, 2, 2])
+    )
+    k = Expression(ctx, (det + det) * curl + quadratic, _pconst(4) * d * det * det)
     return StructureReport.of(
-        ObjectKind.METRIC_2D.value, {"c1": quotient}, shown={"c1": quotient, "c2": ctx.zero()}
+        ObjectKind.METRIC_2D.value, {"c1": k}, shown={"c1": k, "c2": ctx.zero()}
     )

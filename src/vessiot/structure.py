@@ -310,13 +310,10 @@ def _proportionality(
 ) -> Expression:
     """The factor f with numerator = f * reference, from the first nonzero
     reference component, cross-checked against all components."""
-    ctx = reference.context
-    factor = None
-    for idx in sorted(reference.components):
-        factor = numerator.coefficient(idx) / reference.components[idx]
-        break
-    if factor is None:
+    if not reference.components:
         raise DegeneratePair(f"{ref_name} is identically zero")
+    idx = min(reference.components)
+    factor = numerator.coefficient(idx) / reference.components[idx]
     if not (numerator - reference.scaled(factor)).is_zero():
         raise NotProportional(f"{num_name} is not a multiple of {ref_name}")
     return factor

@@ -1011,22 +1011,28 @@ class _Parser:
         return self.lift(value)
 
     def sum(self) -> _Poly | Expression:
-        """A polynomial sum adds each operand into terms the loop owns and checks
-        only the coefficients it touches: no ``_Poly.__add__`` copy per term."""
-        left, owned = self.product(), None
+        """Each polynomial operand adds into terms the loop owns, checking only
+        the coefficients it touches: no ``_Poly.__add__`` copy per term.  The
+        ``Expression`` operands are summed apart, and the two parts meet once,
+        at the end."""
+        value = self.product()
+        poly, rational = (value, None) if type(value) is _Poly else (_PZERO, value)
+        owned = None
         while True:
             kind, val, _ = self.peek()
             if kind != "op" or val not in "+-":
-                return left
+                break
             self.advance()
             right = self.product()
-            if type(left) is not _Poly or type(right) is not _Poly:
-                left, right = self.lift(left), self.lift(right)
-                left = _within_budget(left + right if val == "+" else left - right)
+            if type(right) is not _Poly:
+                if rational is None:
+                    rational = right if val == "+" else -right
+                else:
+                    rational = _within_budget(rational + right if val == "+" else rational - right)
                 continue
             if owned is None:  # a copy: atoms are shared polynomials
-                owned = dict(left.terms)
-                left = _Poly(owned)
+                owned = dict(poly.terms)
+                poly = _Poly(owned)
             sign = 1 if val == "+" else -1
             for mono, c in right.terms.items():
                 s = owned.get(mono, 0) + sign * c
@@ -1036,6 +1042,11 @@ class _Parser:
                     raise InputTooLarge(f"coefficient beyond 10^{MAX_LITERAL_DIGITS} in magnitude")
                 else:
                     owned[mono] = s
+        if rational is None:
+            return poly
+        if not poly.terms:
+            return rational
+        return _within_budget(rational + self.lift(poly))
 
     def product(self) -> _Poly | Expression:
         left = self.unary()

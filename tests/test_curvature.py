@@ -398,32 +398,87 @@ class TestGaussRoute:
                 assert data.sym[(i, j)] == k * metric.component(i, j)
 
 
+class TestCurvatureFromRiemannChain:
+    """c1 from the cleared metric against the Riemann chain, which does not
+    read it: rho^2_{1,12} = -c1 w11, rho^1_{2,12} = c1 w22, rho^1_{1,12} = c1 w12."""
+
+    @staticmethod
+    def rational_metrics():
+        rng = random.Random(107)
+        pctx = Context(2, ["a"])
+        linear = "({} + {}*x1 + {}*x2 + {}*a)"
+        metrics = []
+        while len(metrics) < 6:
+            comps = [
+                parse_in(f"{rng.randint(1, 3)}/" + linear.format(
+                    rng.randint(1, 4), *(rng.randint(-2, 2) for _ in range(3))), pctx)
+                for _ in range(3)
+            ]
+            metric = Metric2D(*comps)
+            if not metric.det().is_zero():
+                metrics.append(metric)
+        return metrics
+
+    def test_riemann_components_are_c1_times_metric(self):
+        metrics = gauss_route_metrics() + self.rational_metrics()
+        assert any(m.cleared.d.used_slots() for m in metrics)  # some d is not constant
+        for metric in metrics:
+            report = metric_constants(metric)
+            k = report.constant("c1") if report.integrable else report.residual
+            rho = riemann(christoffel(metric)).riemann
+            assert rho[(2, 1, 1, 2)] == -k * metric.w11
+            assert rho[(1, 2, 1, 2)] == k * metric.w22
+            assert rho[(1, 1, 1, 2)] == k * metric.w12
+
+    @pytest.mark.parametrize("m", [10, 20])
+    def test_power_family_closed_form(self, m):
+        # w11 = u^(2m), w22 = 1: K = -m(m - 1)/u^2 with u = x1 + x2 + 1
+        u = parse_in("x1 + x2 + 1", CTX)
+        report = metric_constants(Metric2D(u ** (2 * m), ONE, ZERO))
+        assert report.residual == CTX.rational(-m * (m - 1)) / (u * u)
+
+
 class TestChainCalls:
-    """compute reads c1 off one component; curvature prints the full record
-    and reuses that component."""
+    """compute reads c1 off the cleared metric and builds no connection;
+    curvature prints the full record from one connection over the same
+    cleared data."""
 
     METRIC = SECTIONS / "metric_half_plane.section"
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"christoffel": 0, "riemann": 0, "curl_numerator": 0}
-        for name in counts:
-            original = getattr(curvature, name)
+        """Names of the calls, in order; a ``_cancel`` inside
+        ``common_denominator`` (the lcm of the metric's denominators) is not
+        listed."""
+        log, clearing = [], []
 
-            def counting(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
+        def logging(name, original):
+            def logged(*args):
+                if name != "_cancel" or not any(clearing):
+                    log.append(name)
+                clearing.append(name == "common_denominator")
+                try:
+                    return original(*args)
+                finally:
+                    clearing.pop()
 
-            monkeypatch.setattr(curvature, name, counting)
-        return counts
+            return logged
 
-    def test_compute_builds_one_connection_and_no_riemann(self, calls):
+        for name in ("christoffel", "riemann", "curl_numerator", "common_denominator"):
+            monkeypatch.setattr(curvature, name, logging(name, getattr(curvature, name)))
+        monkeypatch.setattr(symexpr, "_cancel", logging("_cancel", symexpr._cancel))
+        return log
+
+    def test_compute_builds_no_connection_and_cancels_once(self, calls):
         sec, extras = load_section(self.METRIC)
+        calls.clear()  # the cancels of parsing
         structure.structure_report(sec, extras)
-        assert calls == {"christoffel": 1, "riemann": 0, "curl_numerator": 1}
+        assert calls == ["common_denominator", "curl_numerator", "_cancel"]
 
     def test_curvature_command_runs_each_once(self, calls, capsys):
         assert cli.main(["curvature", "--section", str(self.METRIC)]) == 0
         assert '"phi_12": "0"' in capsys.readouterr().out
-        # four Riemann numerators, the one c1 reads among them
-        assert calls == {"christoffel": 1, "riemann": 1, "curl_numerator": 4}
+        # c1's curl, then one connection and its four Riemann curls
+        assert [name for name in calls if name != "_cancel"] == [
+            "common_denominator", "curl_numerator", "christoffel", "riemann",
+        ] + ["curl_numerator"] * 4

@@ -22,7 +22,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from helpers import unpacked  # noqa: E402
 from oracle_support import oracle_settings  # noqa: E402
-from vessiot.curvature import IJ, Connection2D, Metric2D, christoffel, riemann  # noqa: E402
+from vessiot.curvature import (  # noqa: E402
+    IJ,
+    Connection2D,
+    Metric2D,
+    christoffel,
+    metric_constants,
+    riemann,
+)
 from vessiot.symexpr import Context, parse_in  # noqa: E402
 
 CTX = Context(2, ["a"])
@@ -58,55 +65,84 @@ def _distinct_denominators(exprs) -> bool:
     return all(d.used_slots() for d in dens) and len(set(dens)) == len(dens)
 
 
-def assert_riemann(conn: Connection2D, gamma) -> None:
+def _rho(gamma, k: int, l: int):
     """rho^k_{l,12} = d_1 g^k_l2 - d_2 g^k_l1 + g^r_l2 g^k_r1 - g^r_l1 g^k_r2."""
+    rho = gamma[(k, l, 2)].diff(X1) - gamma[(k, l, 1)].diff(X2)
+    for r in (1, 2):
+        rho += gamma[(r, l, 2)] * gamma[(k, r, 1)] - gamma[(r, l, 1)] * gamma[(k, r, 2)]
+    return rho
+
+
+def assert_riemann(conn: Connection2D, gamma) -> None:
     ours = riemann(conn).riemann
     for k in (1, 2):
         for l in (1, 2):
-            rho = gamma[(k, l, 2)].diff(X1) - gamma[(k, l, 1)].diff(X2)
-            for r in (1, 2):
-                rho += gamma[(r, l, 2)] * gamma[(k, r, 1)] - gamma[(r, l, 1)] * gamma[(k, r, 2)]
-            assert_same(ours[(k, l, 1, 2)], rho)
+            assert_same(ours[(k, l, 1, 2)], _rho(gamma, k, l))
+
+
+# three components c/(linear form), the parameter a added to one denominator
+rational_metric_parts = (
+    st.lists(st.tuples(small.filter(bool), linear), min_size=3, max_size=3),
+    st.integers(0, 2),
+)
+
+
+def _rational_metric(parts, param_slot):
+    """The metric parsed from text, and its components built in sympy."""
+    texts, refs = [], []
+    for slot, (c, den) in enumerate(parts):
+        text, ref = _form(den)
+        if slot == param_slot:
+            text, ref = f"({text} + a)", ref + A
+        texts.append(f"{c}/{text}")
+        refs.append(c / ref)
+    metric = Metric2D(*(parse_in(t, CTX) for t in texts))
+    assume(_distinct_denominators([metric.w11, metric.w22, metric.w12]))
+    assume(not metric.det().is_zero())
+    w11, w22, w12 = refs
+    return metric, {(1, 1): w11, (2, 2): w22, (1, 2): w12, (2, 1): w12}
+
+
+def _levi_civita(w):
+    """gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij), all k, i, j."""
+    det = w[(1, 1)] * w[(2, 2)] - w[(1, 2)] * w[(1, 2)]
+    inverse = {(1, 1): w[(2, 2)] / det, (2, 2): w[(1, 1)] / det, (1, 2): -w[(1, 2)] / det}
+    inverse[(2, 1)] = inverse[(1, 2)]
+    return {
+        (k, i, j): sum(
+            (
+                inverse[(k, r)]
+                * (w[(r, j)].diff(XS[i - 1]) + w[(i, r)].diff(XS[j - 1])
+                   - w[(i, j)].diff(XS[r - 1]))
+                for r in (1, 2)
+            ),
+            FIELD.zero,
+        ) / 2
+        for k in (1, 2) for i in (1, 2) for j in (1, 2)
+    }
 
 
 class TestLeviCivita:
     @METRIC_ORACLE
-    @given(
-        st.lists(st.tuples(small.filter(bool), linear), min_size=3, max_size=3),
-        st.integers(0, 2),
-    )
+    @given(*rational_metric_parts)
     def test_rational_metric_with_parameter(self, parts, param_slot):
-        texts, refs = [], []
-        for slot, (c, den) in enumerate(parts):
-            text, ref = _form(den)
-            if slot == param_slot:
-                text, ref = f"({text} + a)", ref + A
-            texts.append(f"{c}/{text}")
-            refs.append(c / ref)
-        metric = Metric2D(*(parse_in(t, CTX) for t in texts))
-        assume(_distinct_denominators([metric.w11, metric.w22, metric.w12]))
-        assume(not metric.det().is_zero())
-        w11, w22, w12 = refs
-        w = {(1, 1): w11, (2, 2): w22, (1, 2): w12, (2, 1): w12}
-        det = w11 * w22 - w12 * w12
-        inverse = {(1, 1): w22 / det, (2, 2): w11 / det, (1, 2): -w12 / det}
-        inverse[(2, 1)] = inverse[(1, 2)]
-        gamma = {
-            (k, i, j): sum(
-                (
-                    inverse[(k, r)]
-                    * (w[(r, j)].diff(XS[i - 1]) + w[(i, r)].diff(XS[j - 1])
-                       - w[(i, j)].diff(XS[r - 1]))
-                    for r in (1, 2)
-                ),
-                FIELD.zero,
-            ) / 2
-            for k in (1, 2) for i in (1, 2) for j in (1, 2)
-        }
+        metric, w = _rational_metric(parts, param_slot)
+        gamma = _levi_civita(w)
         conn = christoffel(metric)
         for k, i, j in KEYS:
             assert_same(conn.gamma(k, i, j), gamma[(k, i, j)])
         assert_riemann(conn, gamma)
+
+    @METRIC_ORACLE
+    @given(*rational_metric_parts)
+    def test_c1_is_r1212_over_det(self, parts, param_slot):
+        # K = R_1212 / det(w) with R_1212 = w_1k rho^k_{2,12}: the second-kind chain
+        metric, w = _rational_metric(parts, param_slot)
+        gamma = _levi_civita(w)
+        r1212 = w[(1, 1)] * _rho(gamma, 1, 2) + w[(1, 2)] * _rho(gamma, 2, 2)
+        det = w[(1, 1)] * w[(2, 2)] - w[(1, 2)] * w[(1, 2)]
+        report = metric_constants(metric)
+        assert_same(report.constant("c1") if report.integrable else report.residual, r1212 / det)
 
 
 class TestStandaloneConnection:

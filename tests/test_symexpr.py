@@ -331,6 +331,36 @@ class TestParseCost:
         assert parse_in("x1 + x2", ctx) == parse_in("x2 + x1", ctx)
         assert str(parse_in("x1", ctx)) == "x1"
 
+    @pytest.mark.parametrize("head", ["x1/2", "-2*x2 - 10/3*x3", "x2 - 1/(x1 + 1)"])
+    def test_mixed_sum_adds_its_polynomial_part_once(self, monkeypatch, head):
+        # the polynomial operands of a sum that holds an Expression still add
+        # into owned terms; the two parts meet in one Expression addition
+        terms = [f"{k}*x1^{k % 7}*x2^{k % 5}*x3^{k % 3}" for k in range(1, 200)]
+        text = f"{head} + " + " + ".join(terms) + " - 1"
+        ctx = Context(3)
+        reference = parse_in(head, ctx)
+        for term in terms + ["-1"]:
+            reference = reference + parse_in(term, ctx)
+        calls, depth = [], [0]
+
+        def logged(key, op):
+            def call(a, b):
+                if not depth[0]:  # the additions an addition makes are its own
+                    calls.append(key)
+                depth[0] += 1
+                try:
+                    return op(a, b)
+                finally:
+                    depth[0] -= 1
+
+            return call
+
+        for cls in (symexpr._Poly, Expression):
+            for name in ("__add__", "__sub__"):
+                monkeypatch.setattr(cls, name, logged((cls, name), getattr(cls, name)))
+        assert parse_in(text, ctx) == reference
+        assert calls == [(Expression, "__add__")]
+
     @pytest.mark.parametrize("text", ["x1 + 10^1000 + 1", "-10^1000 - x1 - 1", "x1 - 10^1000 - 1"])
     def test_coefficient_beyond_the_budget_inside_a_long_sum(self, text):
         with pytest.raises(InputTooLarge, match=r"^coefficient beyond 10\^1000 in magnitude$"):
