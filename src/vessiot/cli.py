@@ -200,7 +200,7 @@ def _cmd_curvature(args) -> tuple[dict, dict, list, str, bool]:
         metric = curvature.Metric2D.from_section(sec)
         report = curvature.metric_constants(metric)
         result = {
-            "curvature": curvature.riemann(metric.levi_civita).to_json_dict(),
+            "curvature": curvature.riemann(metric).to_json_dict(),
             "det": str(metric.det()),
             "report": report.to_json_dict(),
         }

@@ -2,9 +2,9 @@
 
 Christoffel symbols, Riemann and Ricci tensors, the antisymmetric/symmetric
 Ricci split specific to n = 2, and the constant-curvature structure report.
-A metric is cleared once (``Metric2D.cleared``): the Christoffel numerators
-and the curvature K = R_1212 / det(w) are polynomial arithmetic on that
-data, each reduced by one cancel when read.
+A metric is cleared once (``Metric2D.cleared``); its Gauss curvature K, one
+cancel on that data, fixes its structure report and its curvature record.
+The Christoffel -> Riemann chain serves connections and checks the record.
 """
 
 from __future__ import annotations
@@ -84,9 +84,33 @@ class Metric2D:
         return ClearedMetric(d, dd, det, adj, N)
 
     @cached_property
-    def levi_civita(self) -> "Connection2D":
-        """The Levi-Civita connection, computed once per metric."""
-        return christoffel(self)
+    def gauss_curvature(self) -> Expression:
+        """K = R_1212 / det(w), the Gauss curvature, formed once per metric.
+
+        In first-kind symbols (Brioschi's formula),
+
+            R_1212 = d_2 Gamma_{2,11} - d_1 Gamma_{2,12}
+                     + w^{pq} (Gamma_{p,12} Gamma_{q,12} - Gamma_{p,11} Gamma_{q,22}).
+
+        Over the cleared metric, Gamma = N / (2 d^2) and w^{-1} = d adj(W) / det(W),
+        so K = P / (4 d det(W)^2) with
+
+            P = 2 det(W) C + sum_{p,q} adj(W)^{pq} (N_p12 N_q12 - N_p11 N_q22),
+
+        where C = 2 d^3 (d_2 Gamma_{2,11} - d_1 Gamma_{2,12}) is the curl of
+        N_211 and N_212 over d, taken with d_s(d^2) = d (2 d_s d).  That is
+        kernel arithmetic and one cancel; no connection is built.
+        """
+        d, dd, det, adj, N = self.cleared
+        curl = curl_numerator(d, (dd[0] + dd[0], dd[1] + dd[1]), N[2, 1, 1], 1, N[2, 1, 2], 0)
+        # the sum over p, q, with adj(W) symmetric
+        cross = N[1, 1, 2] * N[2, 1, 2]
+        quadratic = (
+            adj[1, 1] * (N[1, 1, 2] * N[1, 1, 2] - N[1, 1, 1] * N[1, 2, 2])
+            + adj[2, 2] * (N[2, 1, 2] * N[2, 1, 2] - N[2, 1, 1] * N[2, 2, 2])
+            + adj[1, 2] * (cross + cross - N[1, 1, 1] * N[2, 2, 2] - N[2, 1, 1] * N[1, 2, 2])
+        )
+        return Expression(self.context, (det + det) * curl + quadratic, _pconst(4) * d * det * det)
 
     def inverse_component(self, i: int, j: int) -> Expression:
         det = self.det()
@@ -183,29 +207,37 @@ def christoffel(metric: Metric2D) -> Connection2D:
     }))
 
 
-def riemann(conn: Connection2D) -> CurvatureData:
-    """Curvature of a symmetric connection.
+def riemann(source: Connection2D | Metric2D) -> CurvatureData:
+    """Curvature of a symmetric connection, or of a metric's Levi-Civita connection.
 
     rho^k_{l,ij} = d_i g^k_lj - d_j g^k_li + g^r_lj g^k_ri - g^r_li g^k_rj,
     Ricci rho_ij = rho^r_{i,rj}, and the n = 2 split (phi, sym) of Ricci.
-    Over the pair (e, G) = ``conn.over``, e^2 rho^k_{l,12} is the curl of
+    Over the pair (e, G) = ``Connection2D.over``, e^2 rho^k_{l,12} is the curl of
     G^k_l2 and G^k_l1 plus G^r_l2 G^k_r1 - G^r_l1 G^k_r2, all polynomial, so
     each stored rho^k_{l,12} is one kernel numerator over e^2, reduced once.
+    A metric builds no connection: by Gauss, rho^k_{l,ij} = K (delta^k_i w_lj -
+    delta^k_j w_li), K = ``Metric2D.gauss_curvature``: rho^1_{1,12} = K w12,
+    rho^1_{2,12} = K w22, rho^2_{1,12} = -K w11 and rho^2_{2,12} = -K w12.
     """
-    e, numer = conn.over
-    de = (e.diff(0), e.diff(1))
-    G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
+    if isinstance(source, Metric2D):
+        k = source.gauss_curvature
+        kw12 = k * source.w12
+        riem = {(1, 1, 1, 2): kw12, (1, 2, 1, 2): k * source.w22,
+                (2, 1, 1, 2): -(k * source.w11), (2, 2, 1, 2): -kw12}
+    else:
+        e, numer = source.over
+        de = (e.diff(0), e.diff(1))
+        G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
 
-    def rho(k: int, l: int):
-        total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
-        for r in (1, 2):
-            total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
-        return total
+        def rho(k: int, l: int):
+            total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
+            for r in (1, 2):
+                total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
+            return total
 
-    e2 = e * e
-    riem = {
-        (k, l, 1, 2): Expression(conn.context, rho(k, l), e2) for k in (1, 2) for l in (1, 2)
-    }
+        e2 = e * e
+        riem = {(k, l, 1, 2): Expression(source.context, rho(k, l), e2)
+                for k in (1, 2) for l in (1, 2)}
 
     # rho^k_{l,ii} = 0, so each Ricci component is one stored component
     ricci = {
@@ -215,7 +247,7 @@ def riemann(conn: Connection2D) -> CurvatureData:
         (2, 2): riem[(1, 2, 1, 2)],
     }
     phi_12 = ricci[(1, 2)] - ricci[(2, 1)]
-    half = conn.context.rational("1/2")
+    half = source.context.rational("1/2")
     sym = {
         (1, 1): ricci[(1, 1)],
         (2, 2): ricci[(2, 2)],
@@ -228,34 +260,12 @@ def metric_constants(metric: Metric2D) -> StructureReport:
     """Structure report of a 2D metric: c1 = K, the Gauss curvature, and c2 = 0.
 
     In 2D the Levi-Civita curvature is rho^k_{l,ij} = K (delta^k_i w_lj -
-    delta^k_j w_li) (Gauss), so R_1212 = w_1k rho^k_{2,12} = K det(w).  In
-    first-kind symbols (Brioschi's formula),
-
-        R_1212 = d_2 Gamma_{2,11} - d_1 Gamma_{2,12}
-                 + w^{pq} (Gamma_{p,12} Gamma_{q,12} - Gamma_{p,11} Gamma_{q,22}).
-
-    Over the cleared metric, Gamma = N / (2 d^2) and w^{-1} = d adj(W) / det(W),
-    so K = P / (4 d det(W)^2) with
-
-        P = 2 det(W) C + sum_{p,q} adj(W)^{pq} (N_p12 N_q12 - N_p11 N_q22),
-
-    where C = 2 d^3 (d_2 Gamma_{2,11} - d_1 Gamma_{2,12}) is the curl of
-    N_211 and N_212 over d, taken with d_s(d^2) = d (2 d_s d).  That is
-    kernel arithmetic and one cancel; no connection is built.  c2 multiplies
-    det(w)^(1/2) against phi_12/2, and phi_12 vanishes identically for the
-    Levi-Civita connection, so c2 = 0.
+    delta^k_j w_li) (Gauss), so R_1212 = w_1k rho^k_{2,12} = K det(w), and
+    K is ``metric.gauss_curvature``.  c2 multiplies det(w)^(1/2) against
+    phi_12/2, and phi_12 vanishes identically for the Levi-Civita
+    connection, so c2 = 0.
     """
-    ctx = metric.context
-    d, dd, det, adj, N = metric.cleared
-    curl = curl_numerator(d, (dd[0] + dd[0], dd[1] + dd[1]), N[2, 1, 1], 1, N[2, 1, 2], 0)
-    # the sum over p, q, with adj(W) symmetric
-    cross = N[1, 1, 2] * N[2, 1, 2]
-    quadratic = (
-        adj[1, 1] * (N[1, 1, 2] * N[1, 1, 2] - N[1, 1, 1] * N[1, 2, 2])
-        + adj[2, 2] * (N[2, 1, 2] * N[2, 1, 2] - N[2, 1, 1] * N[2, 2, 2])
-        + adj[1, 2] * (cross + cross - N[1, 1, 1] * N[2, 2, 2] - N[2, 1, 1] * N[1, 2, 2])
-    )
-    k = Expression(ctx, (det + det) * curl + quadratic, _pconst(4) * d * det * det)
+    k = metric.gauss_curvature
     return StructureReport.of(
-        ObjectKind.METRIC_2D.value, {"c1": k}, shown={"c1": k, "c2": ctx.zero()}
+        ObjectKind.METRIC_2D.value, {"c1": k}, shown={"c1": k, "c2": metric.context.zero()}
     )

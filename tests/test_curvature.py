@@ -400,7 +400,8 @@ class TestGaussRoute:
 
 class TestCurvatureFromRiemannChain:
     """c1 from the cleared metric against the Riemann chain, which does not
-    read it: rho^2_{1,12} = -c1 w11, rho^1_{2,12} = c1 w22, rho^1_{1,12} = c1 w12."""
+    read it: rho^2_{1,12} = -c1 w11, rho^1_{2,12} = c1 w22, rho^1_{1,12} = c1 w12;
+    and the metric's record, formed from c1, against the chain's."""
 
     @staticmethod
     def rational_metrics():
@@ -425,10 +426,13 @@ class TestCurvatureFromRiemannChain:
         for metric in metrics:
             report = metric_constants(metric)
             k = report.constant("c1") if report.integrable else report.residual
-            rho = riemann(christoffel(metric)).riemann
+            chain = riemann(christoffel(metric))
+            rho = chain.riemann
             assert rho[(2, 1, 1, 2)] == -k * metric.w11
             assert rho[(1, 2, 1, 2)] == k * metric.w22
             assert rho[(1, 1, 1, 2)] == k * metric.w12
+            # the record from K, field by field: riemann, ricci, phi_12 and sym
+            assert riemann(metric) == chain
 
     @pytest.mark.parametrize("m", [10, 20])
     def test_power_family_closed_form(self, m):
@@ -440,8 +444,8 @@ class TestCurvatureFromRiemannChain:
 
 class TestChainCalls:
     """compute reads c1 off the cleared metric and builds no connection;
-    curvature prints the full record from one connection over the same
-    cleared data."""
+    curvature prints the full record from the same K, formed once, and
+    builds no connection either."""
 
     METRIC = SECTIONS / "metric_half_plane.section"
 
@@ -478,7 +482,10 @@ class TestChainCalls:
     def test_curvature_command_runs_each_once(self, calls, capsys):
         assert cli.main(["curvature", "--section", str(self.METRIC)]) == 0
         assert '"phi_12": "0"' in capsys.readouterr().out
-        # c1's curl, then one connection and its four Riemann curls
+        # c1's curl and one Brioschi cancel form K; the record reads it
         assert [name for name in calls if name != "_cancel"] == [
-            "common_denominator", "curl_numerator", "christoffel", "riemann",
-        ] + ["curl_numerator"] * 4
+            "common_denominator", "curl_numerator", "riemann",
+        ]
+        assert calls[calls.index("curl_numerator"):calls.index("riemann")] == [
+            "curl_numerator", "_cancel",
+        ]
