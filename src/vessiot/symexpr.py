@@ -185,6 +185,26 @@ def _check_degree(lead: int) -> None:
 # ----------------------------------------------------------------------
 
 
+def _merge(out: dict, other: "_Poly", sign: int) -> dict:
+    """out += sign * other (sign = 1 or -1), in place, for terms of a
+    polynomial the caller owns; a key whose sum is 0 is deleted.  The one
+    polynomial-sum loop.  A term new to out is stored as it is: a sign
+    product per term would copy each long coefficient."""
+    for mono, c in other.terms.items():
+        if sign < 0:
+            c = -c
+        s = out.get(mono)
+        if s is None:
+            out[mono] = c
+        else:
+            s += c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return out
+
+
 class _Poly:
     """Sparse polynomial over the integers: monomial key -> nonzero int.
 
@@ -220,32 +240,10 @@ class _Poly:
         return {j for j in range(nvars) if used >> _W * (nvars - 1 - j) & _FIELD}
 
     def __add__(self, other: "_Poly") -> "_Poly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = c
-            else:
-                s = s + c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return _Poly(out)
+        return _Poly(_merge(dict(self.terms), other, 1))
 
     def __sub__(self, other: "_Poly") -> "_Poly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = -c
-            else:
-                s = s - c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return _Poly(out)
+        return _Poly(_merge(dict(self.terms), other, -1))
 
     def __neg__(self) -> "_Poly":
         return _Poly({m: -c for m, c in self.terms.items()})
@@ -921,18 +919,18 @@ def _tokenize(text: str) -> list:
 # stack frames, so MAX_NESTING keeps a parse far below the interpreter's default
 # recursion limit.  The interpreter refuses to convert integer text longer than
 # 4,300 digits, and a power expands before anything else runs on it:
-# (x1+x2+1)^100 already has 5,151 terms.  Every value the parser builds keeps
-# each coefficient within 10^MAX_LITERAL_DIGITS in magnitude, so neither a
-# product of long literals nor a chain such as 10^1000^1000 runs past the
-# first step that breaks it.  A power is also held to MAX_POWER_TERMS terms,
-# bounded before it expands: (x1+...+x6+1)^12 would have 18,564.  Every
-# polynomial product, in the parser and in the engine alike, is held to
-# MAX_MUL_PAIRS term pairs (len(a)*len(b)): the parser's own (x1+x2+1)^100 needs
-# 703 * 2,145 = 1,507,935 in its last step, while the Christoffel chain of a
-# metric with that w11 would multiply 5,151 by ~5,000 terms, many times over.
-# A product's total degree is held to MAX_TOTAL_DEGREE, the most a packed
-# field holds below its guard bit; x1^100*x1^100*... in a section of
-# MAX_SECTION_BYTES reaches about 1.4 * 10^7.
+# (x1+x2+1)^100 already has 5,151 terms.  Every product, quotient and power the
+# parser builds, and the value of every sum, keeps each coefficient within
+# 10^MAX_LITERAL_DIGITS in magnitude, so neither a product of long literals nor
+# a chain such as 10^1000^1000 runs past the first step that breaks it.  A power
+# is also held to MAX_POWER_TERMS terms, bounded before it expands:
+# (x1+...+x6+1)^12 would have 18,564.  Every polynomial product, in the parser
+# and in the engine alike, is held to MAX_MUL_PAIRS term pairs (len(a)*len(b)):
+# the parser's own (x1+x2+1)^100 needs 703 * 2,145 = 1,507,935 in its last step,
+# while the Christoffel chain of a metric with that w11 would multiply 5,151 by
+# ~5,000 terms, many times over.  A product's total degree is held to
+# MAX_TOTAL_DEGREE, the most a packed field holds below its guard bit;
+# x1^100*x1^100*... in a section of MAX_SECTION_BYTES reaches about 1.4 * 10^7.
 MAX_NESTING = 100
 MAX_LITERAL_DIGITS = 1000
 MAX_EXPONENT = 1000
@@ -968,8 +966,8 @@ class _Parser:
     polynomial p, whose canonical pair is (p, 1): ``+``, ``-``, ``*`` and
     ``^k`` (k >= 0) on two of them need no gcd and no content step.  A value
     becomes an ``Expression`` at ``/``, at a negative power, when it meets
-    an ``Expression`` operand, or once at the end of ``parse``.  Every value
-    either route builds is held to the same budgets.
+    an ``Expression`` operand, or once at the end of ``parse``.  Both routes
+    hold a value to the same budgets, with the same messages.
     """
 
     def __init__(self, text: str, context: Context):
@@ -1011,10 +1009,14 @@ class _Parser:
         return self.lift(value)
 
     def sum(self) -> _Poly | Expression:
-        """Each polynomial operand adds into terms the loop owns, checking only
-        the coefficients it touches: no ``_Poly.__add__`` copy per term.  The
-        ``Expression`` operands are summed apart, and the two parts meet once,
-        at the end."""
+        """Each polynomial operand merges into terms the loop owns, with no
+        copy and no budget check per term; the budget reads the value the
+        sum returns.  The operands are atoms, products and powers, each
+        already checked, so n of them stay within n * 10^MAX_LITERAL_DIGITS
+        on the way.  The ``Expression`` operands are summed apart, each
+        partial sum checked: their denominators multiply, so a sum such as
+        1/(10^999 + 1) + 1/(10^999 + 3) + ... must stop at its first step
+        past the budget.  The two parts meet once, at the end."""
         value = self.product()
         poly, rational = (value, None) if type(value) is _Poly else (_PZERO, value)
         owned = None
@@ -1033,17 +1035,9 @@ class _Parser:
             if owned is None:  # a copy: atoms are shared polynomials
                 owned = dict(poly.terms)
                 poly = _Poly(owned)
-            sign = 1 if val == "+" else -1
-            for mono, c in right.terms.items():
-                s = owned.get(mono, 0) + sign * c
-                if not s:
-                    del owned[mono]
-                elif abs(s) > _COEFF_LIMIT:
-                    raise InputTooLarge(f"coefficient beyond 10^{MAX_LITERAL_DIGITS} in magnitude")
-                else:
-                    owned[mono] = s
+            _merge(owned, right, 1 if val == "+" else -1)
         if rational is None:
-            return poly
+            return _within_budget(poly)
         if not poly.terms:
             return rational
         return _within_budget(rational + self.lift(poly))

@@ -219,6 +219,15 @@ class TestRiemann:
         assert data.ricci[(1, 2)] == riemann_component(data, 1, 1, 1, 2)
         assert data.ricci[(2, 1)] == riemann_component(data, 2, 2, 2, 1)
         assert data.ricci[(2, 2)] == riemann_component(data, 1, 2, 1, 2)
+        # the split of Ricci into its antisymmetric and symmetric parts
+        half = CTX.rational("1/2")
+        assert not data.phi_12.is_zero()
+        assert data.phi_12 == data.ricci[(1, 2)] - data.ricci[(2, 1)]
+        assert data.sym == {
+            (1, 1): data.ricci[(1, 1)],
+            (2, 2): data.ricci[(2, 2)],
+            (1, 2): half * (data.ricci[(1, 2)] + data.ricci[(2, 1)]),
+        }
 
 
 class TestMetricConstants:

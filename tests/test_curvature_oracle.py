@@ -3,14 +3,20 @@
 Inputs are rational metrics and standalone connections whose components have
 different denominators, so the common denominator of the chain is a product
 of distinct factors.  Every Christoffel and Riemann component is compared with
-the textbook formula evaluated in sympy's rational function field
-``sympy.field``, which cancels by a polynomial gcd after every operation, as
-``sympy.cancel`` does; ``sympy.cancel`` of the whole nested Riemann expression
-takes minutes on these inputs.  The engine inputs are parsed from text, the
+the textbook formula evaluated in sympy's integer polynomial ring
+``sympy.ring``: each reference value is a numerator over a denominator that
+the formula designs (a product of input denominators, never a gcd), and the
+comparison cross-multiplies.  Every Gamma and rho is one numerator over the
+one denominator of the connection, or its square.  ``sympy.cancel`` of the
+whole nested Riemann expression takes minutes on these inputs, and the
+rational function field ``sympy.field``, with a gcd after every operation,
+seconds per example.  The engine inputs are parsed from text, the
 reference inputs built from the same integers, so neither side sees the
 other's canonical form.  Cases are drawn by hypothesis with a fixed derivation
 (``derandomize``); without sympy or hypothesis the module is skipped.
 """
+
+from math import prod
 
 import pytest
 
@@ -33,12 +39,12 @@ from vessiot.curvature import (  # noqa: E402
 from vessiot.symexpr import Context, parse_in  # noqa: E402
 
 CTX = Context(2, ["a"])
-FIELD, X1, X2, A = sympy.field("x1,x2,a", sympy.QQ)
+RING, X1, X2, A = sympy.ring("x1,x2,a", sympy.ZZ)
 XS = (X1, X2)
 KEYS = [(k, i, j) for k in (1, 2) for i, j in IJ]
 
 ORACLE = oracle_settings(15)
-# the reference Riemann tensor of a rational metric costs sympy 2-3 s
+# the reference Riemann tensor of a rational metric costs sympy 0.04-0.2 s
 METRIC_ORACLE = settings(ORACLE, max_examples=5)
 
 small = st.integers(-3, 3)
@@ -46,12 +52,64 @@ small = st.integers(-3, 3)
 linear = st.tuples(small, small, small).filter(lambda f: f[1] or f[2])
 
 
+class _Frac:
+    """numer/denom over RING with no gcd: a sum over equal denominators adds
+    the numerators, every other operation cross-multiplies.  Equal values
+    need not have equal pairs; ``assert_same`` cross-multiplies too."""
+
+    __slots__ = ("numer", "denom")
+
+    def __init__(self, numer, denom=RING.one):
+        self.numer, self.denom = RING(numer), denom
+
+    def __add__(self, other):
+        other = _frac(other)
+        if self.denom == other.denom:
+            return _Frac(self.numer + other.numer, self.denom)
+        return _Frac(self.numer * other.denom + other.numer * self.denom, self.denom * other.denom)
+
+    def __neg__(self):
+        return _Frac(-self.numer, self.denom)
+
+    def __sub__(self, other):
+        return self + -_frac(other)
+
+    def __mul__(self, other):
+        other = _frac(other)
+        return _Frac(self.numer * other.numer, self.denom * other.denom)
+
+    def __truediv__(self, other):
+        other = _frac(other)
+        return _Frac(self.numer * other.denom, self.denom * other.numer)
+
+    def __rtruediv__(self, other):
+        return _frac(other) / self
+
+    def diff(self, x):
+        return _Frac(self.numer.diff(x) * self.denom - self.numer * self.denom.diff(x),
+                     self.denom * self.denom)
+
+
+def _frac(value) -> _Frac:
+    return value if isinstance(value, _Frac) else _Frac(value)
+
+
+def _over_one(fracs) -> dict:
+    """The same values over one denominator: the product of their distinct ones."""
+    dens = []
+    for f in fracs.values():
+        if f.denom not in dens:
+            dens.append(f.denom)
+    e = prod(dens, start=RING.one)
+    return {key: _Frac(f.numer * e.exquo(f.denom), e) for key, f in fracs.items()}
+
+
 def _form(c):
-    return f"({c[0]} + {c[1]}*x1 + {c[2]}*x2)", c[0] + c[1] * X1 + c[2] * X2
+    return f"({c[0]} + {c[1]}*x1 + {c[2]}*x2)", _Frac(c[0] + c[1] * X1 + c[2] * X2)
 
 
 def _as_poly(p):
-    return FIELD.ring.from_dict(dict(unpacked(p, 3)))
+    return RING.from_dict(dict(unpacked(p, 3)))
 
 
 def assert_same(ours, reference) -> None:
@@ -74,6 +132,7 @@ def _rho(gamma, k: int, l: int):
 
 def assert_riemann(gamma, *sources) -> None:
     """``riemann`` of each source, a connection or a metric, against _rho."""
+    gamma = _over_one(gamma)
     records = [riemann(source).riemann for source in sources]
     for k in (1, 2):
         for l in (1, 2):
@@ -90,7 +149,8 @@ rational_metric_parts = (
 
 
 def _rational_metric(parts, param_slot):
-    """The metric parsed from text, and its components built in sympy."""
+    """The metric parsed from text, and its components built in sympy, over
+    one denominator."""
     texts, refs = [], []
     for slot, (c, den) in enumerate(parts):
         text, ref = _form(den)
@@ -102,24 +162,25 @@ def _rational_metric(parts, param_slot):
     assume(_distinct_denominators([metric.w11, metric.w22, metric.w12]))
     assume(not metric.det().is_zero())
     w11, w22, w12 = refs
-    return metric, {(1, 1): w11, (2, 2): w22, (1, 2): w12, (2, 1): w12}
+    return metric, _over_one({(1, 1): w11, (2, 2): w22, (1, 2): w12, (2, 1): w12})
 
 
 def _levi_civita(w):
-    """gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij), all k, i, j."""
-    det = w[(1, 1)] * w[(2, 2)] - w[(1, 2)] * w[(1, 2)]
-    inverse = {(1, 1): w[(2, 2)] / det, (2, 2): w[(1, 1)] / det, (1, 2): -w[(1, 2)] / det}
-    inverse[(2, 1)] = inverse[(1, 2)]
+    """gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij), all k, i, j.
+
+    Over the one denominator D of w = W/D, each bracket is B_rij/D^2 and
+    w^{-1} = D adj(W)/det(W), so every gamma^k_ij is
+    sum_r adj(W)^{kr} B_rij over E = 2 D det(W)."""
+    W = {key: f.numer for key, f in w.items()}
+    adj = {(1, 1): W[2, 2], (2, 2): W[1, 1], (1, 2): -W[1, 2], (2, 1): -W[1, 2]}
+    e = 2 * w[(1, 1)].denom * (W[1, 1] * W[2, 2] - W[1, 2] * W[1, 2])
+
+    def bracket(r, i, j):
+        return (w[(r, j)].diff(XS[i - 1]) + w[(i, r)].diff(XS[j - 1])
+                - w[(i, j)].diff(XS[r - 1])).numer
+
     return {
-        (k, i, j): sum(
-            (
-                inverse[(k, r)]
-                * (w[(r, j)].diff(XS[i - 1]) + w[(i, r)].diff(XS[j - 1])
-                   - w[(i, j)].diff(XS[r - 1]))
-                for r in (1, 2)
-            ),
-            FIELD.zero,
-        ) / 2
+        (k, i, j): _Frac(sum((adj[k, r] * bracket(r, i, j) for r in (1, 2)), RING.zero), e)
         for k in (1, 2) for i in (1, 2) for j in (1, 2)
     }
 

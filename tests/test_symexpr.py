@@ -188,10 +188,16 @@ class TestParse:
         assert at_limit.num == packed({(1,): 1, (0,): -(10**1000)})
         assert at_limit.den == packed({(0,): 10**1000})
         assert parse("10^500 * 10^500 * x1", 1) == parse("10^1000 * x1", 1)
-        # every step of the parse is held to it, so no later step runs on a
-        # value past it: a sum, a product, a quotient, a power, a chain of powers
+        # a sum is held to it by its value, not by its partial sums; in the
+        # last, the polynomial part 10^1000 + 1 alone is past it
+        for text in ("10^1000 + 1 - 1", "10^1000 + 10^1000 - 10^1000", "10^1000 + 1 - 1/1"):
+            assert parse(text, 1) == parse("10^1000", 1)
+        # every product, quotient and power of the parse is held to it, and
+        # the value of every sum, so no later step runs on a value past it
         for text in (
             "10^1000 + 1", "x1 / (10^1000 + 1)", "1/10^600 + 1/(10^600 - 1)", "11^1000",
+            # each partial sum of Expression operands: their denominators multiply
+            "x1 - x1/3*10^1000 - x1/3 + 1",
             "10^600 * 10^600", "(10^999 * x1 + 1)^2", "10^1000^1000^1000",
             "(" + "*".join(["10^1000"] * 100) + ")^1000",
         ):
@@ -365,6 +371,14 @@ class TestParseCost:
     def test_coefficient_beyond_the_budget_inside_a_long_sum(self, text):
         with pytest.raises(InputTooLarge, match=r"^coefficient beyond 10\^1000 in magnitude$"):
             parse(text, 2)
+
+    def test_long_sum_past_the_budget_on_the_way(self):
+        # 20,000 operands of +10^1000, then 19,999 of -10^1000: the partial
+        # sums reach 2 * 10^1004, the value is 10^1000, and the work is linear
+        text = "10^1000" + " + 10^1000" * 19_999 + " - 10^1000" * 19_999
+        start = time.perf_counter()
+        assert parse(text, 2) == parse("10^1000", 2)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestArithmetic:
