@@ -94,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-cc", help="verify a compatibility-condition combination")
     p.add_argument("--section", required=True)
     p.add_argument("--cc", required=True, help="e.g. d11O1,+d22O2,-d12O3")
-    p.add_argument("--max-order", type=int, default=4, help="jet order ceiling (default 4)")
+    p.add_argument(
+        "--max-order", type=int, default=4, help="jet order ceiling, 1 to 16 (default 4)"
+    )
     add_format(p)
 
     p = sub.add_parser("curvature", help="curvature data plus constants of a metric section")
@@ -177,8 +179,11 @@ def _cmd_dims(args) -> tuple[dict, dict, list, str, bool]:
 def _cmd_check_cc(args) -> tuple[dict, dict, list, str, bool]:
     from . import jetcalc, lieops
 
-    if args.max_order < 1:
-        raise InputFormatError(f"--max-order must be at least 1, got {quoted(args.max_order)}")
+    if not 1 <= args.max_order <= jetcalc.MAX_ORDER_LIMIT:
+        raise InputFormatError(
+            f"--max-order must be at least 1 and at most {jetcalc.MAX_ORDER_LIMIT},"
+            f" got {quoted(args.max_order)}"
+        )
     sec, _ = lieops.load_section(args.section)
     system = lieops.labeled_medolaghi(sec)
     cc = jetcalc.parse_cc_spec(args.cc, sec.n)

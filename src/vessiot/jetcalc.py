@@ -11,11 +11,14 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import InputFormatError, OrderOverflow, SingularPoint, quoted
-from .symexpr import MAX_LITERAL_DIGITS, Context, Expression, _pconst, _Poly, common_denominator
+from .symexpr import (
+    MAX_LITERAL_DIGITS, Context, Expression, _from_reduced, _pconst, _Poly, common_denominator,
+)
 
 MultiIndex = Tuple[int, ...]
 
 DEFAULT_MAX_ORDER = 4  # the jet-order ceiling of check_cc_identity and the dimension table
+MAX_ORDER_LIMIT = 16  # the largest ceiling check-cc accepts; d_mu grows fast with |mu|
 
 
 def mi_bump(mu: MultiIndex, i: int) -> MultiIndex:
@@ -249,13 +252,13 @@ def symbol_dimension(
 ) -> int:
     """dim g_q: solution-space dimension of the order-q coefficient matrix.
 
-    At the sample point (default: variable j at j + 2) each equation is read
-    in the view it already holds: its row when it has one (``prolong``
-    output), else its terms.  Row polynomials are evaluated there, and
-    SingularPoint is raised where a row's den vanishes, since a row scaled by
-    den would lose rank there silently; an evaluated coefficient raises it
-    where its own denominator vanishes.  ``generic`` asks instead for the
-    exact rank of the terms over the function field.
+    Every equation is read through its row (``LinearJetEquation.row``): the
+    rank is unchanged when an equation is scaled by its nonzero den.  At the
+    sample point (default: variable j at j + 2) each distinct row polynomial
+    is evaluated once, and SingularPoint is raised where any equation's den
+    vanishes, that is where any of its coefficients has a pole, so a row
+    scaled by den never loses rank there silently.  ``generic`` asks instead
+    for the exact rank of the rows over the function field.
     """
     context = system_context(system)
     n = context.n
@@ -272,27 +275,20 @@ def symbol_dimension(
         return len(variables)
     column = {jv: i for i, jv in enumerate(variables)}
     if generic:
-        zero, is_zero, point = context.zero(), Expression.is_zero, None
+        zero, is_zero, one = context.zero(), Expression.is_zero, _pconst(1)
     else:
         zero, is_zero, point = Fraction(0), not_, context.complete_point(sample_point)
-    value: Dict[object, object] = {}  # each distinct coefficient is evaluated once
-    dens = set()  # each distinct row den is checked once
+        if not all(den.evaluate(point) for den in {eq.den for eq in rows}):
+            raise SingularPoint(f"a coefficient has a pole at {point}")
+    value: Dict[_Poly, object] = {}  # each distinct row polynomial is read once
     matrix = []
     for eq in rows:
-        if generic or eq._row is None:
-            coeffs = eq.terms
-        else:
-            coeffs = eq._row
-            if eq._den not in dens:
-                if not eq._den.evaluate(point):
-                    raise SingularPoint(f"row denominator vanishes at {point}")
-                dens.add(eq._den)
         line = [zero] * len(variables)
-        for jv, c in coeffs.items():
+        for jv, p in eq.row.items():
             if jv in column:
-                if c not in value:
-                    value[c] = c if generic else c.evaluate(point)
-                line[column[jv]] = value[c]
+                if p not in value:  # (p, 1) is a coprime pair: no cancel
+                    value[p] = _from_reduced(context, p, one) if generic else p.evaluate(point)
+                line[column[jv]] = value[p]
         matrix.append(line)
     return len(variables) - linalg.rank_rational(matrix, is_zero)
 

@@ -6,6 +6,7 @@ import pytest
 
 from vessiot import cli, curvature, structure, symexpr
 from vessiot.cli import build_parser, main
+from vessiot.jetcalc import MAX_ORDER_LIMIT
 from vessiot.symexpr import parse
 
 SECTIONS = Path(__file__).resolve().parent.parent / "sections"
@@ -607,6 +608,27 @@ class TestCheckCC:
         assert out == ""
         assert "--max-order must be at least 1" in err
         assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("value", ["17", "100000", "9" * 4000])
+    def test_max_order_above_the_limit_exit_two(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "check-cc", "--section", str(SECTIONS / "product_flat.section"),
+            "--cc", "d11O1", "--max-order", value,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--max-order must be at least 1 and at most {MAX_ORDER_LIMIT}" in err
+        assert len(err.encode()) < 300
+
+    def test_max_order_at_the_limit_runs(self, capsys):
+        argv = ["check-cc", "--section", str(SECTIONS / "product_projective.section"),
+                "--max-order", str(MAX_ORDER_LIMIT)]
+        code, out, _ = run_cli(capsys, *argv, "--cc", "d" + "12" * 7 + "1O3")
+        assert code == 1  # an order-16 residual, computed
+        assert json.loads(out)["verdict"] == "nonzero-residual"
+        code, _, err = run_cli(capsys, *argv, "--cc", "d" + "12" * 8 + "O3")
+        assert code == 2
+        assert f"exceeds max jet order {MAX_ORDER_LIMIT}" in err
 
     def test_longest_multiplier_runs(self, capsys):
         m = "9" * 1000

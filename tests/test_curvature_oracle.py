@@ -6,13 +6,13 @@ of distinct factors.  Every Christoffel and Riemann component is compared with
 the textbook formula evaluated in sympy's integer polynomial ring
 ``sympy.ring``: each reference value is a numerator over a denominator that
 the formula designs (a product of input denominators, never a gcd), and the
-comparison cross-multiplies.  Every Gamma and rho is one numerator over the
-one denominator of the connection, or its square.  ``sympy.cancel`` of the
-whole nested Riemann expression takes minutes on these inputs, and the
-rational function field ``sympy.field``, with a gcd after every operation,
-seconds per example.  The engine inputs are parsed from text, the
-reference inputs built from the same integers, so neither side sees the
-other's canonical form.  Cases are drawn by hypothesis with a fixed derivation
+comparison divides it exactly by the engine's reduced denominator.  Every
+Gamma and rho is one numerator over the one denominator of the connection,
+or its square.  ``sympy.cancel`` of the whole nested Riemann expression takes
+minutes on these inputs, and the rational function field ``sympy.field``,
+with a gcd after every operation, seconds per example.  The engine inputs are
+parsed from text, the reference inputs built from the same integers, so
+neither side sees the other's canonical form.  Cases are drawn by hypothesis with a fixed derivation
 (``derandomize``); without sympy or hypothesis the module is skipped.
 """
 
@@ -25,6 +25,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.polyerrors import ExactQuotientFailed  # noqa: E402
 
 from helpers import unpacked  # noqa: E402
 from oracle_support import oracle_settings  # noqa: E402
@@ -55,7 +56,7 @@ linear = st.tuples(small, small, small).filter(lambda f: f[1] or f[2])
 class _Frac:
     """numer/denom over RING with no gcd: a sum over equal denominators adds
     the numerators, every other operation cross-multiplies.  Equal values
-    need not have equal pairs; ``assert_same`` cross-multiplies too."""
+    need not have equal pairs; ``assert_same`` compares them by value."""
 
     __slots__ = ("numer", "denom")
 
@@ -113,8 +114,13 @@ def _as_poly(p):
 
 
 def assert_same(ours, reference) -> None:
-    # cross-multiplied in the polynomial ring: no gcd on either side
-    assert _as_poly(ours.num) * reference.denom == _as_poly(ours.den) * reference.numer
+    # ours is coprime with unit content, so its den divides the denominator of
+    # any equal reference: one exact division in the polynomial ring, no gcd
+    try:
+        q = reference.denom.exquo(_as_poly(ours.den))
+    except ExactQuotientFailed:
+        raise AssertionError(f"{ours}: its den does not divide the reference's") from None
+    assert _as_poly(ours.num) * q == reference.numer
 
 
 def _distinct_denominators(exprs) -> bool:
