@@ -173,7 +173,7 @@ def _cmd_dims(args) -> tuple[dict, dict, list, str, bool]:
     if args.f1 is not None and not 0 <= args.f1 < 10**MAX_LITERAL_DIGITS:
         raise InputFormatError(f"--f1 must be at least 0 and below 10^{MAX_LITERAL_DIGITS}")
     table = jetcalc.dim_table(args.n, args.f1)
-    return {"f1": table.f1, "n": args.n}, table.to_json_dict(), [], "ok", True
+    return {"f1": table["dim_F1"], "n": args.n}, table, [], "ok", True
 
 
 def _cmd_check_cc(args) -> tuple[dict, dict, list, str, bool]:

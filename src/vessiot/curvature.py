@@ -58,12 +58,14 @@ class Metric2D:
         return self.w12
 
     def det(self) -> Expression:
-        """det(w), computed once per metric."""
+        """det(w) = det(W) / d^2 from the cleared metric, formed once per
+        metric with one cancel; DegenerateMetric where it vanishes."""
         return self._det
 
     @cached_property
     def _det(self) -> Expression:
-        return self.w11 * self.w22 - self.w12 * self.w12
+        cleared = self.cleared
+        return Expression(self.context, cleared.det, cleared.d * cleared.d)
 
     @cached_property
     def cleared(self) -> ClearedMetric:
@@ -115,8 +117,6 @@ class Metric2D:
     # no engine caller; it stays because perfbench/tracer.py wraps it (curvature.inverse_component)
     def inverse_component(self, i: int, j: int) -> Expression:
         det = self.det()
-        if det.is_zero():
-            raise DegenerateMetric("det(w) is identically zero")
         if i == j:
             return (self.w22 if i == 1 else self.w11) / det
         return -self.w12 / det

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Tuple
 
 from .errors import DegreeOverflow
-from .symexpr import Context, Expression
+from .symexpr import Context, Expression, add_term, combination_str
 
 Index = Tuple[int, ...]  # strictly increasing coordinate indices
 
@@ -47,15 +47,11 @@ class DifferentialForm:
         self._check(other)
         out = dict(self.components)
         for idx, c in other.components.items():
-            out[idx] = out[idx] + c if idx in out else c
+            add_term(out, idx, c)
         return DifferentialForm(self.context, self.degree, out)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._check(other)
-        out = dict(self.components)
-        for idx, c in other.components.items():
-            out[idx] = out[idx] - c if idx in out else -c
-        return DifferentialForm(self.context, self.degree, out)
+        return self + (-other)
 
     def __neg__(self) -> "DifferentialForm":
         return DifferentialForm(
@@ -83,37 +79,20 @@ class DifferentialForm:
         return hash((self.context, self.degree, frozenset(self.components.items())))
 
     def __str__(self) -> str:
-        if not self.components:
-            return "0"
-        parts = []
-        for idx in sorted(self.components):
-            coeff = str(self.components[idx])
-            basis = "^".join(f"dx{i}" for i in idx) if idx else "1"
-            if coeff == "1" and idx:
-                parts.append(basis)
-            elif coeff == "-1" and idx:
-                parts.append(f"-{basis}")
-            else:
-                wrapped = coeff if coeff.lstrip("-").isdigit() else f"({coeff})"
-                parts.append(f"{wrapped}*{basis}" if idx else wrapped)
-        return " + ".join(parts).replace("+ -", "- ")
+        return combination_str(
+            ("^".join(f"dx{i}" for i in idx), self.components[idx])
+            for idx in sorted(self.components)
+        )
 
 
 def _merge_indices(a: Index, b: Index):
-    """Sorted concatenation with permutation sign; None when indices repeat."""
+    """Sorted concatenation of two increasing indices with the sign of the
+    permutation, the parity of the pairs i in a, j in b with i > j; None when
+    indices repeat."""
     if set(a) & set(b):
         return None, 0
-    merged = list(a)
-    sign = 1
-    for i in b:
-        pos = len(merged)
-        for j, m in enumerate(merged):
-            if i < m:
-                pos = j
-                break
-        sign *= (-1) ** (len(merged) - pos)
-        merged.insert(pos, i)
-    return tuple(merged), sign
+    inversions = sum(i > j for i in a for j in b)
+    return tuple(sorted(a + b)), -1 if inversions % 2 else 1
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -129,10 +108,7 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
             merged, sign = _merge_indices(ia, ib)
             if merged is None:
                 continue
-            term = ca * cb
-            if sign < 0:
-                term = -term
-            out[merged] = out[merged] + term if merged in out else term
+            add_term(out, merged, ca * cb if sign > 0 else -(ca * cb))
     return DifferentialForm(a.context, degree, out)
 
 
@@ -152,8 +128,7 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
             if partial.is_zero():
                 continue
             merged, sign = _merge_indices((i,), idx)
-            term = partial if sign > 0 else -partial
-            out[merged] = out[merged] + term if merged in out else term
+            add_term(out, merged, partial if sign > 0 else -partial)
     return DifferentialForm(form.context, form.degree + 1, out)
 
 

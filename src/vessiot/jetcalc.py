@@ -7,12 +7,13 @@ import re
 from fractions import Fraction
 from math import comb
 from operator import not_
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputFormatError, OrderOverflow, SingularPoint, quoted
 from .symexpr import (
-    MAX_LITERAL_DIGITS, Context, Expression, _from_reduced, _pconst, _Poly, common_denominator,
+    MAX_LITERAL_DIGITS, Context, Expression, _from_reduced, _pconst, _Poly, add_term,
+    combination_str, common_denominator,
 )
 
 MultiIndex = Tuple[int, ...]
@@ -129,31 +130,18 @@ class LinearJetEquation:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0 = 0"
-        parts = []
-        for jv, c in sorted(
-            self.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True
-        ):
-            s = str(c)
-            if s == "1":
-                parts.append(str(jv))
-            elif s == "-1":
-                parts.append(f"-{jv}")
-            elif s.lstrip("-").isdigit():
-                parts.append(f"{s}*{jv}")
-            else:
-                parts.append(f"({s})*{jv}")
-        return " + ".join(parts).replace("+ -", "- ") + " = 0"
+        terms = self.terms
+        order = sorted(terms, key=JetVariable.sort_key, reverse=True)
+        return combination_str((str(jv), terms[jv]) for jv in order) + " = 0"
 
 
-def add_term(terms: dict, jv: JetVariable, coeff) -> None:
-    """terms[jv] += coeff, inserting jv when absent (Expression or kernel
-    polynomial coefficients)."""
-    if jv in terms:
-        terms[jv] = terms[jv] + coeff
-    else:
-        terms[jv] = coeff
+def combination(*parts: Tuple[Expression, Mapping[JetVariable, Expression]]) -> LinearJetEquation:
+    """The equation sum f * terms over the (f, terms) parts."""
+    out: Dict[JetVariable, Expression] = {}
+    for f, terms in parts:
+        for jv, c in terms.items():
+            add_term(out, jv, f * c)
+    return LinearJetEquation(out)
 
 
 def proportional(a: LinearJetEquation, b: LinearJetEquation) -> bool:
@@ -180,13 +168,21 @@ def system_context(system: Iterable[LinearJetEquation]) -> Context:
     raise ValueError("a system without nonzero equations has no context")
 
 
+def _product_rule(terms: Mapping[JetVariable, object], i: int, d_i: Callable) -> dict:
+    """The total derivative of sum c*xi^k_mu: c*xi^k_mu -> (d_i c)*xi^k_mu +
+    c*xi^k_{mu+1_i}, for coefficients c with partial derivative d_i."""
+    out: dict = {}
+    for jv, c in terms.items():
+        dc = d_i(c)
+        if not dc.is_zero():
+            add_term(out, jv, dc)
+        add_term(out, JetVariable(jv.component, mi_bump(jv.index, i)), c)
+    return out
+
+
 def formal_derivative(eq: LinearJetEquation, i: int) -> LinearJetEquation:
     """Formal total derivative d_i: a*xi^k_mu -> (d_i a)*xi^k_mu + a*xi^k_{mu+1_i}."""
-    out: Dict[JetVariable, Expression] = {}
-    for jv, coeff in eq.terms.items():
-        add_term(out, jv, coeff.diff(i))
-        add_term(out, JetVariable(jv.component, mi_bump(jv.index, i)), coeff)
-    return LinearJetEquation(out)
+    return LinearJetEquation(_product_rule(eq.terms, i, lambda a: a.diff(i)))
 
 
 def formal_derivative_multi(eq: LinearJetEquation, mu: MultiIndex) -> LinearJetEquation:
@@ -203,13 +199,9 @@ def row_derivative(eq: LinearJetEquation, i: int) -> LinearJetEquation:
     derivatives and sums only, with no gcd and no quotient rule.
     """
     slot = i - 1
-    out: Dict[JetVariable, _Poly] = {}
-    for jv, p in eq.row.items():
-        dp = p.diff(slot)
-        if dp.terms:
-            add_term(out, jv, dp)
-        add_term(out, JetVariable(jv.component, mi_bump(jv.index, i)), p)
-    return LinearJetEquation.from_row(eq.context, out, eq.den)
+    return LinearJetEquation.from_row(
+        eq.context, _product_rule(eq.row, i, lambda p: p.diff(slot)), eq.den
+    )
 
 
 def prolong(system: Sequence[LinearJetEquation], r: int) -> List[LinearJetEquation]:
@@ -308,18 +300,7 @@ def lambda_dim(n: int, k: int) -> int:
     return comb(n, k)
 
 
-class DimensionTable:
-    """Named bundle dimensions for ambient dimension n."""
-
-    def __init__(self, n: int, f1: int, entries: Optional[Dict[str, object]] = None):
-        self.n, self.f1 = n, f1
-        self.entries = {} if entries is None else entries
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return dict(self.entries)
-
-
-def dim_table(n: int, f1: Optional[int] = None) -> DimensionTable:
+def dim_table(n: int, f1: Optional[int] = None) -> Dict[str, object]:
     """Binomial dimension bookkeeping, including the second-order CC count
     dim F2 = dim(S2T* x F1) - dim(S3T* x T) and the affine first-order count
     dim F1 = dim(T* x S2T* x T) - dim(S3T* x T).  The S^q T* rows run up to
@@ -331,7 +312,7 @@ def dim_table(n: int, f1: Optional[int] = None) -> DimensionTable:
     s2 = sym_dim(n, 2)
     s3 = sym_dim(n, 3)
     orders = range(1, DEFAULT_MAX_ORDER + 1)
-    entries: Dict[str, object] = {
+    return {
         "n": n,
         "dim_F1": f1,
         "dim_S2Tstar_F1": s2 * f1,
@@ -343,7 +324,6 @@ def dim_table(n: int, f1: Optional[int] = None) -> DimensionTable:
         "dim_SqTstar_T": {str(q): n * sym_dim(n, q) for q in orders},
         "dim_LambdakTstar": {str(k): lambda_dim(n, k) for k in range(0, n + 1)},
     }
-    return DimensionTable(n=n, f1=f1, entries=entries)
 
 
 # ----------------------------------------------------------------------
@@ -395,11 +375,12 @@ def check_cc_identity(
 ) -> LinearJetEquation:
     """Substitute the labeled equations into a formal combination sum a*d_mu(O_label).
 
-    Returns the residual linear jet equation; the combination is an identity
-    (a compatibility condition) iff the residual is the zero equation.
+    Every term is checked first; each d_mu(O_label) is then derived once,
+    times the sum of its multipliers.  Returns the residual linear jet
+    equation; the combination is an identity (a compatibility condition) iff
+    the residual is the zero equation.
     """
-    terms: Dict[JetVariable, Expression] = {}
-    factor = None
+    sums: Dict[Tuple[str, MultiIndex], Fraction] = {}
     for coeff, mu, label in cc:
         if label not in system:
             raise InputFormatError(f"CC references unknown equation label {quoted(label)}")
@@ -408,11 +389,11 @@ def check_cc_identity(
             raise OrderOverflow(
                 f"d_{mu} of an order-{eq.order} equation exceeds max jet order {max_order}"
             )
-        if eq.is_zero():
-            continue
-        factor = eq.context.rational(coeff)
-        for jv, c in formal_derivative_multi(eq, mu).terms.items():
-            add_term(terms, jv, c * factor)
-    if factor is None:
+        if not eq.is_zero():
+            sums[label, mu] = sums.get((label, mu), 0) + coeff
+    if not sums:
         raise InputFormatError("CC combination is empty")
-    return LinearJetEquation(terms)
+    return combination(*(
+        (system[label].context.rational(a), formal_derivative_multi(system[label], mu).terms)
+        for (label, mu), a in sums.items() if a
+    ))

@@ -13,8 +13,8 @@ import enum
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateSection, InputFormatError, InputTooLarge, KindMismatch, quoted
-from .jetcalc import JetVariable, LinearJetEquation, add_term, proportional
-from .symexpr import MAX_SECTION_BYTES, Context, Expression, parse_in
+from .jetcalc import JetVariable, LinearJetEquation, combination, proportional
+from .symexpr import MAX_SECTION_BYTES, Context, Expression, add_term, parse_in
 
 
 class ObjectKind(enum.Enum):
@@ -76,9 +76,6 @@ class GeometricSection:
     @property
     def context(self) -> Context:
         return self.components[0].context
-
-    def component(self, key: str) -> Expression:
-        return self.components[self.kind.spec.keys.index(key)]
 
 
 def section(kind: ObjectKind, components: Sequence[Expression]) -> GeometricSection:
@@ -168,15 +165,6 @@ def _connection(sec: GeometricSection) -> List[LinearJetEquation]:
     return out
 
 
-def _combination(*parts: Tuple[Expression, dict]) -> LinearJetEquation:
-    """The equation sum f * terms over the (f, terms) parts."""
-    out: dict = {}
-    for f, terms in parts:
-        for jv, c in terms.items():
-            add_term(out, jv, f * c)
-    return LinearJetEquation(out)
-
-
 def _product_triple_2d(sec: GeometricSection) -> List[LinearJetEquation]:
     """The tensor rule on the line fields alpha = dx1 + w1 dx2 and
     beta = w2 dx1 + dx2, plus one density equation for w3:
@@ -187,9 +175,9 @@ def _product_triple_2d(sec: GeometricSection) -> List[LinearJetEquation]:
     la1, la2 = (_lie({(1,): one, (2,): w1}, (i,), 2, zero) for i in (1, 2))
     lb1, lb2 = (_lie({(1,): w2, (2,): one}, (i,), 2, zero) for i in (1, 2))
     return [
-        _combination((one, la2), (-w1, la1)),
-        _combination((one, lb1), (-w2, lb2)),
-        _combination((one, _lie({(): w3}, (), 2, zero)), (w3, la1), (w3, lb2)),
+        combination((one, la2), (-w1, la1)),
+        combination((one, lb1), (-w2, lb2)),
+        combination((one, _lie({(): w3}, (), 2, zero)), (w3, la1), (w3, lb2)),
     ]
 
 

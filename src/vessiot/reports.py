@@ -56,9 +56,6 @@ class StructureReport:
     def integrable(self) -> bool:
         return self.residual is None
 
-    def constant(self, name: str) -> Expression:
-        return self.constants[name]
-
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "kind": self.kind,

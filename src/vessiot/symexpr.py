@@ -884,6 +884,29 @@ def _poly_str(p: _Poly, names) -> str:
     return out
 
 
+def add_term(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff, inserting key when absent: the one accumulator of
+    a sparse sum (Expression or kernel polynomial coefficients)."""
+    if key in terms:
+        terms[key] = terms[key] + coeff
+    else:
+        terms[key] = coeff
+
+
+def combination_str(terms) -> str:
+    """``c*basis + ...`` over (basis, coefficient) pairs, "0" for none: a
+    coefficient 1 or -1 prints as its sign, a non-integer in parentheses."""
+    parts = []
+    for basis, coeff in terms:
+        s = str(coeff)
+        if not s.lstrip("-").isdigit():
+            s = f"({s})"
+        if basis:
+            s = s[:-1] if s in ("1", "-1") else f"{s}*"
+        parts.append(s + basis)
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------

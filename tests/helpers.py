@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from vessiot.errors import SingularPoint
+from vessiot.errors import DegenerateMetric, SingularPoint
 from vessiot.jetcalc import LinearJetEquation
 from vessiot.lieops import GeometricSection, ObjectKind, section
 from vessiot.symexpr import Context, Expression, _pack, _Poly, _unpack, parse_in
@@ -157,6 +157,15 @@ def constant_c_product_section(rng: random.Random, ctx: Context = None):
     return sec, ctx.rational(Fraction(-2) / k)
 
 
+def degenerate(metric) -> bool:
+    """True iff det(w) of the metric vanishes identically."""
+    try:
+        metric.det()
+    except DegenerateMetric:
+        return True
+    return False
+
+
 def random_metric(rng: random.Random, ctx: Context = None):
     """A nondegenerate 2D metric with small polynomial components."""
     from vessiot.curvature import Metric2D
@@ -171,7 +180,7 @@ def random_metric(rng: random.Random, ctx: Context = None):
 
     while True:
         metric = Metric2D(comp(1), comp(1), comp(0))
-        if not metric.det().is_zero():
+        if not degenerate(metric):
             return metric
 
 

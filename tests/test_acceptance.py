@@ -59,9 +59,9 @@ def test_criterion_01_affine_constants():
     dilatation = affine_constant_1d(parse_in("1/x1", CTX1), CTX1.zero())
     ok = (
         translation.integrable
-        and translation.constant("c") == CTX1.zero()
+        and translation.constants["c"] == CTX1.zero()
         and dilatation.integrable
-        and dilatation.constant("c") == CTX1.rational(-1)
+        and dilatation.constants["c"] == CTX1.rational(-1)
     )
     _verdict(1, "1D affine constants c=0 and c=-1", ok)
 
@@ -70,7 +70,7 @@ def test_criterion_02_isometry_doubles_affine():
     alpha = parse_in("1/x1", CTX1)
     affine = affine_constant_1d(alpha, CTX1.zero())
     isometry = isometry_constant_1d(alpha * alpha, CTX1.zero())
-    ok = isometry.constant("c_prime") == CTX1.rational(2) * affine.constant("c")
+    ok = isometry.constants["c_prime"] == CTX1.rational(2) * affine.constants["c"]
     _verdict(2, "1D isometry constant equals 2c", ok)
 
 
@@ -79,9 +79,9 @@ def test_criterion_03_product_constants():
     projective = product_constants(projective_product())
     ok = (
         flat.integrable
-        and flat.constant("c").is_zero()
+        and flat.constants["c"].is_zero()
         and projective.integrable
-        and projective.constant("c") == CTX2.rational(-2)
+        and projective.constants["c"] == CTX2.rational(-2)
     )
     _verdict(3, "product constants c=0 and c=-2", ok)
 
@@ -98,7 +98,7 @@ def test_criterion_04_jacobi_condition():
         ok = (
             ok
             and report.integrable
-            and report.constant("c") == expected
+            and report.constants["c"] == expected
             and all(r.is_zero() for r in report.jacobi_residuals)
         )
     warped = section(
@@ -114,7 +114,7 @@ def test_criterion_04_jacobi_condition():
 def test_criterion_05_scaling_law():
     rng = random.Random(2025)
     base = projective_product()
-    c_base = product_constants(base).constant("c")
+    c_base = product_constants(base).constants["c"]
     ok = True
     for _ in range(5):
         a = random_nonzero_rational(rng)
@@ -122,7 +122,7 @@ def test_criterion_05_scaling_law():
             ObjectKind.PRODUCT_TRIPLE_2D,
             [CTX2.zero(), CTX2.zero(), base.components[2] * CTX2.rational(a)],
         )
-        c_scaled = product_constants(scaled).constant("c")
+        c_scaled = product_constants(scaled).constants["c"]
         ok = ok and c_scaled * CTX2.rational(a) == c_base
     _verdict(5, "scaling law c(a*w3)*a = c(w3) for 5 random a", ok)
 
@@ -135,14 +135,14 @@ def test_criterion_06_product_equivalence_obstruction():
 def test_criterion_07_dimension_diagram():
     table = dim_table(2, f1=3)
     ok = (
-        table.entries["dim_S2Tstar_F1"] == 9
-        and table.entries["dim_S3Tstar_T"] == 8
-        and table.entries["dim_F2"] == 1
+        table["dim_S2Tstar_F1"] == 9
+        and table["dim_S3Tstar_T"] == 8
+        and table["dim_F2"] == 1
     )
     g1_killing = symbol_dimension(medolaghi_equations(euclidean_metric()), 1)
     g1_product = symbol_dimension(medolaghi_equations(flat_product()), 1)
     ok = ok and g1_killing == 1 and g1_product == 1
-    ok = ok and lambda_dim(2, 2) * g1_killing == table.entries["dim_F2"]
+    ok = ok and lambda_dim(2, 2) * g1_killing == table["dim_F2"]
     _verdict(7, "dim F2 = 9 - 8 = 1 = dim(Lambda2 x g1)", ok)
 
 
@@ -163,15 +163,15 @@ def test_criterion_08_cc_identities():
 
 def test_criterion_09_curvature_chain():
     flat = metric_constants(Metric2D(CTX2.one(), CTX2.one(), CTX2.zero()))
-    ok = flat.constant("c1").is_zero() and flat.constant("c2").is_zero()
+    ok = flat.constants["c1"].is_zero() and flat.constants["c2"].is_zero()
     euclid_conn = christoffel(Metric2D(CTX2.one(), CTX2.one(), CTX2.zero()))
     ok = ok and all(v.is_zero() for v in euclid_conn.components.values())
 
     hp = parse_in("1/x2^2", CTX2)
     metric = Metric2D(hp, hp, CTX2.zero())
     report = metric_constants(metric)
-    ok = ok and report.constant("c1") == CTX2.rational(-1)
-    ok = ok and report.constant("c2").is_zero()
+    ok = ok and report.constants["c1"] == CTX2.rational(-1)
+    ok = ok and report.constants["c2"].is_zero()
 
     # finite-difference oracle at (2, 3), step 1e-4, relative tolerance 1e-6
     conn = christoffel(metric)
@@ -221,8 +221,8 @@ def test_criterion_12_contact_constants():
     report = contact_constants(alpha, beta)
     ok = (
         report.integrable
-        and report.constant("c_prime") == CTX3.one()
-        and report.constant("c_second").is_zero()
+        and report.constants["c_prime"] == CTX3.one()
+        and report.constants["c_second"].is_zero()
         and all(r.is_zero() for r in report.jacobi_residuals)
     )
     rng = random.Random(2027)

@@ -643,6 +643,14 @@ class TestCheckCC:
         assert code == 0
         assert json.loads(out)["verdict"] == "identity"
 
+    def test_cancelling_terms_are_an_identity(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check-cc", "--section", str(SECTIONS / "metric_euclidean.section"),
+            "--cc", "d1O11,-d1O11",
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "identity"
+
     def test_max_order_caps_the_derivative(self, capsys):
         code, _, err = run_cli(
             capsys,

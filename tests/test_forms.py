@@ -96,3 +96,65 @@ class TestFormValidation:
     def test_zero_coefficients_dropped(self):
         form = DifferentialForm(CTX, 1, {(1,): ZERO, (2,): ONE})
         assert set(form.components) == {(2,)}
+
+
+# (coefficient text, then the printed form with that coefficient on dx1,
+# dx1^dx2 and dx1^dx2^dx3); a degree-0 form prints its coefficient alone
+PRINTED = [
+    ("1", "1", "dx1", "dx1^dx2", "dx1^dx2^dx3"),
+    ("-1", "-1", "-dx1", "-dx1^dx2", "-dx1^dx2^dx3"),
+    ("3", "3", "3*dx1", "3*dx1^dx2", "3*dx1^dx2^dx3"),
+    ("-7", "-7", "-7*dx1", "-7*dx1^dx2", "-7*dx1^dx2^dx3"),
+    ("x1", "(x1)", "(x1)*dx1", "(x1)*dx1^dx2", "(x1)*dx1^dx2^dx3"),
+    ("-x2", "(-x2)", "(-x2)*dx1", "(-x2)*dx1^dx2", "(-x2)*dx1^dx2^dx3"),
+    ("x1 + 1", "(x1 + 1)", "(x1 + 1)*dx1", "(x1 + 1)*dx1^dx2", "(x1 + 1)*dx1^dx2^dx3"),
+    ("(x1 - x2)/(x3 + 2)", "((x1 - x2)/(x3 + 2))", "((x1 - x2)/(x3 + 2))*dx1",
+     "((x1 - x2)/(x3 + 2))*dx1^dx2", "((x1 - x2)/(x3 + 2))*dx1^dx2^dx3"),
+    ("-2/x3", "(-2/x3)", "(-2/x3)*dx1", "(-2/x3)*dx1^dx2", "(-2/x3)*dx1^dx2^dx3"),
+]
+FIRST_INDEX = [(), (1,), (1, 2), (1, 2, 3)]
+BASES = {1: [(1,), (2,), (3,)], 2: [(1, 2), (1, 3), (2, 3)]}
+
+
+class TestFormPrinting:
+    @pytest.mark.parametrize("row", PRINTED, ids=[row[0] for row in PRINTED])
+    def test_single_term(self, row):
+        coeff = parse_in(row[0], CTX)
+        for degree, expected in enumerate(row[1:]):
+            form = DifferentialForm(CTX, degree, {FIRST_INDEX[degree]: coeff})
+            assert str(form) == expected
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_zero_form(self, degree):
+        assert str(DifferentialForm.zero(CTX, degree)) == "0"
+
+    @pytest.mark.parametrize("degree, coeffs, expected", [
+        (1, ["1", "-1", "(x1 - x2)/(x3 + 2)"], "dx1 - dx2 + ((x1 - x2)/(x3 + 2))*dx3"),
+        (1, ["-3", "x2 + 1", "-x1/x2"], "-3*dx1 + (x2 + 1)*dx2 + (-x1/x2)*dx3"),
+        (2, ["1", "-1", "(x1 - x2)/(x3 + 2)"],
+         "dx1^dx2 - dx1^dx3 + ((x1 - x2)/(x3 + 2))*dx2^dx3"),
+        (2, ["-3", "x2 + 1", "-x1/x2"], "-3*dx1^dx2 + (x2 + 1)*dx1^dx3 + (-x1/x2)*dx2^dx3"),
+    ])
+    def test_sum_in_index_order(self, degree, coeffs, expected):
+        terms = dict(zip(BASES[degree], (parse_in(c, CTX) for c in coeffs)))
+        form = DifferentialForm(CTX, degree, dict(reversed(terms.items())))
+        assert str(form) == expected
+
+
+def parity(perm) -> int:
+    """The sign of a permutation, by counting its inversions."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+class TestWedgeSign:
+    @pytest.mark.parametrize("a, b", [
+        (a, b) for da in (1, 2) for db in (1, 2) for a in BASES[da] for b in BASES[db]
+        if da + db <= 3 and not set(a) & set(b)
+    ])
+    def test_sign_is_permutation_parity(self, a, b):
+        # dx_a ^ dx_b = sign(a + b) dx_sorted(a + b)
+        product = wedge(DifferentialForm(CTX, len(a), {a: ONE}),
+                        DifferentialForm(CTX, len(b), {b: ONE}))
+        merged = tuple(sorted(a + b))
+        assert product == DifferentialForm(CTX, len(merged), {merged: CTX.rational(parity(a + b))})

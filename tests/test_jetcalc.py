@@ -262,18 +262,18 @@ class TestSymbolDimension:
 class TestDimensionTable:
     def test_paper_diagram_numbers(self):
         table = dim_table(2, 3)
-        assert table.entries["dim_S2Tstar_F1"] == 9
-        assert table.entries["dim_S3Tstar_T"] == 8
-        assert table.entries["dim_F2"] == 1
+        assert table["dim_S2Tstar_F1"] == 9
+        assert table["dim_S3Tstar_T"] == 8
+        assert table["dim_F2"] == 1
 
     def test_affine_first_order_count(self):
         table = dim_table(2)
-        assert table.entries["dim_Tstar_S2Tstar_T"] == 12
-        assert table.entries["dim_F1_affine"] == 4
+        assert table["dim_Tstar_S2Tstar_T"] == 12
+        assert table["dim_F1_affine"] == 4
 
     def test_one_dimensional(self):
         table = dim_table(1)
-        assert all(v == 1 for v in table.entries["dim_SqTstar"].values())
+        assert all(v == 1 for v in table["dim_SqTstar"].values())
 
     def test_closed_forms(self):
         from math import comb
@@ -288,13 +288,8 @@ class TestDimensionTable:
                 assert lambda_dim(n, k) == comb(n, k)
 
     def test_default_f1(self):
-        assert dim_table(2).f1 == 3
-        assert dim_table(3).f1 == 6
-
-    def test_default_entries_not_shared(self):
-        first, second = jetcalc.DimensionTable(2, 3), jetcalc.DimensionTable(2, 3)
-        first.entries["n"] = 2
-        assert second.entries == {}
+        assert dim_table(2)["dim_F1"] == 3
+        assert dim_table(3)["dim_F1"] == 6
 
 
 class TestMultiIndices:
@@ -343,6 +338,35 @@ class TestCheckCC:
         )
         with pytest.raises(InputFormatError):
             check_cc_identity(system, parse_cc_spec("d11O9", 2))
+
+    def test_repeated_term_derived_once(self, monkeypatch):
+        system = labeled_medolaghi(section(
+            ObjectKind.METRIC_2D, [parse_in("1/(x1 + 1)", CTX), ONE, CTX.zero()]
+        ))
+        calls = []
+        original = jetcalc.formal_derivative
+
+        def counting(eq, i):
+            calls.append(i)
+            return original(eq, i)
+
+        monkeypatch.setattr(jetcalc, "formal_derivative", counting)
+        term = "d" + "1" * 15 + "O11"
+        once = check_cc_identity(system, parse_cc_spec(term, 2), max_order=16)
+        single_calls = len(calls)
+        calls.clear()
+        repeated = check_cc_identity(system, parse_cc_spec(",".join([term] * 40), 2), max_order=16)
+        assert single_calls == 15
+        assert len(calls) == single_calls
+        assert not once.is_zero()
+        assert repeated == scaled(once, CTX.rational(40))
+
+    def test_cancelling_terms_and_zero_equations(self):
+        system = labeled_medolaghi(section(ObjectKind.METRIC_2D, [ONE, ONE, CTX.zero()]))
+        assert check_cc_identity(system, parse_cc_spec("d1O11,-d1O11", 2)).is_zero()
+        zero = LinearJetEquation({})
+        with pytest.raises(InputFormatError, match="CC combination is empty"):
+            check_cc_identity({"1": zero, "2": zero}, parse_cc_spec("d1O1,-2d2O2,d1O1", 2))
 
 
 class TestCCSpecParsing:

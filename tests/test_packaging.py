@@ -167,6 +167,13 @@ def test_dims_loads_only_jetcalc():
                      "vessiot.forms"} == set()
 
 
+def test_forms_loads_only_the_kernel():
+    # the sparse-sum helpers forms shares with jetcalc live in symexpr
+    loaded = loaded_by("import vessiot.forms")
+    assert {m for m in loaded if m.startswith("vessiot")} == {
+        "vessiot", "vessiot.forms", "vessiot.symexpr", "vessiot.errors"}
+
+
 def test_submodules_resolve_as_attributes():
     out = fresh(
         "import vessiot.cli\n"

@@ -71,16 +71,16 @@ class TestAffine1D:
     def test_translation_subgroup(self):
         report = affine_constant_1d(CTX1.one(), CTX1.zero())
         assert report.integrable
-        assert report.constant("c") == CTX1.zero()
+        assert report.constants["c"] == CTX1.zero()
 
     def test_dilatation_subgroup(self):
         report = affine_constant_1d(parse_in("1/x1", CTX1), CTX1.zero())
-        assert report.constant("c") == CTX1.rational(-1)
+        assert report.constants["c"] == CTX1.rational(-1)
 
     def test_constant_gamma_parameter(self):
         ctx = Context(1, ["g"])
         report = affine_constant_1d(ctx.one(), ctx.parameter("g"))
-        assert report.constant("c") == -ctx.parameter("g")
+        assert report.constants["c"] == -ctx.parameter("g")
 
     def test_non_constant_quotient(self):
         report = affine_constant_1d(parse_in("x1", CTX1), CTX1.zero())
@@ -96,30 +96,30 @@ class TestAffine1D:
 class TestIsometry1D:
     def test_flat(self):
         report = isometry_constant_1d(CTX1.one(), CTX1.zero())
-        assert report.constant("c_prime") == CTX1.zero()
+        assert report.constants["c_prime"] == CTX1.zero()
 
     def test_reciprocal_square(self):
         omega = parse_in("1/x1^2", CTX1)
         report = isometry_constant_1d(omega, CTX1.zero())
-        assert report.constant("c_prime") == CTX1.rational(-2)
+        assert report.constants["c_prime"] == CTX1.rational(-2)
 
     def test_doubles_affine_constant(self):
         alpha = parse_in("1/x1", CTX1)
         affine = affine_constant_1d(alpha, CTX1.zero())
         isometry = isometry_constant_1d(alpha * alpha, CTX1.zero())
-        assert isometry.constant("c_prime") == CTX1.rational(2) * affine.constant("c")
+        assert isometry.constants["c_prime"] == CTX1.rational(2) * affine.constants["c"]
 
     def test_supplied_sigma(self):
         omega = parse_in("1/x1^2", CTX1)
         sigma = parse_in("1/x1", CTX1)
         report = isometry_constant_1d(omega, CTX1.zero(), sigma=sigma)
-        assert report.constant("c_prime") == CTX1.rational(-2)
+        assert report.constants["c_prime"] == CTX1.rational(-2)
 
     def test_supplied_negative_sigma_flips_sign(self):
         omega = parse_in("1/x1^2", CTX1)
         sigma = parse_in("-1/x1", CTX1)
         report = isometry_constant_1d(omega, CTX1.zero(), sigma=sigma)
-        assert report.constant("c_prime") == CTX1.rational(2)
+        assert report.constants["c_prime"] == CTX1.rational(2)
 
     def test_non_constant_quotient(self):
         report = isometry_constant_1d(parse_in("x1^2", CTX1), CTX1.zero())
@@ -225,11 +225,11 @@ class TestProductConstants:
     def test_flat_constant_zero(self):
         report = product_constants(flat_product())
         assert report.integrable
-        assert report.constant("c").is_zero()
+        assert report.constants["c"].is_zero()
 
     def test_projective_constant(self):
         report = product_constants(projective_product())
-        assert report.constant("c") == CTX2.rational(-2)
+        assert report.constants["c"] == CTX2.rational(-2)
 
     def test_constant_parameter_section(self):
         ctx = Context(2, ["a"])
@@ -238,7 +238,7 @@ class TestProductConstants:
         )
         report = product_constants(sec)
         assert report.integrable
-        assert report.constant("c").is_zero()
+        assert report.constants["c"].is_zero()
 
     def test_jacobi_on_paper_sections(self):
         for sec in (flat_product(), projective_product()):
@@ -251,7 +251,7 @@ class TestProductConstants:
             sec, expected = constant_c_product_section(rng)
             report = product_constants(sec)
             assert report.integrable
-            assert report.constant("c") == expected
+            assert report.constants["c"] == expected
             assert all(r.is_zero() for r in report.jacobi_residuals)
 
     def test_two_quotients_agree_identically(self):
@@ -363,21 +363,21 @@ class TestScalingLaw:
     def test_minus_two_scale(self):
         report = product_constants(projective_product())
         scaled = scaling_law(report, Fraction(-2))
-        assert scaled.constant("c") == CTX2.one()
+        assert scaled.constants["c"] == CTX2.one()
         # oracle: recompute on the rescaled section
         w3 = parse_in("1/(x2 - x1)^2", CTX2) * CTX2.rational(-2)
         resec = section(ObjectKind.PRODUCT_TRIPLE_2D, [CTX2.zero(), CTX2.zero(), w3])
-        assert product_constants(resec).constant("c") == scaled.constant("c")
+        assert product_constants(resec).constants["c"] == scaled.constants["c"]
 
     def test_zero_constant_fixed(self):
         report = product_constants(flat_product())
-        assert scaling_law(report, Fraction(9, 7)).constant("c").is_zero()
+        assert scaling_law(report, Fraction(9, 7)).constants["c"].is_zero()
 
     def test_symbolic_parameter(self):
         report = product_constants(projective_product())
         scaled = scaling_law(report, "a")
-        ctx = scaled.constant("c").context
-        assert scaled.constant("c") == ctx.rational(-2) / ctx.parameter("a")
+        ctx = scaled.constants["c"].context
+        assert scaled.constants["c"] == ctx.rational(-2) / ctx.parameter("a")
 
     def test_covariance_on_random_scales(self):
         rng = random.Random(47)
@@ -387,8 +387,8 @@ class TestScalingLaw:
             w3 = parse_in("1/(x2 - x1)^2", CTX2) * CTX2.rational(a)
             resec = section(ObjectKind.PRODUCT_TRIPLE_2D, [CTX2.zero(), CTX2.zero(), w3])
             assert (
-                product_constants(resec).constant("c")
-                == scaling_law(base, a).constant("c")
+                product_constants(resec).constants["c"]
+                == scaling_law(base, a).constants["c"]
             )
 
     def test_zero_scale_rejected(self):
@@ -401,11 +401,11 @@ class TestScalingLaw:
         hp = parse_in("1/x2^2", CTX2)
         report = metric_constants(Metric2D(hp, hp, CTX2.zero()))
         scaled = scaling_law(report, Fraction(4))
-        assert scaled.constant("c1") == CTX2.rational("-1/4")
+        assert scaled.constants["c1"] == CTX2.rational("-1/4")
         recomputed = metric_constants(
             Metric2D(hp * CTX2.rational(4), hp * CTX2.rational(4), CTX2.zero())
         )
-        assert recomputed.constant("c1") == scaled.constant("c1")
+        assert recomputed.constants["c1"] == scaled.constants["c1"]
 
     def test_unsupported_kind(self):
         report = affine_constant_1d(CTX1.one(), CTX1.zero())
@@ -541,16 +541,16 @@ class TestContactConstants:
         beta = two_form_cyclic(CTX3, CTX3.one(), CTX3.zero(), CTX3.zero())
         report = contact_constants(alpha, beta)
         assert report.integrable
-        assert report.constant("c_prime") == CTX3.one()
-        assert report.constant("c_second") == CTX3.zero()
+        assert report.constants["c_prime"] == CTX3.one()
+        assert report.constants["c_second"] == CTX3.zero()
         assert all(r.is_zero() for r in report.jacobi_residuals)
 
     def test_closed_pair(self):
         alpha = one_form(CTX3, [CTX3.one(), CTX3.zero(), CTX3.zero()])
         beta = two_form_cyclic(CTX3, CTX3.one(), CTX3.zero(), CTX3.zero())
         report = contact_constants(alpha, beta)
-        assert report.constant("c_prime").is_zero()
-        assert report.constant("c_second").is_zero()
+        assert report.constants["c_prime"].is_zero()
+        assert report.constants["c_second"].is_zero()
 
     def test_degenerate_pair(self):
         alpha = one_form(CTX3, [CTX3.one(), CTX3.zero(), CTX3.zero()])
@@ -571,9 +571,9 @@ class TestContactConstants:
         alpha = one_form(CTX3, [two, -two * parse_in("x3", CTX3), CTX3.zero()])
         beta = two_form_cyclic(CTX3, CTX3.one(), CTX3.zero(), CTX3.zero())
         report = contact_constants(alpha, beta)
-        assert report.constant("c_prime") == two
-        assert report.constant("c_second").is_zero()
-        assert (report.constant("c_prime") * report.constant("c_second")).is_zero()
+        assert report.constants["c_prime"] == two
+        assert report.constants["c_second"].is_zero()
+        assert (report.constants["c_prime"] * report.constants["c_second"]).is_zero()
 
 
 class TestReportInvariants:
