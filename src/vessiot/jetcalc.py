@@ -7,13 +7,13 @@ import re
 from fractions import Fraction
 from math import comb
 from operator import not_
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputFormatError, OrderOverflow, SingularPoint, quoted
 from .symexpr import (
     MAX_LITERAL_DIGITS, Context, Expression, _from_reduced, _pconst, _Poly, add_term,
-    combination_str, common_denominator,
+    combination_str, common_denominator, derivatives,
 )
 
 MultiIndex = Tuple[int, ...]
@@ -168,12 +168,11 @@ def system_context(system: Iterable[LinearJetEquation]) -> Context:
     raise ValueError("a system without nonzero equations has no context")
 
 
-def _product_rule(terms: Mapping[JetVariable, object], i: int, d_i: Callable) -> dict:
+def _product_rule(terms: Mapping[JetVariable, object], i: int, partials: Iterable) -> dict:
     """The total derivative of sum c*xi^k_mu: c*xi^k_mu -> (d_i c)*xi^k_mu +
-    c*xi^k_{mu+1_i}, for coefficients c with partial derivative d_i."""
+    c*xi^k_{mu+1_i}, given the partials d_i c in the order of terms."""
     out: dict = {}
-    for jv, c in terms.items():
-        dc = d_i(c)
+    for (jv, c), dc in zip(terms.items(), partials):
         if not dc.is_zero():
             add_term(out, jv, dc)
         add_term(out, JetVariable(jv.component, mi_bump(jv.index, i)), c)
@@ -181,8 +180,13 @@ def _product_rule(terms: Mapping[JetVariable, object], i: int, d_i: Callable) ->
 
 
 def formal_derivative(eq: LinearJetEquation, i: int) -> LinearJetEquation:
-    """Formal total derivative d_i: a*xi^k_mu -> (d_i a)*xi^k_mu + a*xi^k_{mu+1_i}."""
-    return LinearJetEquation(_product_rule(eq.terms, i, lambda a: a.diff(i)))
+    """Formal total derivative d_i: a*xi^k_mu -> (d_i a)*xi^k_mu + a*xi^k_{mu+1_i}.
+
+    The coefficients are derived together (``symexpr.derivatives``), so each
+    distinct denominator among them is deflated once.
+    """
+    terms = eq.terms
+    return LinearJetEquation(_product_rule(terms, i, derivatives(terms.values(), i)))
 
 
 def formal_derivative_multi(eq: LinearJetEquation, mu: MultiIndex) -> LinearJetEquation:
@@ -198,9 +202,9 @@ def row_derivative(eq: LinearJetEquation, i: int) -> LinearJetEquation:
     The row is den*E for the equation E, so this is d_i(den*E) over den: kernel
     derivatives and sums only, with no gcd and no quotient rule.
     """
-    slot = i - 1
+    row, slot = eq.row, i - 1
     return LinearJetEquation.from_row(
-        eq.context, _product_rule(eq.row, i, lambda p: p.diff(slot)), eq.den
+        eq.context, _product_rule(row, i, (p.diff(slot) for p in row.values())), eq.den
     )
 
 

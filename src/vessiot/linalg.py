@@ -13,7 +13,10 @@ def _reduce(m: list, ncols: int, is_zero: Callable[[object], bool]) -> int:
     """Gauss-Jordan elimination of the row lists of ``m`` in place; returns the rank.
 
     Pivots are taken only in the first ``ncols`` columns (an augmented right-hand
-    side never holds one); pivot rows move to the top and are scaled to 1.
+    side never holds one), and pivot rows move to the top.  Each pivot row is
+    divided by its pivot and subtracted from the other rows right of the pivot
+    column only: that column would become a 1 and 0s, which no later step and
+    no caller reads, so it keeps its old entries.
     """
     rank = 0
     for col in range(ncols):
@@ -26,7 +29,7 @@ def _reduce(m: list, ncols: int, is_zero: Callable[[object], bool]) -> int:
         row = m[rank]
         inv = row[col]
         # zeros of the pivot row (all of it left of col) change nothing: 0/inv, a - f*0
-        support = [j for j in range(col, len(row)) if not is_zero(row[j])]
+        support = [j for j in range(col + 1, len(row)) if not is_zero(row[j])]
         for j in support:
             row[j] = row[j] / inv
         for r, other in enumerate(m):

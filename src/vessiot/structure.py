@@ -128,14 +128,18 @@ def product_constants(sec: GeometricSection) -> StructureReport:
     c' and c'' are the quotients of d2 w4 - d1 w5 and d1 w7 - d2 w8 by the
     witness w3*(1 - w1*w2); the Jacobi condition forces c' = c'' whenever
     both are constant (``StructureReport.of`` raises otherwise), and the
-    single constant c is reported.  Only w4, w5, w7 and w8 are formed, and
-    each curl is one reduction (``_curl``).
+    single constant c is reported.  Only w4, w5, w7 and w8 are formed.
+    c' = c'' holds identically, so the two unreduced quotients (``_curl``)
+    usually coincide, and then c'' is the reduced c': one reduction, not
+    two.  The residual c' - c'' is formed either way, so a wrong solve shows.
     """
     witness, d1w1, d2w2, matrix, rhs = _product_system(sec)
     w1, w2, _ = sec.components
     w4, w7 = solve_square(matrix, rhs)
-    c_prime = _curl(w4, 2, d1w1 + w1 * w4, 1, witness)
-    c_second = _curl(w7, 1, d2w2 + w2 * w7, 2, witness)
+    first = _curl(w4, 2, d1w1 + w1 * w4, 1, witness)
+    second = _curl(w7, 1, d2w2 + w2 * w7, 2, witness)
+    c_prime = Expression(witness.context, *first)
+    c_second = c_prime if second == first else Expression(witness.context, *second)
     return StructureReport.of(
         ObjectKind.PRODUCT_TRIPLE_2D.value,
         {"c_prime": c_prime, "c_second": c_second},
@@ -144,16 +148,17 @@ def product_constants(sec: GeometricSection) -> StructureReport:
     )
 
 
-def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression) -> Expression:
-    """(d_i a - d_j b) / witness, reduced once.
+def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression) -> tuple:
+    """(d_i a - d_j b) / witness as an unreduced (numerator, denominator) pair
+    of kernel polynomials.
 
     Over the common denominator e of a and b (one gcd), a = F/e and b = G/e,
     so e^2 (d_i a - d_j b) is the polynomial ``curl_numerator`` of F and G:
-    no gcd, and only the quotient by e^2 * witness reduces.
+    no gcd, and only the quotient by e^2 * witness is left to reduce.
     """
     e, (f, g) = common_denominator((a, b))
     numerator = curl_numerator(e, (e.diff(0), e.diff(1)), f, i - 1, g, j - 1)
-    return Expression(witness.context, numerator * witness.den, e * e * witness.num)
+    return numerator * witness.den, e * e * witness.num
 
 
 # ----------------------------------------------------------------------

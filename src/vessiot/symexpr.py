@@ -483,8 +483,10 @@ def _heu_gcd(f: _Poly, g: _Poly) -> Optional[tuple]:
     Evaluates one variable at an integer xi, recurses on the images (their
     gcd keeps its integer content, which the digits need), lifts the image gcd
     back by balanced base-xi digits, and keeps the candidate only when it
-    divides both inputs exactly; those two divisions are the cofactors.  The
-    candidate 1 divides everything and is taken unchecked.
+    divides both inputs exactly; those divisions are the cofactors.  The
+    candidate 1 divides everything and is taken unchecked, and an input equal
+    to the candidate has cofactor 1 with no division: the other division
+    verifies the candidate.
     """
     used = 0
     for p in (f, g):
@@ -511,7 +513,10 @@ def _heu_gcd(f: _Poly, g: _Poly) -> Optional[tuple]:
                 if _is_unit_poly(cand):
                     return cand, f, g
                 try:
-                    return cand, f.divexact(cand), g.divexact(cand)
+                    return cand, *(
+                        _pconst(1) if p.terms == cand.terms else p.divexact(cand)
+                        for p in (f, g)
+                    )
                 except ArithmeticError:
                     pass
         xi = xi * 73794 // 27011
@@ -706,17 +711,9 @@ class Expression:
         return _from_reduced(self.context, self.den.pow(-k), self.num.pow(-k))
 
     def diff(self, i: int) -> "Expression":
-        """Exact partial derivative with respect to coordinate x^i (1-based)."""
-        if not 1 <= i <= self.context.n:
-            raise ValueError(f"coordinate index {i} outside 1..{self.context.n}")
-        slot = i - 1
-        n, d = self.num, self.den
-        dd = d.diff(slot)
-        if dd.is_zero():
-            return Expression(self.context, n.diff(slot), d)
-        # deflate the shared factor of d and d' before the quotient rule
-        e, de, _ = _cancel(d, dd)
-        return Expression(self.context, n.diff(slot) * e - n * de, d * e)
+        """Exact partial derivative with respect to coordinate x^i (1-based):
+        the one-expression case of ``derivatives``."""
+        return derivatives((self,), i)[0]
 
     def sqrt(self) -> Optional["Expression"]:
         """Rational square root with positive leading coefficient, if one exists."""
@@ -807,6 +804,34 @@ def common_denominator(exprs: Iterable[Expression]) -> tuple:
         cofactors = [c * grow for c in cofactors] + [rest]
         lcm = lcm * grow
     return lcm, [x.num * c for x, c in zip(exprs, cofactors)]
+
+
+def derivatives(exprs: Iterable[Expression], i: int) -> list:
+    """The exact partial derivative of each expression with respect to
+    coordinate x^i (1-based), in order: the one quotient rule.
+
+    n/d -> (n' e - n d'') / (d e), where d = g e and d' = g d'' for the gcd
+    g of d and d', deflated first.  The deflation runs once per distinct
+    denominator, so expressions sharing one (the coefficients of a jet
+    equation) pay for one gcd; a d free of x^i needs none, and no lookup.
+    """
+    slot = i - 1
+    out = []
+    deflated: dict = {}  # den -> (e, d'')
+    for x in exprs:
+        if not 0 <= slot < x.context.n:
+            raise ValueError(f"coordinate index {i} outside 1..{x.context.n}")
+        num, den = x.num, x.den
+        dd = den.diff(slot)
+        if not dd.terms:
+            out.append(Expression(x.context, num.diff(slot), den))
+            continue
+        pair = deflated.get(den)
+        if pair is None:
+            pair = deflated[den] = _cancel(den, dd)[:2]
+        e, de = pair
+        out.append(Expression(x.context, num.diff(slot) * e - num * de, den * e))
+    return out
 
 
 def curl_numerator(e: _Poly, de: Sequence[_Poly], f: _Poly, i: int, g: _Poly, j: int) -> _Poly:

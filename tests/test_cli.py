@@ -7,7 +7,7 @@ import pytest
 from vessiot import cli, curvature, structure, symexpr
 from vessiot.cli import build_parser, main
 from vessiot.jetcalc import MAX_ORDER_LIMIT
-from vessiot.symexpr import parse
+from vessiot.symexpr import _pconst, parse
 
 SECTIONS = Path(__file__).resolve().parent.parent / "sections"
 METRIC_BODY = "w11 = 1\nw22 = 1\nw12 = 0\n"
@@ -849,11 +849,12 @@ class TestReportHygiene:
     @pytest.mark.parametrize("name", ["product_flat", "contact_standard"])
     def test_violated_jacobi_exit_three(self, capsys, monkeypatch, name):
         # constant structure functions with a nonzero Jacobi residual: c' = 1,
-        # c'' = 2 for the product, c' = c'' = 1 for the contact pair
+        # c'' = 2 for the product (as the unreduced pairs 1/1 and 2/1),
+        # c' = c'' = 1 for the contact pair
         if name == "product_flat":
             values = iter([1, 2])
             monkeypatch.setattr(
-                structure, "_curl", lambda a, i, b, j, w: w.context.rational(next(values))
+                structure, "_curl", lambda a, i, b, j, w: (_pconst(next(values)), _pconst(1))
             )
         else:
             monkeypatch.setattr(

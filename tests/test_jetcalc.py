@@ -16,6 +16,7 @@ from vessiot.jetcalc import (
     formal_derivative,
     formal_derivative_multi,
     lambda_dim,
+    mi_bump,
     multi_indices,
     parse_cc_spec,
     prolong,
@@ -24,7 +25,7 @@ from vessiot.jetcalc import (
     symbol_dimension,
 )
 from vessiot.lieops import ObjectKind, labeled_medolaghi, medolaghi_equations, section
-from vessiot.symexpr import Context, Expression, parse_in
+from vessiot.symexpr import Context, Expression, add_term, parse_in
 
 CTX = Context(2)
 ONE = CTX.one()
@@ -76,6 +77,32 @@ class TestFormalDerivative:
             d12 = formal_derivative(formal_derivative(eq, 1), 2)
             d21 = formal_derivative(formal_derivative(eq, 2), 1)
             assert d12 == d21
+
+    def test_each_denominator_deflated_once(self, monkeypatch):
+        # four coefficients over two denominators, L and L^2, both in x1 and x2
+        texts = ("-1/L", "1/L", "-1/L^2", "-2/L^2")
+        variables = (jv(1, (0, 0)), jv(2, (0, 0)), jv(1, (1, 0)), jv(2, (0, 1)))
+        eq = LinearJetEquation({
+            v: parse_in(t.replace("L", "(2*x1 + 2*x2 - 7)"), CTX)
+            for v, t in zip(variables, texts)
+        })
+        for i in (1, 2):
+            expected = {}
+            for v, c in eq.terms.items():
+                add_term(expected, v, c.diff(i))
+                add_term(expected, jv(v.component, mi_bump(v.index, i)), c)
+            deflations = []
+            cancel = symexpr._cancel
+
+            def counting(a, b, slot=i - 1):
+                deflations.append(b == a.diff(slot))
+                return cancel(a, b)
+
+            monkeypatch.setattr(symexpr, "_cancel", counting)
+            out = formal_derivative(eq, i)
+            monkeypatch.setattr(symexpr, "_cancel", cancel)
+            assert deflations.count(True) == 2
+            assert out == LinearJetEquation(expected)
 
     def test_order_increases_by_one(self):
         eq = LinearJetEquation({jv(1, (1, 1)): parse_in("x1", CTX)})

@@ -146,6 +146,27 @@ class TestCancel:
     def test_against_sympy(self, pair):
         self.check(*pair)
 
+    @ORACLE
+    @given(nonzero_polys, nonzero_polys)
+    def test_divisor_of_the_other(self, f, g):
+        # the gcd is f itself: its cofactor 1 needs no division of f by f
+        assume(len(f.terms) > 1 and abs(_primitive(f)[0]) == 1)
+        same = []
+        divexact = _Poly.divexact
+
+        def recording(p, q):
+            same.append(p == q)
+            return divexact(p, q)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Poly, "divexact", recording)
+            for a, b in ((f, f * g), (f * g, f)):
+                qa, qb, _ = _cancel(a, b)
+                reference = sympy.cancel(poly_sympy(a, SYMS) / poly_sympy(b, SYMS))
+                assert sympy.cancel(poly_sympy(qa, SYMS) / poly_sympy(qb, SYMS) - reference) == 0
+                self.check(a, b)
+        assert not any(same)
+
     # (family, seed) pairs whose gcd needs a second evaluation point (large 533
     # and power 488 a third), found by running with _HEU_TRIES = 1
     RETRIED = [("shared", 7), ("shared", 105), ("large", 18), ("large", 533),

@@ -35,6 +35,22 @@ class TestSolveSquare:
             solve_square([[e("x1"), e("x2")], [e("2*x1"), e("2*x2")]], [e("1"), e("2")])
 
 
+    def test_divides_only_right_of_each_pivot(self, monkeypatch):
+        # the pivot column would become 1 and 0: b and r1 by a, then r2' by d'
+        divisions = []
+        truediv = Expression.__truediv__
+
+        def counting(x, y):
+            divisions.append(x == y)
+            return truediv(x, y)
+
+        monkeypatch.setattr(Expression, "__truediv__", counting)
+        x = solve_square([[e("x1"), e("2")], [e("x2"), e("x1 + 1")]], [e("1"), e("x2")])
+        monkeypatch.setattr(Expression, "__truediv__", truediv)
+        assert divisions == [False] * 3
+        assert x == [e("(x1 + 1 - 2*x2)/(x1^2 + x1 - 2*x2)"), e("(x1*x2 - x2)/(x1^2 + x1 - 2*x2)")]
+
+
 class TestRank:
     def test_rational_rank(self):
         rows = [

@@ -241,3 +241,22 @@ def test_coefficient_budget_refused_under_optimize(tmp_path):
     assert plain.returncode == optimized.returncode == 2
     assert "coefficient beyond 10^1000" in plain.stderr
     assert plain.stderr == optimized.stderr and plain.stdout == optimized.stdout == ""
+
+
+def test_violated_jacobi_exit_three_under_optimize():
+    # the product's curls forced to the constants 1 and 2: the pairs differ,
+    # both are reduced, and the nonzero residual stops the run with no assert
+    code = (
+        "import sys\n"
+        "from vessiot import cli, structure\n"
+        "from vessiot.symexpr import _pconst\n"
+        "values = iter([1, 2])\n"
+        "structure._curl = lambda a, i, b, j, w: (_pconst(next(values)), _pconst(1))\n"
+        "sys.exit(cli.main(['compute', '--section', 'sections/product_flat.section']))\n"
+    )
+    plain, optimized = (run_python("-c", code, optimize=flag) for flag in (False, True))
+    assert plain.returncode == optimized.returncode == 3
+    assert plain.stderr.startswith(
+        "vessiot: internal error: RuntimeError: Jacobi identity violated"
+    )
+    assert plain.stderr == optimized.stderr and plain.stdout == optimized.stdout == ""

@@ -38,7 +38,7 @@ from vessiot.structure import (
     scaling_law,
     solve_intermediate_product,
 )
-from vessiot.symexpr import Context, parse_in
+from vessiot.symexpr import Context, Expression, parse_in
 
 CTX1 = Context(1)
 CTX2 = Context(2)
@@ -297,10 +297,11 @@ def chain_products():
 
 
 # Cancels of product_constants outside the 2x2 solve: the witness, d1 w1,
-# d2 w2, the right-hand side, w5, w8, two curls (an lcm and a quotient each)
-# and the Jacobi residual.  Measured at most 32 on ``chain_products``; the
-# route through w6, w9 and a second witness took 38 to 59 on the same kinds.
-PRODUCT_CANCELS_OUTSIDE_SOLVE = 32
+# d2 w2, the right-hand side, w5, w8, two curls (an lcm each, and one
+# quotient for both when their unreduced pairs coincide) and the Jacobi
+# residual.  Measured at most 29 on ``chain_products``; the route through
+# w6, w9 and a second witness took 38 to 59 on the same kinds.
+PRODUCT_CANCELS_OUTSIDE_SOLVE = 29
 
 
 class TestProductChain:
@@ -311,8 +312,9 @@ class TestProductChain:
         witness = nondegeneracy(sec)
         c_prime = (w4.diff(2) - w5.diff(1)) / witness
         c_second = (w7.diff(1) - w8.diff(2)) / witness
-        assert structure._curl(w4, 2, w5, 1, witness) == c_prime
-        assert structure._curl(w7, 1, w8, 2, witness) == c_second
+        context = witness.context
+        assert Expression(context, *structure._curl(w4, 2, w5, 1, witness)) == c_prime
+        assert Expression(context, *structure._curl(w7, 1, w8, 2, witness)) == c_second
         report = product_constants(sec)
         assert report.jacobi_residuals == [c_prime - c_second]
         if c_prime.is_constant() and c_second.is_constant():
@@ -342,6 +344,53 @@ class TestProductChain:
             in_solve.clear()
             product_constants(sec)
             assert len(calls) - sum(in_solve) <= PRODUCT_CANCELS_OUTSIDE_SOLVE
+
+    def test_coinciding_curls_reduce_once(self, monkeypatch):
+        # c' = c'' identically, and the unreduced pairs coincide on every
+        # section but one with w2 = 0; a zero curl reduces with no cancel
+        pairs, quotients = [], []
+        curl, cancel = structure._curl, symexpr._cancel
+
+        def recording_curl(*args):
+            pairs.append(curl(*args))
+            return pairs[-1]
+
+        def recording_cancel(a, b):
+            quotients.extend(1 for num, den in pairs if a is num and b is den)
+            return cancel(a, b)
+
+        monkeypatch.setattr(structure, "_curl", recording_curl)
+        monkeypatch.setattr(symexpr, "_cancel", recording_cancel)
+        coinciding = 0
+        for sec in chain_products():
+            pairs.clear()
+            quotients.clear()
+            report = product_constants(sec)
+            first, second = pairs
+            coinciding += first == second
+            assert first == second or sec.components[1].is_zero()
+            reduced = [first] if first == second else pairs
+            assert len(quotients) == sum(1 for num, _ in reduced if num.terms)
+            assert all(r.is_zero() for r in report.jacobi_residuals)
+        assert coinciding == len(chain_products()) - 1
+
+    def test_wrong_solve_shows_in_the_jacobi_residual(self, monkeypatch):
+        # w4 + x1 for w4 shifts c' by -d1(x1*w1)/witness and leaves c''
+        ctx = Context(2)
+        x1 = ctx.coordinate(1)
+
+        def wrong(matrix, rhs):
+            w4, w7 = solve_square(matrix, rhs)
+            return w4 + x1, w7
+
+        monkeypatch.setattr(structure, "solve_square", wrong)
+        rng = random.Random(7)
+        for _ in range(8):
+            sec = random_product_section(rng, ctx)
+            shift = -(x1 * sec.components[0]).diff(1) / nondegeneracy(sec)
+            residual = product_constants(sec).jacobi_residuals[0]
+            assert not residual.is_zero()
+            assert residual == shift
 
     def test_solves_through_the_module_name_once(self, monkeypatch):
         # perfbench/tracer.py times the solve by wrapping structure.solve_square
