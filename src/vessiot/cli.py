@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import InputFormatError, NotIntegrable, VessiotError, quoted
+from .errors import InputFormatError, KindMismatch, NotIntegrable, VessiotError, quoted
 
 PASS_EXIT = 0
 OBSTRUCTION_EXIT = 1
@@ -206,7 +206,7 @@ def _cmd_curvature(args) -> tuple[dict, dict, list, str, bool]:
         report = curvature.metric_constants(metric)
         result = {
             "curvature": curvature.riemann(metric).to_json_dict(),
-            "det": str(metric.det()),
+            "det": str(metric.det),
             "report": report.to_json_dict(),
         }
         verdict = "integrable" if report.integrable else "non-integrable"
@@ -216,7 +216,7 @@ def _cmd_curvature(args) -> tuple[dict, dict, list, str, bool]:
         flat = data.is_flat()
         result = {"curvature": data.to_json_dict(), "flat": flat}
         return inputs, result, data.residual_lines(), "flat" if flat else "nonflat", flat
-    raise VessiotError(
+    raise KindMismatch(
         f"curvature needs a METRIC_2D or CHRISTOFFEL_2D section, got {sec.kind.value}"
     )
 

@@ -10,9 +10,9 @@ The Christoffel -> Riemann chain serves connections and checks the record.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .errors import DegenerateMetric
+from .errors import DegenerateMetric, KindMismatch
 from .lieops import GeometricSection, ObjectKind
 from .reports import StructureReport
 from .symexpr import Context, Expression, _pconst, _Poly, common_denominator, curl_numerator
@@ -45,7 +45,7 @@ class Metric2D:
     @classmethod
     def from_section(cls, sec: GeometricSection) -> "Metric2D":
         if sec.kind is not ObjectKind.METRIC_2D:
-            raise ValueError("expected a METRIC_2D section")
+            raise KindMismatch("expected a METRIC_2D section")
         return cls(*sec.components)
 
     @property
@@ -57,13 +57,10 @@ class Metric2D:
             return self.w11 if i == 1 else self.w22
         return self.w12
 
+    @cached_property
     def det(self) -> Expression:
         """det(w) = det(W) / d^2 from the cleared metric, formed once per
         metric with one cancel; DegenerateMetric where it vanishes."""
-        return self._det
-
-    @cached_property
-    def _det(self) -> Expression:
         cleared = self.cleared
         return Expression(self.context, cleared.det, cleared.d * cleared.d)
 
@@ -116,23 +113,17 @@ class Metric2D:
 
     # no engine caller; it stays because perfbench/tracer.py wraps it (curvature.inverse_component)
     def inverse_component(self, i: int, j: int) -> Expression:
-        det = self.det()
+        det = self.det
         if i == j:
             return (self.w22 if i == 1 else self.w11) / det
         return -self.w12 / det
 
 
 class Connection2D:
-    """Symmetric connection gamma^k_ij on a 2-dimensional chart (6 components).
+    """Symmetric connection gamma^k_ij on a 2-dimensional chart, given by its
+    six components, keyed (k, i, j) with i <= j."""
 
-    Given by its components, or (``christoffel``) by ``over`` = (E, G), kernel
-    polynomials G^k_ij over one denominator E; either is built from the other
-    when first read, so the six quotients G/E are reduced only on demand."""
-
-    def __init__(self, components=None, *, context: Optional[Context] = None, over=None):
-        if over is not None:
-            self.context, self.over = context, over
-            return
+    def __init__(self, components: Dict[Tuple[int, int, int], Expression]):
         for k in (1, 2):
             for i, j in IJ:
                 if (k, i, j) not in components:
@@ -143,16 +134,13 @@ class Connection2D:
     @classmethod
     def from_section(cls, sec: GeometricSection) -> "Connection2D":
         if sec.kind is not ObjectKind.CHRISTOFFEL_2D:
-            raise ValueError("expected a CHRISTOFFEL_2D section")
+            raise KindMismatch("expected a CHRISTOFFEL_2D section")
         return cls(dict(zip(ObjectKind.CHRISTOFFEL_2D.spec.indices, sec.components)))
 
     @cached_property
-    def components(self) -> Dict[Tuple[int, int, int], Expression]:
-        e, numer = self.over
-        return {key: Expression(self.context, g, e) for key, g in numer.items()}
-
-    @cached_property
     def over(self) -> tuple:
+        """(E, G): the components G^k_ij / E over their common denominator E,
+        formed once per connection."""
         e, scaled = common_denominator(self.components.values())
         return e, dict(zip(self.components, scaled))
 
@@ -195,17 +183,17 @@ def christoffel(metric: Metric2D) -> Connection2D:
     """Levi-Civita connection gamma^k_ij = (1/2) w^{kr} (d_i w_rj + d_j w_ir - d_r w_ij).
 
     Over the cleared metric w = W/d (``Metric2D.cleared``), every component
-    is G^k_ij / E over the one designed denominator E = 2 det(W) d, where
-    G^k_ij = sum_r adj(W)^{kr} N_rij.  All of it is polynomial arithmetic:
-    no gcd and no division.
+    is G^k_ij / E with E = 2 det(W) d and G^k_ij = sum_r adj(W)^{kr} N_rij,
+    both polynomial; each quotient G/E is reduced with one cancel.
     """
     d, _, det, adj, N = metric.cleared
     e = det * d
-    return Connection2D(context=metric.context, over=(e + e, {
-        (k, i, j): adj[k, 1] * N[1, i, j] + adj[k, 2] * N[2, i, j]
+    e = e + e
+    return Connection2D({
+        (k, i, j): Expression(metric.context, adj[k, 1] * N[1, i, j] + adj[k, 2] * N[2, i, j], e)
         for k in (1, 2)
         for i, j in IJ
-    }))
+    })
 
 
 def riemann(source: Connection2D | Metric2D) -> CurvatureData:

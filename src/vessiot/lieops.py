@@ -58,20 +58,20 @@ class KindSpec(NamedTuple):
 
 
 class GeometricSection:
-    """A named structure kind plus its component expressions."""
+    """A named structure kind plus its component expressions, on the kind's chart."""
 
-    def __init__(self, kind: ObjectKind, components: Tuple[Expression, ...], n: int):
+    def __init__(self, kind: ObjectKind, components: Tuple[Expression, ...]):
         spec = kind.spec
-        if n != spec.dim:
-            raise ValueError(f"{kind.value} lives in dimension {spec.dim}, got n={n}")
         if len(components) != len(spec.keys):
             raise ValueError(
                 f"{kind.value} needs {len(spec.keys)} components, got {len(components)}"
             )
         ctx = components[0].context
-        if ctx.n != n or any(c.context != ctx for c in components):
+        if ctx.n != spec.dim:
+            raise ValueError(f"{kind.value} lives in dimension {spec.dim}, got n={ctx.n}")
+        if any(c.context != ctx for c in components):
             raise ValueError("component expressions disagree on context")
-        self.kind, self.components, self.n = kind, components, n
+        self.kind, self.components, self.n = kind, components, spec.dim
 
     @property
     def context(self) -> Context:
@@ -79,7 +79,7 @@ class GeometricSection:
 
 
 def section(kind: ObjectKind, components: Sequence[Expression]) -> GeometricSection:
-    return GeometricSection(kind, tuple(components), kind.spec.dim)
+    return GeometricSection(kind, tuple(components))
 
 
 def nondegeneracy(sec: GeometricSection) -> Expression:
@@ -227,7 +227,7 @@ _SPECS = {
 def same_equations(a: GeometricSection, b: GeometricSection) -> bool:
     """True iff each Medolaghi equation of either section is proportional to
     one of the other's, compared in one context holding both parameter sets."""
-    if a.kind is not b.kind or a.n != b.n:
+    if a.kind is not b.kind:
         raise KindMismatch(f"cannot compare {a.kind.value} with {b.kind.value}")
     context = Context(a.n, a.context.params + b.context.params)
     sys_a, sys_b = (
@@ -308,7 +308,7 @@ def parse_section_text(text: str) -> Tuple[GeometricSection, Dict[str, Expressio
         raise InputFormatError(
             f"unexpected keys in section file: {len(entries)}, the first {quoted(min(entries))}"
         )
-    return GeometricSection(kind, tuple(components), n), extras
+    return GeometricSection(kind, tuple(components)), extras
 
 
 def load_section(path) -> Tuple[GeometricSection, Dict[str, Expression]]:

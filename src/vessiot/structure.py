@@ -213,7 +213,7 @@ def equivalence_gate(
     a rescaling constant that is zero on exactly one side (no rescaling can
     match them).  Passing the gate never claims the problem is solvable.
     """
-    if left.kind is not right.kind or left.n != right.n:
+    if left.kind is not right.kind:
         raise KindMismatch(
             f"cannot compare {left.kind.value} with {right.kind.value}"
         )

@@ -131,6 +131,8 @@ class Context:
         """The given values as Fractions, followed by the default point's values
         for the variables they leave out; the default point when none is given."""
         point = () if point is None else tuple(Fraction(v) for v in point)
+        if len(point) > self.nvars:
+            raise ValueError(f"need at most {self.nvars} values, got {len(point)}")
         return point + self.default_point()[len(point):]
 
 

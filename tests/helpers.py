@@ -160,7 +160,7 @@ def constant_c_product_section(rng: random.Random, ctx: Context = None):
 def degenerate(metric) -> bool:
     """True iff det(w) of the metric vanishes identically."""
     try:
-        metric.det()
+        metric.det
     except DegenerateMetric:
         return True
     return False

@@ -16,8 +16,8 @@ from vessiot.curvature import (
     metric_constants,
     riemann,
 )
-from vessiot.errors import DegenerateMetric
-from vessiot.lieops import ObjectKind, load_section
+from vessiot.errors import DegenerateMetric, KindMismatch
+from vessiot.lieops import ObjectKind, load_section, section
 from vessiot.reports import StructureReport
 from vessiot.symexpr import Context, parse_in
 
@@ -79,6 +79,15 @@ class TestChristoffel:
 SECTIONS = Path(__file__).resolve().parent.parent / "sections"
 
 
+class TestFromSection:
+    def test_wrong_kind_is_a_kind_mismatch(self):
+        product = section(ObjectKind.PRODUCT_TRIPLE_2D, [ZERO, ZERO, ONE])
+        with pytest.raises(KindMismatch, match="^expected a METRIC_2D section$"):
+            Metric2D.from_section(product)
+        with pytest.raises(KindMismatch, match="^expected a CHRISTOFFEL_2D section$"):
+            Connection2D.from_section(product)
+
+
 def chain_metrics():
     """The bundled metrics, a/x2^2 half-planes, and seeded rational metrics
     whose three components have three distinct denominators."""
@@ -137,33 +146,6 @@ class TestLeviCivitaChain:
                 for r in (1, 2):
                     rho = rho + gamma(r, l, 2) * gamma(k, r, 1) - gamma(r, l, 1) * gamma(k, r, 2)
                 assert levi_civita.riemann[(k, l, 1, 2)] == rho
-
-    def test_components_reduced_only_when_read(self, monkeypatch):
-        calls = []
-        original = symexpr._cancel
-
-        def counting(a, b):
-            calls.append(1)
-            return original(a, b)
-
-        monkeypatch.setattr(symexpr, "_cancel", counting)
-        for filtered in chain_metrics():
-            # a fresh metric: the filter has already cleared this one
-            metric = Metric2D(filtered.w11, filtered.w22, filtered.w12)
-            calls.clear()
-            symexpr.common_denominator((metric.w11, metric.w22, metric.w12))
-            lcm_calls = len(calls)
-            calls.clear()
-            conn = christoffel(metric)
-            # only the lcm of the metric's denominators, no cancel of a Christoffel symbol
-            assert len(calls) == lcm_calls
-            e, numer = conn.over
-            calls.clear()
-            conn.gamma(1, 2, 1)
-            assert len(calls) == sum(not g.is_zero() for g in numer.values())
-            calls.clear()
-            conn.components
-            assert calls == []
 
 
 class TestRiemann:
@@ -251,8 +233,8 @@ class TestMetricConstants:
         report = metric_constants(metric)
         assert report.constants["c1"].is_zero()
         assert report.constants["c2"].is_zero()
-        assert metric.det() == CTX.rational(-1)
-        assert metric.det() is metric.det()
+        assert metric.det == CTX.rational(-1)
+        assert metric.det is metric.det
 
     def test_non_constant_curvature_flagged(self):
         metric = Metric2D(ONE, parse_in("x1 + 3", CTX), ZERO)

@@ -285,6 +285,13 @@ class TestSymbolDimension:
         second = [eq for eq in prolong(system, 1) if eq.order == 2]
         assert symbol_dimension(second, 2, generic=True) == 0
 
+    def test_long_sample_point_refused(self):
+        comps = [parse_in("x1 - 2", CTX), ONE, CTX.zero()]
+        system = labeled_medolaghi(section(ObjectKind.METRIC_2D, comps)).values()
+        assert symbol_dimension(system, 1, sample_point=(2, 7)) == 2
+        with pytest.raises(ValueError, match="^need at most 2 values, got 3$"):
+            symbol_dimension(system, 1, sample_point=(2, 7, 11))
+
 
 class TestDimensionTable:
     def test_paper_diagram_numbers(self):

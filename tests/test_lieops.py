@@ -363,16 +363,17 @@ class TestSectionFiles:
 class TestSectionValidation:
     def test_wrong_component_count(self):
         with pytest.raises(ValueError, match="^METRIC_2D needs 3 components, got 2$"):
-            GeometricSection(ObjectKind.METRIC_2D, (ONE, ONE), 2)
+            GeometricSection(ObjectKind.METRIC_2D, (ONE, ONE))
 
     def test_wrong_dimension(self):
+        ctx3 = Context(3)
         with pytest.raises(ValueError, match="^METRIC_2D lives in dimension 2, got n=3$"):
-            GeometricSection(ObjectKind.METRIC_2D, (ONE, ONE, ZERO), 3)
+            GeometricSection(ObjectKind.METRIC_2D, (ctx3.one(), ctx3.one(), ctx3.zero()))
 
     def test_mixed_contexts(self):
         other = Context(2, ["a"])
         with pytest.raises(ValueError, match="^component expressions disagree on context$"):
-            GeometricSection(ObjectKind.METRIC_2D, (ONE, other.one(), ZERO), 2)
+            GeometricSection(ObjectKind.METRIC_2D, (ONE, other.one(), ZERO))
 
     def test_kind_spec_keyword_construction(self):
         spec = KindSpec(

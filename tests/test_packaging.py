@@ -3,6 +3,7 @@
 ``assert`` statement, since ``python -O`` strips them: invariants raise.  No
 module imports ``dataclasses``, which pulls in ``inspect`` and would be paid by
 every CLI call.  No module reads the environment: every setting is an argument.
+No module imports a name it never uses.
 
 Relative imports (``from . import``, ``from .errors import``) stay inside the
 package and are not checked.  The benchmark's tracer wraps engine functions and
@@ -63,6 +64,34 @@ def environment_reads(source: str) -> list:
     return sorted(lines)
 
 
+def unused_imports(source: str) -> list:
+    """Names bound by the imports of Python source that the source never reads.
+    A name read only in an annotation, a string one included, counts as used;
+    ``from __future__`` imports bind nothing to read."""
+    tree = ast.parse(source)
+    bound = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:  # a Literal["..."] value, not a type
+                    continue
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted(bound - used)
+
+
 def test_modules_found():
     assert SRC / "symexpr.py" in MODULES
 
@@ -84,6 +113,20 @@ def test_checker_sees_environment_reads():
     assert environment_reads(source) == [2, 3, 4, 5]
 
 
+def test_checker_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport re as regex\nimport json\n"
+        "from typing import Dict, List, Optional, Tuple\n"
+        "from . import cli\nfrom .errors import X, Y\n"
+        "def f(a: Dict[str, 'Tuple[int, X]']) -> List[int]:\n"
+        "    return os.path.join(json.dumps(a))\n"
+        "y: 'cli.Z' = 1\n"
+        "z: Dict[str, 'not a type'] = {}\n"
+    )
+    assert unused_imports(source) == ["Optional", "Y", "regex"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_stdlib_only(path):
     imported = top_level_imports(path.read_text(encoding="utf-8"))
@@ -98,6 +141,11 @@ def test_no_assert(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclasses(path):
     assert "dataclasses" not in top_level_imports(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -681,12 +681,14 @@ class TestCompletePoint:
         assert ctx.complete_point(["1/2", 7, 0]) == (Fraction(1, 2), 7, 0)
         assert all(type(v) is Fraction for v in ctx.complete_point([1]))
 
-    def test_long_point_kept_for_evaluate_to_refuse(self):
+    def test_long_point_refused(self):
+        # an extra value would otherwise meet a monomial key's degree field
         ctx = Context(1)
-        point = ctx.complete_point([1, 2])
-        assert point == (1, 2)
+        with pytest.raises(ValueError, match="^need at most 1 values, got 2$"):
+            ctx.complete_point([1, 2])
         with pytest.raises(ValueError):
-            ctx.coordinate(1).evaluate(point)
+            ctx.coordinate(1).evaluate((1, 2))
+        assert Context(1, ["a"]).complete_point([1, 2]) == (1, 2)
 
 
 class TestSqrt:
