@@ -6,20 +6,36 @@ section, 2 on broken input or usage errors, and 3 when the engine itself fails
 (a violated internal invariant, such as the product or contact Jacobi check:
 a bug, never a verdict on the input).
 
-Each command handler imports the engine modules it runs, so a usage error
-loads none of them and ``dims`` loads only ``jetcalc`` and its kernel.  A
-handler returns the parts of its report and whether the outcome passed;
+Each command handler imports the engine modules it runs, and the engine
+imports a module where its first use is, so one process loads only what its
+command and section kind run (``symexpr`` and ``errors`` under all of them):
+
+- a usage error or ``--help``: no engine module, nor ``json`` or ``fractions``;
+- ``dims``: ``jetcalc``;
+- ``check-cc``: ``lieops`` and ``jetcalc``;
+- ``curvature``: ``lieops``, ``reports`` and ``curvature``;
+- ``compute`` and ``equivalence``: ``lieops``, ``reports``, ``structure``,
+  ``forms`` and ``linalg``, plus ``curvature`` on a METRIC_2D or
+  CHRISTOFFEL_2D section.  ``structure`` imports ``forms`` and ``linalg`` up
+  front, because the benchmark's tracer wraps ``structure.solve_square``,
+  ``structure.exterior_derivative`` and ``structure.wedge`` there.
+  ``jetcalc`` loads only with the Lie equations (``lieops.medolaghi_equations``,
+  ``same_equations``), which neither command builds.
+
+A handler returns the parts of its report and whether the outcome passed;
 ``main`` alone builds the report and maps the outcome to an exit code.
+``run``, the ``vessiot`` command and ``python -m vessiot.cli``, calls ``main``
+and then freezes the garbage collector before it exits, so interpreter
+teardown does not traverse every object of the loaded engine once more.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import gc
 import re
 import sys
-from fractions import Fraction
 
 from .errors import InputFormatError, KindMismatch, NotIntegrable, VessiotError, quoted
 
@@ -132,7 +148,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(argv: list[str] | None = None) -> None:
-    sys.exit(main(argv))
+    """The ``vessiot`` command: ``main``, then exit with its code.
+
+    ``gc.freeze()`` moves every live object to the permanent generation, which
+    the collection at interpreter exit skips: the report is written by then,
+    and finalization still flushes the standard streams and runs atexit
+    handlers.  ``main`` itself leaves the collector as it found it.
+    """
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +263,8 @@ _HANDLERS = {
 def _parse_point(text: str | None) -> tuple[Fraction, ...] | None:
     """The --sample-point coordinates.  Each is checked as text first:
     ``Fraction()`` would expand an exponent such as 1e100000000 in full."""
+    from fractions import Fraction
+
     from .symexpr import MAX_LITERAL_DIGITS
 
     if text is None:
@@ -260,6 +287,8 @@ def _parse_point(text: str | None) -> tuple[Fraction, ...] | None:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         for line in _text_lines(payload, ""):
@@ -296,4 +325,4 @@ def _text_lines(value, prefix: str) -> list[str]:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

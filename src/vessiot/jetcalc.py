@@ -9,7 +9,6 @@ from math import comb
 from operator import not_
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from . import linalg
 from .errors import InputFormatError, OrderOverflow, SingularPoint, quoted
 from .symexpr import (
     MAX_LITERAL_DIGITS, Context, Expression, _from_reduced, _pconst, _Poly, add_term,
@@ -256,6 +255,8 @@ def symbol_dimension(
     scaled by den never loses rank there silently.  ``generic`` asks instead
     for the exact rank of the rows over the function field.
     """
+    from . import linalg
+
     context = system_context(system)
     n = context.n
     for eq in system:

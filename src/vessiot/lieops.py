@@ -5,16 +5,21 @@ section follow from the object's type alone: one Lie-derivative rule for
 covariant tensors (first order) and one for connections (second order), read
 off each kind's index layout.  They depend only on the section components and
 their first derivatives.
+
+``jetcalc`` is imported where the equations are built, so a process that
+parses a section and reads its structure constants never loads it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateSection, InputFormatError, InputTooLarge, KindMismatch, quoted
-from .jetcalc import JetVariable, LinearJetEquation, combination, proportional
 from .symexpr import MAX_SECTION_BYTES, Context, Expression, add_term, parse_in
+
+if TYPE_CHECKING:
+    from .jetcalc import LinearJetEquation
 
 
 class ObjectKind(enum.Enum):
@@ -111,9 +116,10 @@ def labeled_medolaghi(sec: GeometricSection) -> Dict[str, LinearJetEquation]:
     return dict(zip(sec.kind.spec.labels, medolaghi_equations(sec)))
 
 
-def _jv(k: int, n: int, *coords: int) -> JetVariable:
-    """The jet variable d xi^k / d x_coords."""
-    return JetVariable(k, tuple(coords.count(i) for i in range(1, n + 1)))
+def _mi(n: int, *coords: int) -> Tuple[int, ...]:
+    """The multi-index of d / d x_coords: the jet variable d xi^k / d x_coords
+    is ``JetVariable(k, _mi(n, *coords))``."""
+    return tuple(coords.count(i) for i in range(1, n + 1))
 
 
 def _component_map(sec: GeometricSection) -> Dict[Tuple[int, ...], Expression]:
@@ -130,16 +136,20 @@ def _lie(w: Dict[Tuple[int, ...], Expression], idx: Tuple[int, ...], n: int, zer
     """The terms of (L(xi)w)_I for a covariant tensor w given by index:
     xi^r d_r w_I + sum_a w_(I with i_a -> r) d_(i_a) xi^r.  An index that w
     leaves out (the diagonal of a 2-form) reads 0."""
+    from .jetcalc import JetVariable
+
     terms: dict = {}
     for r in range(1, n + 1):
         for a, i in enumerate(idx):
-            add_term(terms, _jv(r, n, i), w.get(idx[:a] + (r,) + idx[a + 1 :], zero))
-        add_term(terms, _jv(r, n), w[idx].diff(r))
+            add_term(terms, JetVariable(r, _mi(n, i)), w.get(idx[:a] + (r,) + idx[a + 1 :], zero))
+        add_term(terms, JetVariable(r, _mi(n)), w[idx].diff(r))
     return terms
 
 
 def _tensor(sec: GeometricSection) -> List[LinearJetEquation]:
     """L(xi)w = 0 for a covariant tensor w, one equation per component w_I."""
+    from .jetcalc import LinearJetEquation
+
     w = _component_map(sec)
     zero = sec.context.zero()
     return [LinearJetEquation(_lie(w, idx, sec.n, zero)) for idx in sec.kind.spec.indices]
@@ -149,18 +159,20 @@ def _connection(sec: GeometricSection) -> List[LinearJetEquation]:
     """L(xi)gamma = 0 for a symmetric connection, one equation per gamma^k_ij:
     xi^k_ij + gamma^k_rj xi^r_i + gamma^k_ir xi^r_j - gamma^r_ij xi^k_r
     + xi^r d_r gamma^k_ij."""
+    from .jetcalc import JetVariable, LinearJetEquation
+
     n = sec.n
     g = _component_map(sec)
     one = sec.context.one()
     out = []
     for k, i, j in sec.kind.spec.indices:
         terms: dict = {}
-        add_term(terms, _jv(k, n, i, j), one)
+        add_term(terms, JetVariable(k, _mi(n, i, j)), one)
         for r in range(1, n + 1):
-            add_term(terms, _jv(r, n, i), g[(k, r, j)])
-            add_term(terms, _jv(r, n, j), g[(k, i, r)])
-            add_term(terms, _jv(k, n, r), -g[(r, i, j)])
-            add_term(terms, _jv(r, n), g[(k, i, j)].diff(r))
+            add_term(terms, JetVariable(r, _mi(n, i)), g[(k, r, j)])
+            add_term(terms, JetVariable(r, _mi(n, j)), g[(k, i, r)])
+            add_term(terms, JetVariable(k, _mi(n, r)), -g[(r, i, j)])
+            add_term(terms, JetVariable(r, _mi(n)), g[(k, i, j)].diff(r))
         out.append(LinearJetEquation(terms))
     return out
 
@@ -170,6 +182,8 @@ def _product_triple_2d(sec: GeometricSection) -> List[LinearJetEquation]:
     beta = w2 dx1 + dx2, plus one density equation for w3:
     (L alpha)_2 - w1 (L alpha)_1, (L beta)_1 - w2 (L beta)_2 and
     xi^r d_r w3 + w3 ((L alpha)_1 + (L beta)_2)."""
+    from .jetcalc import combination
+
     w1, w2, w3 = sec.components
     one, zero = sec.context.one(), sec.context.zero()
     la1, la2 = (_lie({(1,): one, (2,): w1}, (i,), 2, zero) for i in (1, 2))
@@ -227,6 +241,8 @@ _SPECS = {
 def same_equations(a: GeometricSection, b: GeometricSection) -> bool:
     """True iff each Medolaghi equation of either section is proportional to
     one of the other's, compared in one context holding both parameter sets."""
+    from .jetcalc import LinearJetEquation, proportional
+
     if a.kind is not b.kind:
         raise KindMismatch(f"cannot compare {a.kind.value} with {b.kind.value}")
     context = Context(a.n, a.context.params + b.context.params)

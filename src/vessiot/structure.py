@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import curvature
 from .errors import (
     DegenerateSection,
     DegeneratePair,
@@ -341,7 +340,8 @@ def contact_pair_forms(sec: GeometricSection) -> Tuple[DifferentialForm, Differe
 # Each builder maps (section, extra expressions of the section file) to the
 # structure report and the residual lines of ``vessiot compute``.  Engine
 # functions are looked up by name at call time, so that wrappers installed on
-# this module or on ``curvature`` see every call.
+# this module or on ``curvature`` see every call.  ``curvature`` is imported by
+# the two builders that use it, so the other kinds never load it.
 
 
 def _product_report(sec, extras):
@@ -350,6 +350,8 @@ def _product_report(sec, extras):
 
 
 def _metric_report(sec, extras):
+    from . import curvature
+
     return curvature.metric_constants(curvature.Metric2D.from_section(sec)), []
 
 
@@ -365,6 +367,8 @@ def _projective_1d_report(sec, extras):
 
 def _affine_2d_report(sec, extras):
     # local affine coordinates exist iff every Riemann component vanishes
+    from . import curvature
+
     data = curvature.riemann(curvature.Connection2D.from_section(sec))
     first = next((c for _, c in sorted(data.riemann.items()) if not c.is_zero()), None)
     return _residual_report("AFFINE_2D", first), data.residual_lines()

@@ -492,7 +492,7 @@ class TestDims:
         def refuse(*args, **kwargs):
             raise ValueError("cannot emit")
 
-        monkeypatch.setattr(cli.json, "dumps", refuse)
+        monkeypatch.setattr(json, "dumps", refuse)
         code, out, err = run_cli(capsys, "dims", "--n", "2")
         assert code == 3
         assert out == ""

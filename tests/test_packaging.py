@@ -10,7 +10,8 @@ package and are not checked.  The benchmark's tracer wraps engine functions and
 methods by name; every name it wraps must exist.
 
 The package imports lazily: a fresh interpreter shows which modules one CLI
-call loads.
+call loads, and that only the ``vessiot`` entry point, ``cli.run``, freezes
+the garbage collector.
 """
 
 import ast
@@ -196,23 +197,22 @@ def loaded_by(code: str) -> set:
 
 def test_cli_import_is_light():
     loaded = loaded_by("import vessiot.cli")
-    assert "dataclasses" not in loaded
-    assert "inspect" not in loaded
+    assert loaded & {"dataclasses", "inspect", "json", "fractions"} == set()
     assert {m for m in loaded if m.startswith("vessiot")} == {
         "vessiot", "vessiot.cli", "vessiot.errors"}
 
 
-@pytest.mark.parametrize("argv", [["frobnicate"], ["compute"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [["frobnicate"], ["compute"], ["--help"]], ids=" ".join)
 def test_usage_error_loads_no_engine(argv):
     loaded = loaded_by(f"from vessiot.cli import main\nmain({argv!r})")
-    assert loaded & ENGINE == set()
+    assert loaded & (ENGINE | {"json", "fractions"}) == set()
 
 
 def test_dims_loads_only_jetcalc():
     loaded = loaded_by("from vessiot.cli import main\nmain(['dims', '--n', '2'])")
     assert "vessiot.jetcalc" in loaded
     assert loaded & {"vessiot.lieops", "vessiot.structure", "vessiot.curvature",
-                     "vessiot.forms"} == set()
+                     "vessiot.forms", "vessiot.linalg"} == set()
 
 
 def test_forms_loads_only_the_kernel():
@@ -241,6 +241,69 @@ def test_star_import_and_dir_cover_all():
         "print(sorted(name for name in vessiot.__all__ if name not in globals()))\n"
     )
     assert out.split() == ["[]", "[]"]
+
+
+def section_path(name: str) -> str:
+    return str(ROOT / "sections" / f"{name}.section")
+
+
+# (argv, engine modules the call loads, engine modules it leaves unloaded)
+COMMAND_LOADS = [
+    (["compute", "--section", section_path("product_flat")],
+     {"vessiot.structure", "vessiot.linalg", "vessiot.forms"},
+     {"vessiot.jetcalc", "vessiot.curvature"}),
+    (["compute", "--section", section_path("metric_half_plane")],
+     {"vessiot.structure", "vessiot.curvature"}, {"vessiot.jetcalc"}),
+    (["curvature", "--section", section_path("metric_half_plane")],
+     {"vessiot.curvature"}, {"vessiot.jetcalc", "vessiot.structure", "vessiot.linalg"}),
+    (["check-cc", "--section", section_path("metric_euclidean"), "--cc",
+      "d11O22,+d22O11,-2d12O12"],
+     {"vessiot.jetcalc", "vessiot.lieops"},
+     {"vessiot.structure", "vessiot.curvature", "vessiot.forms", "vessiot.linalg"}),
+    # the gate compares structure constants, never the Lie equations
+    (["equivalence", "--left", section_path("product_flat"), "--right",
+      section_path("product_projective")],
+     {"vessiot.structure"}, {"vessiot.jetcalc", "vessiot.curvature"}),
+]
+
+
+@pytest.mark.parametrize("argv, loads, skips", COMMAND_LOADS,
+                         ids=[f"{c[0][0]} {Path(c[0][2]).stem}" for c in COMMAND_LOADS])
+def test_command_loads_only_what_it_runs(argv, loads, skips):
+    loaded = loaded_by(f"from vessiot.cli import main\nmain({argv!r})")
+    assert loads <= loaded
+    assert loaded & skips == set()
+
+
+def test_jetcalc_loads_with_the_lie_equations():
+    load = (
+        "from vessiot.lieops import load_section, same_equations\n"
+        f"left, _ = load_section({section_path('product_flat')!r})\n"
+        f"right, _ = load_section({section_path('product_projective')!r})\n"
+    )
+    assert "vessiot.jetcalc" not in loaded_by(load)
+    assert "vessiot.jetcalc" in loaded_by(load + "same_equations(left, right)")
+
+
+# ----------------------------------------------------------------------
+# the exit path: run() is main() plus a collector frozen before exit
+# ----------------------------------------------------------------------
+
+
+def test_only_run_freezes_the_collector():
+    argv = ["compute", "--section", section_path("product_flat")]
+    out = fresh(
+        "import contextlib, gc, io\nfrom vessiot.cli import main, run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "    frozen_by_main = gc.get_freeze_count()\n"
+        "    try:\n"
+        f"        run({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        exit_code = exc.code\n"
+        "print(code, frozen_by_main, exit_code, gc.get_freeze_count() > 0)\n"
+    )
+    assert out.split() == ["0", "0", "0", "True"]
 
 
 # ----------------------------------------------------------------------

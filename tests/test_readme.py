@@ -1,10 +1,15 @@
 """The README's examples run as written: the library example prints what its
 trailing comments say, and each line of the CLI block exits 0 or 1 with one
-JSON report (optional ``[...]`` parts dropped)."""
+JSON report (optional ``[...]`` parts dropped).  The ``vessiot`` command, run
+in a new process, prints those reports byte for byte as ``cli.main`` does in
+process, with the same exit code."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +55,26 @@ def test_cli_line_prints_one_report(line, capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.err == ""
     assert set(json.loads(out.out)) == REPORT_KEYS
+
+
+def cli_argvs() -> list:
+    """The arguments of each CLI line, without and with its ``[...]`` parts."""
+    argvs = []
+    for line in cli_lines():
+        for text in (re.sub(r"\s*\[[^\]]*\]", "", line), re.sub(r"[\[\]]", "", line)):
+            argv = shlex.split(text)[1:]
+            if argv not in argvs:
+                argvs.append(argv)
+    return argvs
+
+
+@pytest.mark.parametrize("argv", cli_argvs() + [["compute", "--format", "yaml"]], ids=" ".join)
+def test_vessiot_command_prints_what_main_prints(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = cli.main(argv)
+    expected = capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    entry = subprocess.run([sys.executable, "-c", "from vessiot.cli import run; run()", *argv],
+                           cwd=ROOT, env=env, capture_output=True, timeout=60)
+    assert (entry.returncode, entry.stdout, entry.stderr) == (
+        code, expected.out.encode(), expected.err.encode())
