@@ -350,6 +350,11 @@ class _Poly:
         box = (_max_degrees(self) | guards) - _max_degrees(other)
         if box & guards != guards:
             raise ArithmeticError("inexact polynomial division")
+        # the lowest grlex term of a product is the product of the lowest
+        # terms, so the divisor's must divide the dividend's
+        low, first = min(other.terms), min(self.terms)
+        if ((first | guards) - low) & guards != guards or self.terms[first] % other.terms[low]:
+            raise ArithmeticError("inexact polynomial division")
         rem = dict(self.terms)
         heap = [-m for m in rem]
         heapify(heap)
@@ -425,10 +430,13 @@ def _cancel(a: _Poly, b: _Poly) -> tuple:
     unchanged.  The one gcd entry point, and the one place where a common
     factor is divided out.
 
-    Each path takes the quotients from its own construction of g: a zero or
-    single-term operand, equal primitive parts, then the heuristic gcd, whose
-    verified candidate comes with both cofactors.  InputTooLarge when the
-    heuristic gives up; no known input reaches that.
+    Each path takes the quotients from its own construction of g, in order:
+    a zero operand; a single-term operand; equal primitive parts; a trial
+    division of the primitive part of higher total degree by the other one,
+    whose exact quotient is that operand's cofactor (a primitive operand of
+    degree 1 is irreducible, so when it does not divide, g is 1); then the
+    heuristic gcd, whose verified candidate comes with both cofactors.
+    InputTooLarge when the heuristic gives up; no known input reaches that.
     """
     if not a.terms:
         cb, g = _primitive(b)
@@ -445,6 +453,18 @@ def _cancel(a: _Poly, b: _Poly) -> tuple:
     cb, pb = _primitive(b)
     if pa.terms == pb.terms:  # equal up to a constant factor, sign included
         return _pconst(ca), _pconst(cb), pa
+    da, db = _degree(max(pa.terms)), _degree(max(pb.terms))
+    # of equal degrees, only associates divide, and those were taken above
+    if da < db:
+        quotient = _trial_quotient(pb, pa)
+        if quotient is not None:
+            return _pconst(ca), quotient * _pconst(cb), pa
+    elif db < da:
+        quotient = _trial_quotient(pa, pb)
+        if quotient is not None:
+            return quotient * _pconst(ca), _pconst(cb), pb
+    if min(da, db) == 1:
+        return a, b, _pconst(1)
     found = _heu_gcd(pa, pb)
     if found is None:
         raise InputTooLarge(
@@ -453,6 +473,21 @@ def _cancel(a: _Poly, b: _Poly) -> tuple:
         )
     g, qa, qb = found
     return qa * _pconst(ca), qb * _pconst(cb), g
+
+
+def _trial_quotient(t: _Poly, s: _Poly) -> Optional[_Poly]:
+    """t/s when the primitive s divides t exactly, else None.
+
+    When s divides t, t(1, ..., 1) is a multiple of s(1, ..., 1), so sums of
+    coefficients that are not refuse the division before it starts.
+    """
+    ss, st = sum(s.terms.values()), sum(t.terms.values())
+    if st % ss if ss else st:
+        return None
+    try:
+        return t.divexact(s)
+    except ArithmeticError:
+        return None
 
 
 def _monomial_gcd(a: _Poly, b: _Poly) -> int:

@@ -339,12 +339,17 @@ class TestHostileInput:
         assert out == ""
         assert "term pairs" in err and "Traceback" not in err
 
-    def test_gcd_give_up_exit_two(self, capsys, monkeypatch):
+    def test_gcd_give_up_exit_two(self, capsys, monkeypatch, tmp_path):
+        # the shared factor x1^2 + x2 is neither operand, so no trial division
+        # finds it and the heuristic runs
+        path = write(
+            tmp_path, "shared.section",
+            "kind = METRIC_2D\nw11 = (x1^2 + x2)*(x1 + x2^2 + 1)/((x1^2 + x2)*(3*x1^2 + x2 + 2))\n"
+            "w22 = 1\nw12 = 0\n",
+        )
         monkeypatch.setattr(symexpr, "_heu_gcd", lambda f, g: None)
         start = time.perf_counter()
-        code, out, err = run_cli(
-            capsys, "compute", "--section", str(SECTIONS / "product_projective.section")
-        )
+        code, out, err = run_cli(capsys, "compute", "--section", path)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""

@@ -210,11 +210,27 @@ FAMILIES = {
 }
 
 
+def _heuristic(a: _Poly, b: _Poly) -> None:
+    """Run GCDHEU itself on the primitive parts of a and b, when neither is a
+    single term, zero, or the other's primitive part: ``_cancel`` settles
+    those before any gcd, and a trial division may settle more."""
+    if len(a.terms) < 2 or len(b.terms) < 2:
+        return
+    (_, pa), (_, pb) = _primitive(a), _primitive(b)
+    if pa.terms == pb.terms:
+        return
+    found = symexpr._heu_gcd(pa, pb)
+    assert found is not None, "the heuristic gave up"
+    g, qa, qb = found
+    assert qa * g == pa and qb * g == pb
+
+
 class TestHeuristicMargin:
     """GCDHEU settles every pair below within 3 of its _HEU_TRIES = 6
     evaluation points (at most 3 over 3,000 seeds of each family), so a
     weaker choice of evaluation point fails here rather than at users as
-    InputTooLarge."""
+    InputTooLarge.  The heuristic is called directly, since ``_cancel``
+    settles some of these pairs by a trial division first."""
 
     @pytest.fixture(autouse=True)
     def three_tries(self, monkeypatch):
@@ -223,15 +239,51 @@ class TestHeuristicMargin:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_seeded_families(self, family):
         for seed in range(400):
-            a, b = FAMILIES[family](random.Random(seed))
-            qa, qb, g = _cancel(a, b)
-            assert qa * g == a and qb * g == b
+            _heuristic(*FAMILIES[family](random.Random(seed)))
 
     @settings(ORACLE, max_examples=200)
     @given(_cancel_pairs(_monomials))
     def test_oracle_pairs(self, pair):
-        qa, qb, g = _cancel(*pair)
-        assert qa * g == pair[0] and qb * g == pair[1]
+        _heuristic(*pair)
+
+
+def _forbidden(f, g):
+    raise AssertionError("heuristic gcd called")
+
+
+_contents = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _linear(draw):
+    """A primitive polynomial of total degree 1 with at least two terms."""
+    coefficients = draw(st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+    terms = {m: c for m, c in zip([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)], coefficients) if c}
+    assume(len(terms) > 1 and any(sum(m) for m in terms))
+    return _primitive(packed(terms))[1] * _pconst(draw(st.sampled_from([1, -1])))
+
+
+class TestTrialDivision:
+    """Pairs whose gcd is one operand up to its content, or 1 beside a linear
+    operand: ``_cancel`` agrees with sympy and never runs the heuristic."""
+
+    @ORACLE
+    @given(nonzero_polys, nonzero_polys, _contents, _contents)
+    def test_divisor_with_contents(self, f, g, c1, c2):
+        a, b = f * _pconst(c1), f * g * _pconst(c2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symexpr, "_heu_gcd", _forbidden)
+            for pair in ((a, b), (b, a)):
+                TestCancel.check(*pair)
+
+    @ORACLE
+    @given(_linear(), nonzero_polys, _contents)
+    def test_linear_operand(self, s, t, c):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symexpr, "_heu_gcd", _forbidden)
+            for other in (t, s * t * _pconst(c)):
+                TestCancel.check(s, other)
+                TestCancel.check(other, s)
 
 
 class TestDivexact:

@@ -561,10 +561,34 @@ class TestCancelCost:
         a, b = (f * parse("x1 - x2", 2)).num, (f * parse("6*x1^2 + 3", 2)).num
         qa, qb, g = _cancel(a, b)
         assert g == f.num and qa * g == a and qb * g == b
-        # the heuristic checks its candidate against both operands, and those
-        # quotients are the result: no division after it
+        # at most one trial division before the heuristic, which checks its
+        # candidate against both operands; those quotients are the result, so
+        # no division follows them
+        assert sum(not inside for _, inside in divisions) <= 1
         assert divisions[-2:] == [(g, True), (g, True)]
+
+    def test_equal_degrees_try_no_division(self, divisions):
+        f = parse("x1 + 2*x2 + 1", 2)
+        a, b = (f * parse("x1 - x2 + 3", 2)).num, (f * parse("2*x1 + x2 - 5", 2)).num
+        qa, qb, g = _cancel(a, b)
+        assert g == f.num and qa * g == a and qb * g == b
         assert all(inside for _, inside in divisions)
+        assert divisions[-2:] == [(g, True), (g, True)]
+
+    def test_divisor_found_by_one_division(self, divisions):
+        f = parse("x1^2 + x2 + 1", 2).num
+        a, b = f * _pconst(-2), (f * parse("x1 - x2", 2).num) * _pconst(6)
+        for pair in ((a, b), (b, a)):
+            divisions.clear()
+            qa, qb, g = _cancel(*pair)
+            assert g == f and qa * g == pair[0] and qb * g == pair[1]
+            assert divisions == [(f, False)]
+
+    def test_linear_operand_coprime_after_one_division(self, divisions):
+        # the sums of coefficients, 4 and 4, let the division start
+        a, b = parse("x1 + 2*x2 + 1", 2).num, parse("x1^2*x2 + 3", 2).num
+        assert _cancel(a, b) == (a, b, _pconst(1))
+        assert divisions == [(a, False)]
 
     def test_never_divides_by_one(self, divisions):
         rng = random.Random(17)
@@ -581,6 +605,49 @@ class TestCancelCost:
         riemann(christoffel(Metric2D(*w)))
         riemann(christoffel(Metric2D(*(c / w[2] for c in w))))
         assert divisions and not any(_is_unit_poly(q) for q, _ in divisions)
+
+
+class TestTrialDivision:
+    """A gcd that is one of the operands, or 1 beside a linear operand, is
+    settled without the heuristic."""
+
+    @pytest.fixture(autouse=True)
+    def no_heuristic(self, monkeypatch):
+        def forbidden(f, g):
+            raise AssertionError("heuristic gcd called")
+
+        monkeypatch.setattr(symexpr, "_heu_gcd", forbidden)
+
+    @pytest.mark.parametrize("k", [2, 7, 30])
+    def test_diff_of_a_power_in_the_denominator(self, k):
+        base = parse("x1 + x2 + 1", 2).num
+        d = parse(f"1/(x1 + x2 + 1)^{k}", 2).diff(1)
+        assert (d.num, d.den) == (_pconst(-k), base.pow(k + 1))
+
+    def test_diff_of_the_hundredth_power_is_fast(self):
+        # one exact division finds gcd(L^100, 100 L^99) in ~0.02 s; GCDHEU on
+        # that pair takes over 10 s
+        e = parse("1/(x1 + x2 + 1)^100", 2)
+        start = time.perf_counter()
+        d = e.diff(1)
+        assert time.perf_counter() - start < 2.0
+        base = parse("x1 + x2 + 1", 2).num
+        assert (d.num, d.den) == (_pconst(-100), base.pow(100) * base)
+
+    def test_linear_operands_of_equal_degree_are_coprime(self):
+        a, b = parse("2*x1 + 4*x2 - 6", 2).num, parse("x1 - x2", 2).num
+        assert _cancel(a, b) == (a, b, _pconst(1))
+
+    def test_divexact_refuses_mismatched_lowest_terms_before_its_walk(self, monkeypatch):
+        walks = []
+        monkeypatch.setattr(symexpr, "heapify", walks.append)
+        for num, den in [
+            ("x1^2*x2 + x1", "x1 + x2"),  # lowest monomials x1 and x2
+            ("x1^2 + x1 + 1", "x1 + 2"),  # lowest coefficients 1 and 2
+        ]:
+            with pytest.raises(ArithmeticError):
+                parse(num, 2).num.divexact(parse(den, 2).num)
+        assert walks == []
 
 
 class TestGiveUp:
