@@ -66,15 +66,19 @@ class Metric2D:
 
     @cached_property
     def cleared(self) -> ClearedMetric:
-        """The metric over its common denominator, formed once per metric."""
+        """The metric over its common denominator, formed once per metric.
+        Each W component is differentiated once per variable, and N reads
+        its partials from that table."""
         d, (w11, w22, w12) = common_denominator((self.w11, self.w22, self.w12))
         det = w11 * w22 - w12 * w12
         if det.is_zero():
             raise DegenerateMetric("det(w) is identically zero")
         W = {(1, 1): w11, (2, 2): w22, (1, 2): w12, (2, 1): w12}
+        dW = {ij: (W[ij].diff(0), W[ij].diff(1)) for ij in IJ}  # dW[i, j][s] = d_{s+1} W_ij
+        dW[2, 1] = dW[1, 2]
         dd = (d.diff(0), d.diff(1))
         N = {
-            (p, i, j): d * (W[p, j].diff(i - 1) + W[i, p].diff(j - 1) - W[i, j].diff(p - 1))
+            (p, i, j): d * (dW[p, j][i - 1] + dW[i, p][j - 1] - dW[i, j][p - 1])
             - (W[p, j] * dd[i - 1] + W[i, p] * dd[j - 1] - W[i, j] * dd[p - 1])
             for p in (1, 2)
             for i, j in IJ
@@ -168,14 +172,25 @@ class CurvatureData(NamedTuple):
         ]
 
     def to_json_dict(self) -> Dict[str, object]:
+        """The record as strings, each distinct Expression object rendered
+        once: a metric's Ricci and sym entries are its K w_ij products, and
+        a connection's Ricci entries reuse its Riemann components."""
+        rendered: Dict[int, str] = {}
+
+        def text(c: Expression) -> str:
+            s = rendered.get(id(c))
+            if s is None:
+                s = rendered[id(c)] = str(c)
+            return s
+
         return {
             "riemann": {
-                f"r{k}_{l},{i}{j}": str(c)
+                f"r{k}_{l},{i}{j}": text(c)
                 for (k, l, i, j), c in sorted(self.riemann.items())
             },
-            "ricci": {f"r{i}{j}": str(c) for (i, j), c in sorted(self.ricci.items())},
-            "phi_12": str(self.phi_12),
-            "sym": {f"s{i}{j}": str(c) for (i, j), c in sorted(self.sym.items())},
+            "ricci": {f"r{i}{j}": text(c) for (i, j), c in sorted(self.ricci.items())},
+            "phi_12": text(self.phi_12),
+            "sym": {f"s{i}{j}": text(c) for (i, j), c in sorted(self.sym.items())},
         }
 
 
@@ -205,28 +220,33 @@ def riemann(source: Connection2D | Metric2D) -> CurvatureData:
     G^k_l2 and G^k_l1 plus G^r_l2 G^k_r1 - G^r_l1 G^k_r2, all polynomial, so
     each stored rho^k_{l,12} is one kernel numerator over e^2, reduced once.
     A metric builds no connection: by Gauss, rho^k_{l,ij} = K (delta^k_i w_lj -
-    delta^k_j w_li), K = ``Metric2D.gauss_curvature``: rho^1_{1,12} = K w12,
-    rho^1_{2,12} = K w22, rho^2_{1,12} = -K w11 and rho^2_{2,12} = -K w12.
+    delta^k_j w_li), K = ``Metric2D.gauss_curvature``, so the three products
+    K w11, K w22 and K w12, each formed once, make the whole record:
+    rho^1_{1,12} = K w12, rho^1_{2,12} = K w22, rho^2_{1,12} = -K w11,
+    rho^2_{2,12} = -K w12, Ricci rho_ij = K w_ij (rho_12 and rho_21 one
+    object), phi_12 = 0 and sym = Ricci.
     """
     if isinstance(source, Metric2D):
         k = source.gauss_curvature
-        kw12 = k * source.w12
-        riem = {(1, 1, 1, 2): kw12, (1, 2, 1, 2): k * source.w22,
-                (2, 1, 1, 2): -(k * source.w11), (2, 2, 1, 2): -kw12}
-    else:
-        e, numer = source.over
-        de = (e.diff(0), e.diff(1))
-        G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
+        kw11, kw22, kw12 = k * source.w11, k * source.w22, k * source.w12
+        riem = {(1, 1, 1, 2): kw12, (1, 2, 1, 2): kw22, (2, 1, 1, 2): -kw11, (2, 2, 1, 2): -kw12}
+        ricci = {(1, 1): kw11, (1, 2): kw12, (2, 1): kw12, (2, 2): kw22}
+        sym = {(1, 1): kw11, (2, 2): kw22, (1, 2): kw12}
+        return CurvatureData(riemann=riem, ricci=ricci, phi_12=source.context.zero(), sym=sym)
 
-        def rho(k: int, l: int):
-            total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
-            for r in (1, 2):
-                total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
-            return total
+    e, numer = source.over
+    de = (e.diff(0), e.diff(1))
+    G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
 
-        e2 = e * e
-        riem = {(k, l, 1, 2): Expression(source.context, rho(k, l), e2)
-                for k in (1, 2) for l in (1, 2)}
+    def rho(k: int, l: int):
+        total = curl_numerator(e, de, G[k, l, 2], 0, G[k, l, 1], 1)
+        for r in (1, 2):
+            total = total + G[r, l, 2] * G[k, r, 1] - G[r, l, 1] * G[k, r, 2]
+        return total
+
+    e2 = e * e
+    riem = {(k, l, 1, 2): Expression(source.context, rho(k, l), e2)
+            for k in (1, 2) for l in (1, 2)}
 
     # rho^k_{l,ii} = 0, so each Ricci component is one stored component
     ricci = {
@@ -236,7 +256,7 @@ def riemann(source: Connection2D | Metric2D) -> CurvatureData:
         (2, 2): riem[(1, 2, 1, 2)],
     }
     phi_12 = ricci[(1, 2)] - ricci[(2, 1)]
-    # (rho_12 + rho_21)/2, written so that phi_12 = 0 (a metric) costs no gcd
+    # (rho_12 + rho_21)/2, written so that phi_12 = 0 (Levi-Civita) costs no gcd
     sym = {
         (1, 1): ricci[(1, 1)],
         (2, 2): ricci[(2, 2)],

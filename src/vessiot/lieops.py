@@ -327,10 +327,24 @@ def parse_section_text(text: str) -> Tuple[GeometricSection, Dict[str, Expressio
     return GeometricSection(kind, tuple(components)), extras
 
 
+_READ_CHUNK = 1 << 16
+
+
 def load_section(path) -> Tuple[GeometricSection, Dict[str, Expression]]:
-    """Parse a UTF-8 section file of at most MAX_SECTION_BYTES bytes."""
+    """Parse a UTF-8 section file of at most MAX_SECTION_BYTES bytes.
+
+    The file is read in chunks until its end or just past the budget, so a
+    small section allocates no budget-sized buffer; a pipe may return short
+    reads, and only an empty read ends the file."""
+    chunks, size = [], 0
     with open(path, "rb") as fh:
-        data = fh.read(MAX_SECTION_BYTES + 1)
+        while size <= MAX_SECTION_BYTES:
+            chunk = fh.read(min(_READ_CHUNK, MAX_SECTION_BYTES + 1 - size))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+    data = b"".join(chunks)
     name = quoted(str(path))
     if len(data) > MAX_SECTION_BYTES:
         raise InputTooLarge(f"section file {name} is larger than {MAX_SECTION_BYTES} bytes")

@@ -284,15 +284,15 @@ class _Poly:
             raise InputTooLarge(
                 f"power of total degree {degree} exceeds the limit of {MAX_POWER_DEGREE}"
             )
+        if len(self.terms) == 1:  # k times every field of the key: one term, no term budget
+            ((mono, c),) = self.terms.items()
+            return _Poly({mono * k: c**k})
         # at most one term per multiset of k base terms, and per monomial of
         # total degree <= degree in the slots the base uses
         slots = len(self.used_slots())
         terms = min(comb(len(self.terms) + k - 1, k), comb(degree + slots, slots)) if k else 1
         if terms > MAX_POWER_TERMS:
             raise InputTooLarge(f"power of up to {terms} terms exceeds the limit of {MAX_POWER_TERMS}")
-        if len(self.terms) == 1:  # k times every field of the key
-            ((mono, c),) = self.terms.items()
-            return _Poly({mono * k: c**k})
         result = _pconst(1)
         base = self
         while k:

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import time
 from pathlib import Path
 
@@ -399,6 +401,35 @@ class TestHostileInput:
         if exit_code:
             assert out == ""
             assert f"larger than {symexpr.MAX_SECTION_BYTES} bytes" in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("extra, exit_code", [(-1000, 0), (1000, 2)], ids=["under", "over"])
+    def test_section_byte_budget_on_a_pipe(self, capsys, tmp_path, extra, exit_code):
+        # a pipe returns short reads; the budget holds all the same
+        body = b"kind = METRIC_2D\nw11 = 1\nw22 = 1\nw12 = 0\n# "
+        data = body + b"x" * (symexpr.MAX_SECTION_BYTES - len(body) + extra)
+        path = tmp_path / "piped.section"
+        os.mkfifo(path)
+
+        def feed():
+            try:
+                with open(path, "wb", buffering=0) as fh:
+                    for start in range(0, len(data), 4099):  # uneven pieces
+                        fh.write(data[start:start + 4099])
+            except BrokenPipeError:  # the reader stopped just past the budget
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        code, out, err = run_cli(capsys, "compute", "--section", str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == exit_code
+        if exit_code:
+            assert out == ""
+            assert f"larger than {symexpr.MAX_SECTION_BYTES} bytes" in err
+        else:
+            assert err == ""
 
     @pytest.mark.parametrize(
         "body, message",

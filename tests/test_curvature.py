@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from vessiot.curvature import (
     riemann,
 )
 from vessiot.errors import DegenerateMetric, KindMismatch
-from vessiot.lieops import ObjectKind, load_section, section
+from vessiot.lieops import ObjectKind, load_section, parse_section_text, section
 from vessiot.reports import StructureReport
 from vessiot.symexpr import Context, parse_in
 
@@ -429,6 +430,17 @@ class TestCurvatureFromRiemannChain:
             # the record from K, field by field: riemann, ricci, phi_12 and sym
             assert riemann(metric) == chain
 
+    def test_record_text_matches_the_chain(self):
+        # each record entry is rendered once per object; the text must still be
+        # the chain's, entry by entry
+        metrics = [
+            Metric2D.from_section(load_section(path)[0])
+            for path in sorted(SECTIONS.glob("metric_*.section"))
+        ]
+        assert len(metrics) == 3
+        for metric in metrics + self.rational_metrics():
+            assert riemann(metric).to_json_dict() == riemann(christoffel(metric)).to_json_dict()
+
     @pytest.mark.parametrize("m", [10, 20])
     def test_power_family_closed_form(self, m):
         # w11 = u^(2m), w22 = 1: K = -m(m - 1)/u^2 with u = x1 + x2 + 1
@@ -484,3 +496,70 @@ class TestChainCalls:
         assert calls[calls.index("curl_numerator"):calls.index("riemann")] == [
             "curl_numerator", "_cancel",
         ]
+
+
+class TestEachValueOnce:
+    """A metric's record is built from K w11, K w22 and K w12, each printed
+    once, and the cleared metric differentiates each W component once per
+    variable."""
+
+    # dense, w12 nonzero and K not constant: the record holds six distinct
+    # strings, K w11, K w22, K w12, -K w11, -K w12 and 0
+    DENSE = (
+        "kind = METRIC_2D\nw11 = x1^2 - x1*x2 + x2 + 7\n"
+        "w22 = x1*x2 + x2^2 - x1 + 6\nw12 = x1 - x2^2 + 1\n"
+    )
+
+    def test_curvature_renders_each_distinct_string_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "dense.section"
+        path.write_text(self.DENSE)
+        rendered = []
+        original = symexpr.Expression.__str__
+
+        def counting(self):
+            rendered.append(self)
+            return original(self)
+
+        monkeypatch.setattr(symexpr.Expression, "__str__", counting)
+        assert cli.main(["curvature", "--section", str(path)]) == 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        record = result["curvature"]
+        strings = [record["phi_12"]] + [
+            text for part in ("riemann", "ricci", "sym") for text in record[part].values()
+        ]
+        assert len(strings) == 12 and len(set(strings)) == 6
+        assert result["report"]["residual"] is not None  # K, not constant
+        # one render per distinct record string, plus det and K
+        assert len(rendered) == len(set(strings)) + 2
+
+    def test_connection_record_renders_each_object_once(self, monkeypatch):
+        data = riemann(christoffel(random_metric(random.Random(5))))
+        rendered = []
+        original = symexpr.Expression.__str__
+
+        def counting(self):
+            rendered.append(self)
+            return original(self)
+
+        monkeypatch.setattr(symexpr.Expression, "__str__", counting)
+        data.to_json_dict()
+        # four Riemann components, two negated for Ricci, phi_12 and sym12
+        assert len(rendered) == len({id(c) for c in rendered}) == 8
+
+    def test_cleared_differentiates_each_component_once(self, monkeypatch):
+        metric = Metric2D.from_section(parse_section_text(self.DENSE)[0])
+        partials = []
+        original = symexpr._Poly.diff
+
+        def counting(poly, slot):
+            partials.append((poly, slot))
+            return original(poly, slot)
+
+        monkeypatch.setattr(symexpr._Poly, "diff", counting)
+        cleared = metric.cleared
+        # three W components and d, once per variable each
+        slots = {}
+        for poly, slot in partials:
+            slots.setdefault(id(poly), []).append(slot)
+        assert sorted(slots.values()) == [[0, 1]] * 4
+        assert id(cleared.d) in slots

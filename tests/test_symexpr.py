@@ -134,6 +134,19 @@ class TestParse:
             with pytest.raises(InputTooLarge):
                 parse(text, 2)
 
+    def test_single_term_power_checks_degree_only(self, monkeypatch):
+        # one term has one term in every power: no term-count budget is formed,
+        # and the degree check, which comes first, keeps its message
+        def no_budget(self):
+            raise AssertionError("term-count budget formed for a single term")
+
+        monkeypatch.setattr(_Poly, "used_slots", no_budget)
+        assert str(parse("x1^100", 2)) == "x1^100"
+        assert parse("-2*x1*x2^3", 2).num.pow(3) == parse("-8*x1^3*x2^9", 2).num
+        degree = r"^power of total degree 101 exceeds the limit of 100$"
+        with pytest.raises(InputTooLarge, match=degree):
+            parse("x1^101", 2)
+
     def test_power_squares_only_while_bits_remain(self, monkeypatch):
         base = parse("x1 + x2 + 1", 2).num
         squarings = []
