@@ -6,13 +6,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from operator import not_
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputFormatError, OrderOverflow, SingularPoint, quoted
 from .symexpr import (
-    MAX_LITERAL_DIGITS, Context, Expression, _from_reduced, _pconst, _Poly, add_term,
-    combination_str, common_denominator, derivatives,
+    MAX_LITERAL_DIGITS, Context, Expression, _from_reduced, _is_unit_poly, _pconst, _Poly,
+    add_term, combination_str, common_denominator, derivatives, integer_point,
 )
 
 MultiIndex = Tuple[int, ...]
@@ -138,8 +137,9 @@ def combination(*parts: Tuple[Expression, Mapping[JetVariable, Expression]]) -> 
     """The equation sum f * terms over the (f, terms) parts."""
     out: Dict[JetVariable, Expression] = {}
     for f, terms in parts:
+        unit = f.num.terms.get(0) if _is_unit_poly(f.den) and len(f.num.terms) == 1 else None
         for jv, c in terms.items():
-            add_term(out, jv, f * c)
+            add_term(out, jv, c if unit == 1 else -c if unit == -1 else f * c)
     return LinearJetEquation(out)
 
 
@@ -249,11 +249,15 @@ def symbol_dimension(
 
     Every equation is read through its row (``LinearJetEquation.row``): the
     rank is unchanged when an equation is scaled by its nonzero den.  At the
-    sample point (default: variable j at j + 2) each distinct row polynomial
-    is evaluated once, and SingularPoint is raised where any equation's den
-    vanishes, that is where any of its coefficients has a pole, so a row
-    scaled by den never loses rank there silently.  ``generic`` asks instead
-    for the exact rank of the rows over the function field.
+    sample point (default: variable j at j + 2), written a/L with integers a
+    and L the lcm of its denominators, each distinct row polynomial p is
+    evaluated once, as the integer L^D * p(a/L) with one D for the whole
+    matrix (the largest total degree among the rows' polynomials and dens),
+    and the rank is taken in the integers (``linalg.rank_rational``).  SingularPoint is raised
+    where any equation's den vanishes, that is where any of its coefficients
+    has a pole, so a row scaled by den never loses rank there silently.
+    ``generic`` asks instead for the exact rank of the rows over the function
+    field.
     """
     from . import linalg
 
@@ -274,18 +278,25 @@ def symbol_dimension(
     if generic:
         zero, is_zero, one = context.zero(), Expression.is_zero, _pconst(1)
     else:
-        zero, is_zero, point = Fraction(0), not_, context.complete_point(sample_point)
-        if not all(den.evaluate(point) for den in {eq.den for eq in rows}):
+        zero, is_zero, point = 0, None, context.complete_point(sample_point)
+        ints, scale = integer_point(point)
+        degree = 0
+        if scale != 1:  # L^D times every row: the rank is the one at a/L
+            degree = max(p.total_degree() for eq in rows for p in (eq.den, *eq.row.values()))
+        if not all(den.value(ints, scale, degree) for den in {eq.den for eq in rows}):
             raise SingularPoint(f"a coefficient has a pole at {point}")
     value: Dict[_Poly, object] = {}  # each distinct row polynomial is read once
     matrix = []
     for eq in rows:
         line = [zero] * len(variables)
         for jv, p in eq.row.items():
-            if jv in column:
-                if p not in value:  # (p, 1) is a coprime pair: no cancel
-                    value[p] = _from_reduced(context, p, one) if generic else p.evaluate(point)
-                line[column[jv]] = value[p]
+            j = column.get(jv)
+            if j is not None:
+                v = value.get(p)
+                if v is None:  # (p, 1) is a coprime pair: no cancel
+                    v = _from_reduced(context, p, one) if generic else p.value(ints, scale, degree)
+                    value[p] = v
+                line[j] = v
         matrix.append(line)
     return len(variables) - linalg.rank_rational(matrix, is_zero)
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
-from typing import Callable, List, Sequence
+from math import gcd, lcm
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .symexpr import Expression
 
@@ -50,10 +49,68 @@ def solve_square(matrix: List[List[Expression]], rhs: List[Expression]) -> List[
     return [m[r][size] for r in range(size)]
 
 
+def _integer_row(row: Sequence) -> Dict[int, int]:
+    """The nonzero entries of a rational row, column -> integer, scaled by the
+    lcm of their denominators (1 for an integer row)."""
+    scale = lcm(*[v.denominator for v in row if v])
+    return {j: v.numerator * (scale // v.denominator) for j, v in enumerate(row) if v}
+
+
+def _rank_integer(rows: List[Dict[int, int]]) -> int:
+    """The rank of sparse integer rows (column -> nonzero int), by fraction-free
+    elimination; the row dicts are consumed.
+
+    Each step takes a pivot p at the lowest column any row uses, in the
+    shortest such row.  Every other row f meeting that column becomes
+    (p/g)*f - (f_col/g)*pivot, g = gcd(p, f_col), divided by its content, and
+    the rows that miss it are not touched.  Integer multiples of rows span the
+    same space over the rationals, and the pivot row leaves the elimination,
+    so the rank is the number of steps.
+    """
+    rank = 0
+    while rows:
+        col = min(min(f) for f in rows)
+        pivot = min((f for f in rows if col in f), key=len)
+        p = pivot.pop(col)
+        rank += 1
+        kept = []
+        for f in rows:
+            if f is pivot:
+                continue
+            a = f.pop(col, 0)
+            if a:
+                g = gcd(p, a)
+                u, w = p // g, a // g
+                if u != 1:
+                    for j in f:
+                        f[j] *= u
+                for j, v in pivot.items():
+                    s = f.get(j, 0) - w * v
+                    if s:
+                        f[j] = s
+                    else:
+                        del f[j]
+                if not f:
+                    continue
+                content = gcd(*f.values())
+                if content != 1:
+                    for j in f:
+                        f[j] //= content
+            kept.append(f)
+        rows = kept
+    return rank
+
+
 def rank_rational(
-    rows: Sequence[Sequence[Fraction]], is_zero: Callable[[object], bool] = operator.not_
+    rows: Sequence[Sequence[object]], is_zero: Optional[Callable[[object], bool]] = None
 ) -> int:
-    """Exact rank over the rationals; pass ``Expression.is_zero`` for the rank
-    over the rational-function field."""
-    m = [list(row) for row in rows]
-    return _reduce(m, len(m[0]) if m else 0, is_zero)
+    """Exact rank of rational rows, in the integers: each row is scaled to an
+    integer one and ranked by ``_rank_integer``, so no rational is formed.
+
+    Pass ``Expression.is_zero`` for the rank of ``Expression`` rows over the
+    rational-function field, which ``_reduce`` computes.
+    """
+    if is_zero is not None:
+        m = [list(row) for row in rows]
+        return _reduce(m, len(m[0]) if m else 0, is_zero)
+    return _rank_integer([f for f in map(_integer_row, rows) if f])

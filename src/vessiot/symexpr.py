@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -134,6 +134,13 @@ class Context:
         if len(point) > self.nvars:
             raise ValueError(f"need at most {self.nvars} values, got {len(point)}")
         return point + self.default_point()[len(point):]
+
+
+def integer_point(point: Sequence[Fraction]) -> tuple:
+    """(a, scale) with point = a / scale: scale the lcm of the denominators
+    and a the list of integer numerators over it (scale 1 for an integer point)."""
+    scale = lcm(*(v.denominator for v in point))
+    return [v.numerator * (scale // v.denominator) for v in point], scale
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +286,7 @@ class _Poly:
     def pow(self, k: int) -> "_Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        degree = k * _degree(max(self.terms, default=0))
+        degree = k * self.total_degree()
         if degree > MAX_POWER_DEGREE:
             raise InputTooLarge(
                 f"power of total degree {degree} exceeds the limit of {MAX_POWER_DEGREE}"
@@ -304,8 +311,11 @@ class _Poly:
         return result
 
     def diff(self, slot: int) -> "_Poly":
-        top = _W * _nvars(max(self.terms, default=0))
-        if not top:
+        for mono in self.terms:  # every nonconstant key has the same fields
+            if mono:
+                top = _W * _nvars(mono)
+                break
+        else:
             return _PZERO
         shift = top - _W * (slot + 1)
         step = 1 << top | 1 << shift  # one off the exponent and off the degree
@@ -316,16 +326,24 @@ class _Poly:
                 out[mono - step] = c * e
         return _Poly(out)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
+    def total_degree(self) -> int:
+        return _degree(max(self.terms, default=0))
+
+    def value(self, point: Sequence[int], scale: int, degree: int) -> int:
+        """scale^degree * self(point / scale) for integer point values, one per
+        variable: the sum of c * point^e * scale^(degree - |e|) over the terms,
+        an integer when degree is at least the total degree (any degree when
+        scale is 1)."""
+        total = 0
         for mono, c in self.terms.items():
-            v = c
             for val in reversed(point):  # the last variable has the lowest field
                 e = mono & _FIELD
                 if e:
-                    v *= val**e
+                    c *= val**e
                 mono >>= _W
-            total += v
+            if scale != 1:
+                c *= scale ** (degree - mono)  # what is left of the key is |e|
+            total += c
         return total
 
     def divexact(self, other: "_Poly") -> "_Poly":
@@ -767,10 +785,12 @@ class Expression:
                 f"need {self.context.nvars} values, got {len(point)}"
             )
         point = tuple(Fraction(v) for v in point)
-        den = self.den.evaluate(point)
+        ints, scale = integer_point(point)
+        degree = max(self.num.total_degree(), self.den.total_degree())
+        den = self.den.value(ints, scale, degree)
         if den == 0:
             raise SingularPoint(f"denominator vanishes at {point}")
-        return self.num.evaluate(point) / den
+        return Fraction(self.num.value(ints, scale, degree), den)
 
     def in_context(self, context: Context) -> "Expression":
         """Re-express in a larger context (same coordinates, superset of parameters)."""

@@ -238,15 +238,22 @@ class TestSymbolDimension:
             LinearJetEquation({jv(1, (0, 1)): x1 + ONE, jv(2, (1, 0)): x1}),
         ]
         evaluated = []
-        evaluate = symexpr._Poly.evaluate
-        monkeypatch.setattr(
-            symexpr._Poly, "evaluate", lambda p, point: evaluated.append(p) or evaluate(p, point)
-        )
+        value = symexpr._Poly.value
+
+        def counting(p, *args):
+            v = value(p, *args)
+            evaluated.append((p, type(v)))
+            return v
+
+        monkeypatch.setattr(symexpr._Poly, "value", counting)
         monkeypatch.setattr(Expression, "evaluate", None)  # rows only, never terms
         assert symbol_dimension(system, 1) == 2
-        # x1 and x1 + 1 once each, and the one distinct den 1 once; the
-        # order-0 coefficient 2 and the absent variables are not evaluated
-        assert Counter(evaluated) == Counter([x1.num, (x1 + ONE).num, ONE.num])
+        # x1 and x1 + 1 once each, and the one distinct den 1 once, each to an
+        # integer; the order-0 coefficient 2 and the absent variables are not
+        # evaluated
+        assert Counter(evaluated) == Counter(
+            [(x1.num, int), ((x1 + ONE).num, int), (ONE.num, int)]
+        )
 
     def test_singular_row_denominator(self):
         # the derived rows are over den = x1 - 2, whose top-order part
@@ -284,6 +291,29 @@ class TestSymbolDimension:
         assert symbol_dimension(system, 1, generic=True) == 1
         second = [eq for eq in prolong(system, 1) if eq.order == 2]
         assert symbol_dimension(second, 2, generic=True) == 0
+
+    def test_one_power_of_the_denominator_lcm_for_the_whole_matrix(self):
+        # the third row is x1 times the first plus the second: rank 2 at every
+        # point.  At x1 = 1/2, scaling each entry by 2 to its own degree would
+        # read rows [1, 1, 0], [0, 1, 1], [1, 5, 1] of rank 3.
+        x1 = parse_in("x1", CTX)
+        system = [
+            LinearJetEquation({jv(1, (1, 0)): ONE, jv(1, (0, 1)): x1}),
+            LinearJetEquation({jv(1, (0, 1)): ONE, jv(2, (1, 0)): ONE}),
+            LinearJetEquation({jv(1, (1, 0)): x1, jv(1, (0, 1)): x1 * x1 + ONE,
+                               jv(2, (1, 0)): ONE}),
+        ]
+        assert symbol_dimension(system, 1, generic=True) == 2
+        for point in [(Fraction(1, 2),), (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-3, 7), 4)]:
+            assert symbol_dimension(system, 1, sample_point=point) == 2
+
+    def test_pole_at_a_rational_point(self):
+        # den = 2*x1 - 1 vanishes at x1 = 1/2, not at x1 = 1/3
+        eq = LinearJetEquation({jv(1, (1, 0)): ONE, jv(1, (0, 0)): parse_in("1/(2*x1 - 1)", CTX)})
+        second = [e for e in prolong([eq], 1) if e.order == 2]
+        with pytest.raises(SingularPoint, match=r"^a coefficient has a pole at "):
+            symbol_dimension(second, 2, sample_point=(Fraction(1, 2), Fraction(5, 3)))
+        assert symbol_dimension(second, 2, sample_point=(Fraction(1, 3), Fraction(5, 3))) == 4
 
     def test_long_sample_point_refused(self):
         comps = [parse_in("x1 - 2", CTX), ONE, CTX.zero()]

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from vessiot import linalg
 from vessiot.linalg import rank_rational, solve_square
 from vessiot.symexpr import Context, Expression, parse_in
 
@@ -61,6 +63,37 @@ class TestRank:
         assert rank_rational(rows) == 2
         assert rank_rational([]) == 0
         assert rank_rational([[Fraction(0), Fraction(0)]]) == 0
+        # each row is scaled to integers by the lcm of its own denominators
+        rows = [[Fraction(1, 2), Fraction(1, 3)], [3, 2], [Fraction(2, 3), Fraction(4, 9)]]
+        assert rank_rational(rows) == 1
+        assert rank_rational(rows + [[Fraction(1, 6), 0]]) == 2
+
+    def test_integer_rank(self):
+        rows = [[2, 4, 0, 6], [0, 0, 3, 3], [1, 2, 3, 6], [0, 0, 0, 0], [-4, -8, 9, -3]]
+        snapshot = [list(row) for row in rows]
+        assert rank_rational(rows) == 2
+        assert rows == snapshot  # the caller's rows are copied, never reduced in place
+        assert rank_rational([[0, 5], [7, 0]]) == 2
+
+    def test_entries_stay_small(self, monkeypatch):
+        # a dense 30x30 product of rank 12 with 9-bit entries: content removal
+        # after every elimination step keeps the rows near the size of its
+        # 12x12 minors (~130 bits by Hadamard's bound); without it they double
+        # in length at every step
+        bits = []
+        gcd = linalg.gcd
+
+        def tracking(*values):
+            bits.append(max(abs(v).bit_length() for v in values))
+            return gcd(*values)
+
+        rng = random.Random(7)
+        a = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(30)]
+        b = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(12)]
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        monkeypatch.setattr(linalg, "gcd", tracking)
+        assert rank_rational(product) == 12
+        assert bits and max(bits) < 200
 
     def test_function_field_rank(self):
         rows = [[e("x1"), e("x2")], [e("x1^2"), e("x1*x2")], [e("1"), e("0")]]

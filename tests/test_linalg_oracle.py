@@ -1,11 +1,13 @@
-"""Differential tests of the one elimination routine (``linalg._reduce``) against sympy.
+"""Differential tests of the two elimination routines of ``linalg`` against sympy.
 
 ``rank_rational`` is compared with sympy's rank on sparse rational matrices
 of the shapes the jet calculus ranks (9x8, 36x30) and of shapes wider and
 taller than square, with zero columns, duplicated rows and rows that are
 combinations of others planted in them.  The rank is taken as
 ``Matrix.to_DM().rank()``, over sympy's exact domain QQ: ``Matrix.rank`` itself
-ran for minutes on some 30x36 matrices of this kind.  ``solve_square`` is
+ran for minutes on some 30x36 matrices of this kind.  Integer matrices up to
+40x40, dense ones and rank-deficient products A*B, are compared the same way,
+over ZZ.  ``solve_square`` is
 compared with ``LUsolve`` on sparse rational systems, singular ones included,
 and checked by substitution on small systems over the rational-function
 field, whose singular cases sympy's determinant confirms.  Matrices are built
@@ -80,6 +82,29 @@ class TestRank:
         m = sparse_matrix(random.Random(seed), *shape, diagonal=diagonal)
         snapshot = [list(row) for row in m]
         assert rank_rational(m) == sympy_rank(m)
+        assert m == snapshot  # the caller's rows are copied, never reduced in place
+
+
+def integer_matrix(rng: random.Random, rows: int, cols: int, dense: bool) -> list:
+    """A rows x cols integer matrix with entries of a random size: random
+    ones, or a product A*B through an inner dimension at most min(rows, cols),
+    so its rank is usually short of full."""
+    bound = rng.choice([1, 9, 10**6, 10**30])
+    if dense:
+        return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    inner = rng.randint(0, min(rows, cols))
+    a = [[rng.randint(-bound, bound) for _ in range(inner)] for _ in range(rows)]
+    b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestIntegerRank:
+    @settings(ORACLE, max_examples=60)
+    @given(seeds, st.integers(1, 40), st.integers(1, 40), st.booleans())
+    def test_rank_matches_sympy(self, seed, rows, cols, dense):
+        m = integer_matrix(random.Random(seed), rows, cols, dense)
+        snapshot = [list(row) for row in m]
+        assert rank_rational(m) == sympy.Matrix(m).to_DM().rank()
         assert m == snapshot  # the caller's rows are copied, never reduced in place
 
 

@@ -334,13 +334,17 @@ def test_singular_row_refused_under_optimize():
         "ctx = Context(2)\n"
         "eq = LinearJetEquation({JetVariable(1, (1, 0)): ctx.one(),"
         " JetVariable(1, (0, 0)): parse_in('1/(x1 - 2)', ctx)})\n"
-        "second = [e for e in prolong([eq], 1) if e.order == 2]\n"
-        "try:\n"
-        "    print(symbol_dimension(second, 2))\n"
-        "except SingularPoint:\n"
-        "    print('SingularPoint')\n"
+        "half = LinearJetEquation({JetVariable(1, (1, 0)): ctx.one(),"
+        " JetVariable(1, (0, 0)): parse_in('1/(2*x1 - 1)', ctx)})\n"
+        "cases = [(eq, None), (half, ('1/2',))]  # x1 = 2 by default, then x1 = 1/2\n"
+        "for e, point in cases:\n"
+        "    second = [d for d in prolong([e], 1) if d.order == 2]\n"
+        "    try:\n"
+        "        print(symbol_dimension(second, 2, sample_point=point))\n"
+        "    except SingularPoint:\n"
+        "        print('SingularPoint')\n"
     )
-    assert run_python("-c", code, optimize=True).stdout == "SingularPoint\n"
+    assert run_python("-c", code, optimize=True).stdout == "SingularPoint\nSingularPoint\n"
 
 
 def test_coefficient_budget_refused_under_optimize(tmp_path):
