@@ -14,8 +14,8 @@ _EXPORTS = {
     ),
     "forms": ("DifferentialForm", "exterior_derivative", "one_form", "two_form_cyclic", "wedge"),
     "jetcalc": (
-        "JetVariable", "LinearJetEquation", "check_cc_identity", "dim_table", "formal_derivative",
-        "parse_cc_spec", "prolong", "symbol_dimension",
+        "JetVariable", "LinearJetEquation", "check_cc_identity", "decode_jet", "dim_table",
+        "formal_derivative", "parse_cc_spec", "prolong", "symbol_dimension",
     ),
     "lieops": (
         "GeometricSection", "ObjectKind", "labeled_medolaghi", "load_section",

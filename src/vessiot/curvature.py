@@ -15,7 +15,10 @@ from typing import Dict, List, NamedTuple, Tuple
 from .errors import DegenerateMetric, KindMismatch
 from .lieops import GeometricSection, ObjectKind
 from .reports import StructureReport
-from .symexpr import Context, Expression, _pconst, _Poly, common_denominator, curl_numerator
+from .symexpr import (
+    Context, Expression, _cancel, _from_reduced, _is_unit_poly, _pconst, _Poly,
+    common_denominator, curl_numerator,
+)
 
 IJ = ((1, 1), (2, 2), (1, 2))
 
@@ -102,7 +105,10 @@ class Metric2D:
 
         where C = 2 d^3 (d_2 Gamma_{2,11} - d_1 Gamma_{2,12}) is the curl of
         N_211 and N_212 over d, taken with d_s(d^2) = d (2 d_s d).  That is
-        kernel arithmetic and one cancel; no connection is built.
+        kernel arithmetic and one cancel; no connection is built.  Every
+        irreducible factor of the denominator divides d det(W), so a nonzero
+        P coprime to that smaller product is stored over 4 d det(W)^2 as it
+        is; otherwise the pair is cancelled in full.
         """
         d, dd, det, adj, N = self.cleared
         curl = curl_numerator(d, (dd[0] + dd[0], dd[1] + dd[1]), N[2, 1, 1], 1, N[2, 1, 2], 0)
@@ -113,7 +119,11 @@ class Metric2D:
             + adj[2, 2] * (N[2, 1, 2] * N[2, 1, 2] - N[2, 1, 1] * N[2, 2, 2])
             + adj[1, 2] * (cross + cross - N[1, 1, 1] * N[2, 2, 2] - N[2, 1, 1] * N[1, 2, 2])
         )
-        return Expression(self.context, (det + det) * curl + quadratic, _pconst(4) * d * det * det)
+        numerator, radical = (det + det) * curl + quadratic, d * det
+        denominator = _pconst(4) * radical * det
+        if numerator.terms and _is_unit_poly(_cancel(numerator, radical)[2]):
+            return _from_reduced(self.context, numerator, denominator)
+        return Expression(self.context, numerator, denominator)
 
     # no engine caller; it stays because perfbench/tracer.py wraps it (curvature.inverse_component)
     def inverse_component(self, i: int, j: int) -> Expression:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputFormatError, OrderOverflow, SingularPoint, quoted
 from .symexpr import (
@@ -19,10 +19,14 @@ MultiIndex = Tuple[int, ...]
 DEFAULT_MAX_ORDER = 4  # the jet-order ceiling of check_cc_identity and the dimension table
 MAX_ORDER_LIMIT = 16  # the largest ceiling check-cc accepts; d_mu grows fast with |mu|
 
-
-def mi_bump(mu: MultiIndex, i: int) -> MultiIndex:
-    """mu + 1_i for the 1-based coordinate index i."""
-    return mu[: i - 1] + (mu[i - 1] + 1,) + mu[i:]
+# A jet variable xi^k_mu in n coordinates is one int key, as a monomial is in
+# symexpr: n + 2 fields of _JW bits, from the most significant one the order
+# |mu|, the component k, then mu_1 .. mu_n.  So d_i adds one constant to a key
+# (``_step``), the order is the key shifted right past n + 1 fields, and integer
+# order is (order, component, index) order.  No field exceeds MAX_JET_ORDER.
+_JW = 6
+_JFIELD = (1 << _JW) - 1
+MAX_JET_ORDER = _JFIELD
 
 
 def multi_indices(n: int, order: int) -> List[MultiIndex]:
@@ -35,33 +39,49 @@ def multi_indices(n: int, order: int) -> List[MultiIndex]:
     return out
 
 
-class JetVariable(NamedTuple):
-    """One symmetrized jet coordinate xi^k_mu of the tangent bundle."""
+def JetVariable(component: int, index: MultiIndex) -> int:
+    """The key of the symmetrized jet coordinate xi^component_index of the
+    tangent bundle, in len(index) coordinates.  OrderOverflow when the order
+    or the component exceeds MAX_JET_ORDER."""
+    if min((component, *index)) < 0:
+        raise ValueError(f"jet variable with a negative field: {component}, {index}")
+    order = sum(index)
+    if max(order, component) > MAX_JET_ORDER:
+        raise OrderOverflow(
+            f"jet variable of component {component} and order {order}:"
+            f" a key holds at most {MAX_JET_ORDER}"
+        )
+    key = order << _JW | component
+    for e in index:
+        key = key << _JW | e
+    return key
 
-    component: int
-    index: MultiIndex
 
-    @property
-    def order(self) -> int:
-        return sum(self.index)
+def decode_jet(key: int, n: int) -> Tuple[int, MultiIndex]:
+    """(component, index) of the key of a jet variable in n coordinates."""
+    index = tuple([key >> shift & _JFIELD for shift in range(_JW * (n - 1), -1, -_JW)])
+    return key >> _JW * n & _JFIELD, index
 
-    def sort_key(self) -> tuple:
-        return (self.order, self.component, self.index)
 
-    def __str__(self) -> str:
-        digits = "".join(str(i + 1) * e for i, e in enumerate(self.index))
-        if not digits:
-            return f"xi{self.component}"
-        return f"xi{self.component}_{digits}"
+def _jet_str(key: int, n: int) -> str:
+    component, index = decode_jet(key, n)
+    digits = "".join(str(i + 1) * e for i, e in enumerate(index))
+    return f"xi{component}_{digits}" if digits else f"xi{component}"
+
+
+def _top_order(keys: Mapping[int, object], context: Optional[Context]) -> int:
+    """The largest order among the jet variables keying a nonempty mapping, 0
+    for an empty one: the order field of the largest key."""
+    return max(keys) >> _JW * (context.n + 1) if keys else 0
 
 
 class LinearJetEquation:
     """A finite sum of coefficients times jet variables, equated to 0, in two
     views of one equation.
 
-    ``terms`` maps each jet variable to its ``Expression`` coefficient.  The
-    row view is ``row``, a kernel polynomial per jet variable, over one
-    polynomial ``den``: terms[jv] = row[jv] / den.  An equation built from
+    ``terms`` maps each jet variable (its key, ``JetVariable``) to its
+    ``Expression`` coefficient.  The row view is ``row``, a kernel polynomial
+    per jet variable, over one polynomial ``den``: terms[jv] = row[jv] / den.  An equation built from
     terms clears them over their lcm (``common_denominator``) when its row is
     first read; one built from a row (``prolong``) forms its terms when they
     are first read.  Each view is kept once formed.
@@ -73,34 +93,34 @@ class LinearJetEquation:
 
     __slots__ = ("context", "order", "_terms", "_row", "_den")
 
-    def __init__(self, terms: Mapping[JetVariable, Expression]):
-        self._terms: Dict[JetVariable, Expression] = {
+    def __init__(self, terms: Mapping[int, Expression]):
+        self._terms: Dict[int, Expression] = {
             jv: c for jv, c in terms.items() if not c.is_zero()
         }
         self._row = self._den = None
         self.context = next((c.context for c in self._terms.values()), None)
-        self.order = max((jv.order for jv in self._terms), default=0)
+        self.order = _top_order(self._terms, self.context)
 
     @classmethod
     def from_row(
-        cls, context: Context, row: Mapping[JetVariable, _Poly], den: _Poly
+        cls, context: Context, row: Mapping[int, _Poly], den: _Poly
     ) -> "LinearJetEquation":
         """The equation sum (row[jv] / den) * jv = 0, for a nonzero ``den``."""
         eq = object.__new__(cls)
         eq._row = {jv: p for jv, p in row.items() if p.terms}
         eq._den, eq._terms, eq.context = den, None, context
-        eq.order = max((jv.order for jv in eq._row), default=0)
+        eq.order = _top_order(eq._row, context)
         return eq
 
     @property
-    def terms(self) -> Dict[JetVariable, Expression]:
+    def terms(self) -> Dict[int, Expression]:
         if self._terms is None:
             context, den = self.context, self._den
             self._terms = {jv: Expression(context, p, den) for jv, p in self._row.items()}
         return self._terms
 
     @property
-    def row(self) -> Dict[JetVariable, _Poly]:
+    def row(self) -> Dict[int, _Poly]:
         if self._row is None:
             self._clear()
         return self._row
@@ -129,13 +149,15 @@ class LinearJetEquation:
 
     def __str__(self) -> str:
         terms = self.terms
-        order = sorted(terms, key=JetVariable.sort_key, reverse=True)
-        return combination_str((str(jv), terms[jv]) for jv in order) + " = 0"
+        n = self.context.n if terms else 0
+        return combination_str(
+            (_jet_str(jv, n), terms[jv]) for jv in sorted(terms, reverse=True)
+        ) + " = 0"
 
 
-def combination(*parts: Tuple[Expression, Mapping[JetVariable, Expression]]) -> LinearJetEquation:
+def combination(*parts: Tuple[Expression, Mapping[int, Expression]]) -> LinearJetEquation:
     """The equation sum f * terms over the (f, terms) parts."""
-    out: Dict[JetVariable, Expression] = {}
+    out: Dict[int, Expression] = {}
     for f, terms in parts:
         unit = f.num.terms.get(0) if _is_unit_poly(f.den) and len(f.num.terms) == 1 else None
         for jv, c in terms.items():
@@ -154,7 +176,7 @@ def proportional(a: LinearJetEquation, b: LinearJetEquation) -> bool:
         return False
     if ra == rb:
         return True
-    lead = max(ra, key=JetVariable.sort_key)
+    lead = max(ra)
     la, lb = ra[lead], rb[lead]
     return all(p * lb == rb[jv] * la for jv, p in ra.items() if jv != lead)
 
@@ -167,14 +189,34 @@ def system_context(system: Iterable[LinearJetEquation]) -> Context:
     raise ValueError("a system without nonzero equations has no context")
 
 
-def _product_rule(terms: Mapping[JetVariable, object], i: int, partials: Iterable) -> dict:
-    """The total derivative of sum c*xi^k_mu: c*xi^k_mu -> (d_i c)*xi^k_mu +
-    c*xi^k_{mu+1_i}, given the partials d_i c in the order of terms."""
+def _step(eq: LinearJetEquation, i: int) -> int:
+    """The key of xi^k_{mu+1_i} minus that of xi^k_mu, in the coordinates of
+    a nonzero equation: one more in the order field and in the mu_i field.
+    OrderOverflow when d_i of the equation would pass MAX_JET_ORDER; below
+    it, no mu_i field can carry into the next."""
+    n = eq.context.n
+    if not 1 <= i <= n:
+        raise ValueError(f"coordinate index {i} outside 1..{n}")
+    if eq.order >= MAX_JET_ORDER:
+        raise OrderOverflow(
+            f"d_{i} of an order-{eq.order} equation exceeds the largest jet order {MAX_JET_ORDER}"
+        )
+    return 1 << _JW * (n + 1) | 1 << _JW * (n - i)
+
+
+def _product_rule(eq: LinearJetEquation, terms: Mapping[int, object], i: int,
+                  partials: Iterable) -> dict:
+    """The total derivative of sum c*xi^k_mu, the terms (or row) of eq:
+    c*xi^k_mu -> (d_i c)*xi^k_mu + c*xi^k_{mu+1_i}, given the partials d_i c
+    in the order of terms."""
     out: dict = {}
+    if not terms:
+        return out
+    step = _step(eq, i)
     for (jv, c), dc in zip(terms.items(), partials):
         if not dc.is_zero():
             add_term(out, jv, dc)
-        add_term(out, JetVariable(jv.component, mi_bump(jv.index, i)), c)
+        add_term(out, jv + step, c)
     return out
 
 
@@ -185,7 +227,7 @@ def formal_derivative(eq: LinearJetEquation, i: int) -> LinearJetEquation:
     distinct denominator among them is deflated once.
     """
     terms = eq.terms
-    return LinearJetEquation(_product_rule(terms, i, derivatives(terms.values(), i)))
+    return LinearJetEquation(_product_rule(eq, terms, i, derivatives(terms.values(), i)))
 
 
 def formal_derivative_multi(eq: LinearJetEquation, mu: MultiIndex) -> LinearJetEquation:
@@ -203,7 +245,7 @@ def row_derivative(eq: LinearJetEquation, i: int) -> LinearJetEquation:
     """
     row, slot = eq.row, i - 1
     return LinearJetEquation.from_row(
-        eq.context, _product_rule(row, i, (p.diff(slot) for p in row.values())), eq.den
+        eq.context, _product_rule(eq, row, i, (p.diff(slot) for p in row.values())), eq.den
     )
 
 
@@ -217,10 +259,18 @@ def prolong(system: Sequence[LinearJetEquation], r: int) -> List[LinearJetEquati
     input equations themselves come back at level 0, so ``prolong(s, 0) == s``.
     Each d_mu is formed once, by applying d_i only after d_j with j <= i.
     Zero equations and equations proportional to an earlier one are dropped.
+    OrderOverflow, before any derivative is formed, when the result would
+    pass MAX_JET_ORDER.
     """
     if r < 0:
         raise ValueError("prolongation order must be >= 0")
     n = system_context(system).n
+    top = max(eq.order for eq in system)
+    if top + r > MAX_JET_ORDER:
+        raise OrderOverflow(
+            f"prolonging order-{top} equations {r} times exceeds"
+            f" the largest jet order {MAX_JET_ORDER}"
+        )
     out: List[LinearJetEquation] = []
     kept: Dict[frozenset, List[LinearJetEquation]] = {}  # support -> kept equations
 

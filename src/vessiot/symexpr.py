@@ -417,6 +417,7 @@ def _max_degrees(p: _Poly) -> int:
 
 
 _PZERO = _Poly({})
+_UNIT = _Poly({0: 1})
 
 
 def _pconst(value: int) -> _Poly:
@@ -449,13 +450,16 @@ def _cancel(a: _Poly, b: _Poly) -> tuple:
     factor is divided out.
 
     Each path takes the quotients from its own construction of g, in order:
-    a zero operand; a single-term operand; equal primitive parts; a trial
-    division of the primitive part of higher total degree by the other one,
-    whose exact quotient is that operand's cofactor (a primitive operand of
-    degree 1 is irreducible, so when it does not divide, g is 1); then the
-    heuristic gcd, whose verified candidate comes with both cofactors.
+    a unit operand (the polynomial 1); a zero operand; a single-term operand;
+    equal primitive parts; a trial division of the primitive part of higher
+    total degree by the other one, whose exact quotient is that operand's
+    cofactor (a primitive operand of degree 1 is irreducible, so when it does
+    not divide, g is 1); then the heuristic gcd, whose verified candidate
+    comes with both cofactors.
     InputTooLarge when the heuristic gives up; no known input reaches that.
     """
+    if _is_unit_poly(a) or _is_unit_poly(b):
+        return a, b, _UNIT
     if not a.terms:
         cb, g = _primitive(b)
         return a, _pconst(cb), g
@@ -909,8 +913,8 @@ def _fill(expr: "Expression", context: Context, num: _Poly, den: _Poly) -> "Expr
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
-        den = _pconst(1)
-    else:
+        den = _UNIT
+    elif not _is_unit_poly(den):  # over 1 the pair is scaled already
         _, den, num = _primitive(den, num)
     object.__setattr__(expr, "context", context)
     object.__setattr__(expr, "num", num)
@@ -919,10 +923,8 @@ def _fill(expr: "Expression", context: Context, num: _Poly, den: _Poly) -> "Expr
 
 
 def _is_unit_poly(p: _Poly) -> bool:
-    if len(p.terms) != 1:
-        return False
-    (mono, coeff), = p.terms.items()
-    return coeff == 1 and not mono
+    terms = p.terms
+    return len(terms) == 1 and terms.get(0) == 1
 
 
 def _is_atom(p: _Poly) -> bool:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from vessiot.errors import DegenerateMetric, SingularPoint
-from vessiot.jetcalc import LinearJetEquation
+from vessiot.jetcalc import JetVariable, LinearJetEquation, decode_jet
 from vessiot.lieops import GeometricSection, ObjectKind, section
 from vessiot.symexpr import Context, Expression, _pack, _Poly, _unpack, parse_in
 
@@ -53,6 +53,23 @@ def random_expression_with_history(ctx: Context, rng: random.Random, depth: int 
     if op == "*":
         return left * right, (lambda p, f=left_fn, g=right_fn: f(p) * g(p))
     return left / right, (lambda p, f=left_fn, g=right_fn: f(p) / g(p))
+
+
+def jv(k: int, *mu: int) -> int:
+    """The key of the jet variable xi^k_mu, mu given by its entries."""
+    return JetVariable(k, mu)
+
+
+def jet_order(key: int, n: int) -> int:
+    """|mu| of the jet variable xi^k_mu with this key, in n coordinates."""
+    return sum(decode_jet(key, n)[1])
+
+
+def bumped(key: int, n: int, i: int) -> int:
+    """The key of xi^k_(mu + 1_i) from that of xi^k_mu, through the decoded
+    fields rather than the one addition the formal derivative makes."""
+    k, mu = decode_jet(key, n)
+    return jv(k, *(e + (j == i) for j, e in enumerate(mu, start=1)))
 
 
 def scaled(eq: LinearJetEquation, factor: Expression) -> LinearJetEquation:

@@ -9,7 +9,13 @@ pair through ``equivalence`` at a sample point of small integers.  Every
 call exits 0, 1 or 2, never 3; a pass or an obstruction prints one JSON
 report; stderr is short and never a traceback.
 
-The run is fixed: derandomized, no example database, no shrinking, and a
+Two smaller runs hold the same contract at the jet-order ceiling and for
+``dims``: ``check-cc`` with ``--max-order`` from 0 to 17 (1 to 16 are
+accepted) and CC terms whose order lands just below, on, or past it, over
+sections of nesting depth 1; and ``dims`` with well-formed and malformed
+``--n`` and ``--f1``.
+
+Each run is fixed: derandomized, no example database, no shrinking, and a
 fixed example count.
 """
 
@@ -43,16 +49,16 @@ def expressions(n: int, depth: int = 3):
 
 
 @st.composite
-def section_text(draw, kind: ObjectKind) -> str:
+def section_text(draw, kind: ObjectKind, depth: int = 3) -> str:
     spec = kind.spec
     lines = [f"kind = {kind.value}", f"params = {PARAM}"]
     if draw(st.booleans()):
         lines.append(f"n = {spec.dim}")
     for key in spec.keys:
-        lines.append(f"{key} = {draw(expressions(spec.dim))}")
+        lines.append(f"{key} = {draw(expressions(spec.dim, depth))}")
     for key in spec.extras:
         if draw(st.booleans()):
-            lines.append(f"{key} = {draw(expressions(spec.dim))}")
+            lines.append(f"{key} = {draw(expressions(spec.dim, depth))}")
     return "\n".join(lines) + "\n"
 
 
@@ -66,6 +72,38 @@ def cc_spec(draw, kind: ObjectKind) -> str:
         st.sampled_from(spec.labels),
     ).map(lambda t: f"{t[0]}d{t[1]}O{t[2]}")
     return ",".join(draw(st.lists(term, min_size=1, max_size=3)))
+
+
+@st.composite
+def ceiling_cc_spec(draw, kind: ObjectKind, max_order: int) -> str:
+    """One or two CC terms of 1 to max_order + 1 derivatives, most of them
+    within two of the ceiling: the equations are of order 1 or 2."""
+    spec = kind.spec
+    count = st.one_of(st.integers(max(1, max_order - 2), max_order + 1), st.integers(1, 3))
+    term = st.tuples(
+        st.sampled_from(["", "-", "2"]),
+        count.flatmap(lambda k: st.lists(st.integers(1, spec.dim).map(str),
+                                         min_size=k, max_size=k)).map("".join),
+        st.sampled_from(spec.labels),
+    ).map(lambda t: f"{t[0]}d{t[1]}O{t[2]}")
+    return ",".join(draw(st.lists(term, min_size=1, max_size=2)))
+
+
+@st.composite
+def ceiling_cases(draw):
+    kind = draw(st.sampled_from(list(ObjectKind)))
+    max_order = draw(st.sampled_from(range(18)))
+    return draw(section_text(kind, depth=1)), draw(ceiling_cc_spec(kind, max_order)), max_order
+
+
+@st.composite
+def dims_argv(draw):
+    n = draw(st.one_of(st.integers(-1, 11).map(str), st.sampled_from(["", "2.5", "x", "9" * 60])))
+    argv = ["dims", "--n", n] if draw(st.integers(0, 9)) else ["dims"]
+    f1 = draw(st.one_of(
+        st.none(), st.integers(-2, 40).map(str), st.sampled_from(["9" * 1000, "9" * 1001, "1/2"])
+    ))
+    return argv if f1 is None else argv + ["--f1", f1]
 
 
 @st.composite
@@ -102,14 +140,18 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    phases=(Phase.explicit, Phase.generate),
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+def fixed_run(examples: int):
+    return settings(
+        derandomize=True,
+        database=None,
+        phases=(Phase.explicit, Phase.generate),
+        max_examples=examples,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+@fixed_run(300)
 @given(case=cases())
 def test_exit_code_contract(workdir, case):
     left_text, right_text, cc, point = case
@@ -122,3 +164,18 @@ def test_exit_code_contract(workdir, case):
     check_contract(
         ["equivalence", "--left", str(left), "--right", str(right), "--sample-point", point]
     )
+
+
+@fixed_run(60)
+@given(case=ceiling_cases())
+def test_check_cc_at_the_order_ceiling(workdir, case):
+    text, cc, max_order = case
+    path = workdir / "ceiling.section"
+    path.write_text(text, encoding="utf-8")
+    check_contract(["check-cc", "--section", str(path), "--cc", cc, "--max-order", str(max_order)])
+
+
+@fixed_run(60)
+@given(argv=dims_argv())
+def test_dims_argv(argv):
+    check_contract(argv)

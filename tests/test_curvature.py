@@ -20,7 +20,7 @@ from vessiot.curvature import (
 from vessiot.errors import DegenerateMetric, KindMismatch
 from vessiot.lieops import ObjectKind, load_section, parse_section_text, section
 from vessiot.reports import StructureReport
-from vessiot.symexpr import Context, parse_in
+from vessiot.symexpr import Context, Expression, parse_in
 
 CTX = Context(2)
 ONE = CTX.one()
@@ -392,6 +392,38 @@ class TestGaussRoute:
             assert data.phi_12.is_zero()
             for i, j in IJ:
                 assert data.sym[(i, j)] == k * metric.component(i, j)
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "pool.json"
+
+
+def ladder_metrics():
+    """A fresh Metric2D of every metric_ladder section of the benchmark pool."""
+    entries = json.loads(POOL.read_text(encoding="utf-8"))["sections"]
+    return [
+        Metric2D.from_section(parse_section_text(e["text"])[0])
+        for e in entries if e["workload"] == "metric_ladder"
+    ]
+
+
+class TestGaussCurvatureReduction:
+    def test_both_branches_match_the_full_cancel(self, monkeypatch):
+        # K = P / (4 d det^2): stored as it is when P is coprime to d det,
+        # cancelled in full otherwise (a zero P included)
+        metrics = ladder_metrics()
+        stored = []
+        real = curvature._from_reduced
+        with monkeypatch.context() as patch:
+            patch.setattr(curvature, "_from_reduced", lambda *args: stored.append(args) or real(*args))
+            ks = [m.gauss_curvature for m in metrics]
+        with monkeypatch.context() as patch:
+            patch.setattr(curvature, "_is_unit_poly", lambda p: False)
+            full = [m.gauss_curvature for m in ladder_metrics()]
+        assert ks == full  # the same stored pairs
+        # and each is canonical: cancelling it once more changes nothing
+        assert all(Expression(k.context, k.num, k.den) == k for k in ks)
+        assert 0 < len(stored) < len(metrics)
+        assert any(k.is_zero() for k in ks)
 
 
 class TestCurvatureFromRiemannChain:

@@ -4,19 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_expression, scaled
+from helpers import bumped, jv, random_expression, scaled
 from vessiot.errors import InputFormatError, OrderOverflow, SingularPoint
 import vessiot.jetcalc as jetcalc
 import vessiot.symexpr as symexpr
 from vessiot.jetcalc import (
+    MAX_JET_ORDER,
     JetVariable,
     LinearJetEquation,
     check_cc_identity,
+    decode_jet,
     dim_table,
     formal_derivative,
     formal_derivative_multi,
     lambda_dim,
-    mi_bump,
     multi_indices,
     parse_cc_spec,
     prolong,
@@ -32,10 +33,6 @@ ONE = CTX.one()
 TWO = CTX.rational(2)
 
 
-def jv(k, mu):
-    return JetVariable(k, tuple(mu))
-
-
 def flat_killing():
     return medolaghi_equations(
         section(ObjectKind.METRIC_2D, [ONE, ONE, CTX.zero()])
@@ -48,12 +45,71 @@ def flat_product():
     )
 
 
+def every_jet(n, top=4):
+    """Every (component, index) of order <= top in n coordinates."""
+    return [(k, mu) for q in range(top + 1) for k in range(1, n + 1) for mu in multi_indices(n, q)]
+
+
+class TestJetKeys:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_key_order_is_order_component_index(self, n):
+        jets = every_jet(n)
+        keys = {JetVariable(k, mu): (k, mu) for k, mu in jets}
+        assert len(keys) == len(jets)
+        assert [keys[key] for key in sorted(keys)] == sorted(
+            jets, key=lambda jet: (sum(jet[1]), jet[0], jet[1])
+        )
+        assert all(decode_jet(key, n) == jet for key, jet in keys.items())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_derivative_bumps_one_field(self, n):
+        ctx = Context(n)
+        for k, mu in every_jet(n):
+            eq = LinearJetEquation({JetVariable(k, mu): ctx.one()})
+            for i in range(1, n + 1):
+                (key,) = formal_derivative(eq, i).terms
+                up = tuple(e + (j == i) for j, e in enumerate(mu, start=1))
+                assert decode_jet(key, n) == (k, up)
+                assert key == JetVariable(k, up)
+
+    def test_each_field_at_its_limit(self):
+        top = MAX_JET_ORDER
+        for k, mu in [(top, (0, 0)), (1, (top, 0)), (1, (0, top)), (2, (30, top - 30)),
+                      (1, (0, 0, top))]:
+            assert decode_jet(JetVariable(k, mu), len(mu)) == (k, mu)
+        for k, mu in [(top + 1, (0, 0)), (1, (top + 1, 0)), (1, (0, top + 1)),
+                      (2, (30, top - 29)), (1, (0, 0, top + 1))]:
+            with pytest.raises(OrderOverflow):
+                JetVariable(k, mu)
+        with pytest.raises(ValueError):
+            JetVariable(1, (0, -1))
+
+    def test_prolong_to_the_limit_and_past_it(self):
+        ctx = Context(1)
+        eq = LinearJetEquation({JetVariable(1, (1,)): parse_in("x1", ctx)})
+        prolonged = prolong([eq], MAX_JET_ORDER - 1)
+        assert max(e.order for e in prolonged) == MAX_JET_ORDER
+        top = [e for e in prolonged if e.order == MAX_JET_ORDER]
+        with pytest.raises(OrderOverflow):
+            formal_derivative(top[0], 1)
+        with pytest.raises(OrderOverflow):
+            prolong([eq], MAX_JET_ORDER)
+        with pytest.raises(OrderOverflow):
+            prolong(flat_killing(), 10**6)  # refused before any derivative
+
+    def test_cc_past_the_key_width(self):
+        system = labeled_medolaghi(section(ObjectKind.METRIC_2D, [ONE, ONE, CTX.zero()]))
+        cc = parse_cc_spec("d" + "1" * MAX_JET_ORDER + "O11", 2)
+        with pytest.raises(OrderOverflow):
+            check_cc_identity(system, cc, max_order=10**6)
+
+
 class TestFormalDerivative:
     def test_term_rule_twice(self):
         # d1 d2 (xi1_2 + xi2_1) has unit coefficients on xi1_(1,2) and xi2_(2,1)
-        eq = LinearJetEquation({jv(1, (0, 1)): ONE, jv(2, (1, 0)): ONE})
+        eq = LinearJetEquation({jv(1, 0, 1): ONE, jv(2, 1, 0): ONE})
         out = formal_derivative(formal_derivative(eq, 2), 1)
-        assert out.terms == {jv(1, (1, 2)): ONE, jv(2, (2, 1)): ONE}
+        assert out.terms == {jv(1, 1, 2): ONE, jv(2, 2, 1): ONE}
 
     def test_zero_equation(self):
         zero_eq = LinearJetEquation({})
@@ -61,17 +117,17 @@ class TestFormalDerivative:
 
     def test_coefficient_rule(self):
         a = parse_in("x1*x2", CTX)
-        eq = LinearJetEquation({jv(1, (0, 0)): a})
+        eq = LinearJetEquation({jv(1, 0, 0): a})
         out = formal_derivative(eq, 1)
-        assert out.terms == {jv(1, (0, 0)): parse_in("x2", CTX), jv(1, (1, 0)): a}
+        assert out.terms == {jv(1, 0, 0): parse_in("x2", CTX), jv(1, 1, 0): a}
 
     def test_commutes(self):
         rng = random.Random(5)
         for _ in range(5):
             eq = LinearJetEquation(
                 {
-                    jv(1, (1, 0)): random_expression(CTX, rng, depth=2),
-                    jv(2, (0, 1)): random_expression(CTX, rng, depth=2),
+                    jv(1, 1, 0): random_expression(CTX, rng, depth=2),
+                    jv(2, 0, 1): random_expression(CTX, rng, depth=2),
                 }
             )
             d12 = formal_derivative(formal_derivative(eq, 1), 2)
@@ -81,7 +137,7 @@ class TestFormalDerivative:
     def test_each_denominator_deflated_once(self, monkeypatch):
         # four coefficients over two denominators, L and L^2, both in x1 and x2
         texts = ("-1/L", "1/L", "-1/L^2", "-2/L^2")
-        variables = (jv(1, (0, 0)), jv(2, (0, 0)), jv(1, (1, 0)), jv(2, (0, 1)))
+        variables = (jv(1, 0, 0), jv(2, 0, 0), jv(1, 1, 0), jv(2, 0, 1))
         eq = LinearJetEquation({
             v: parse_in(t.replace("L", "(2*x1 + 2*x2 - 7)"), CTX)
             for v, t in zip(variables, texts)
@@ -90,7 +146,7 @@ class TestFormalDerivative:
             expected = {}
             for v, c in eq.terms.items():
                 add_term(expected, v, c.diff(i))
-                add_term(expected, jv(v.component, mi_bump(v.index, i)), c)
+                add_term(expected, bumped(v, 2, i), c)
             deflations = []
             cancel = symexpr._cancel
 
@@ -105,7 +161,7 @@ class TestFormalDerivative:
             assert out == LinearJetEquation(expected)
 
     def test_order_increases_by_one(self):
-        eq = LinearJetEquation({jv(1, (1, 1)): parse_in("x1", CTX)})
+        eq = LinearJetEquation({jv(1, 1, 1): parse_in("x1", CTX)})
         assert eq.order == 2
         assert formal_derivative(eq, 2).order == 3
 
@@ -181,12 +237,12 @@ class TestProlong:
     def test_derived_row_over_the_source_denominator(self):
         # E = xi1_1 + xi1/(x1 - 2): den = x1 - 2, d1 of the row is
         # (x1 - 2) xi1_11 + 2 xi1_1, and its top part is den times that of d1 E
-        eq = LinearJetEquation({jv(1, (1, 0)): ONE, jv(1, (0, 0)): parse_in("1/(x1 - 2)", CTX)})
+        eq = LinearJetEquation({jv(1, 1, 0): ONE, jv(1, 0, 0): parse_in("1/(x1 - 2)", CTX)})
         d1 = prolong([eq], 1)[1]
         x1 = parse_in("x1 - 2", CTX)
         assert d1.den == eq.den == x1.num
-        assert d1.row == {jv(1, (2, 0)): x1.num, jv(1, (1, 0)): TWO.num}
-        assert d1.terms == {jv(1, (2, 0)): ONE, jv(1, (1, 0)): TWO / x1}
+        assert d1.row == {jv(1, 2, 0): x1.num, jv(1, 1, 0): TWO.num}
+        assert d1.terms == {jv(1, 2, 0): ONE, jv(1, 1, 0): TWO / x1}
         assert d1.order == 2
 
 
@@ -197,14 +253,14 @@ class TestProportional:
         assert proportional(e, e)
 
     def test_same_support_other_ratio(self):
-        e = LinearJetEquation({jv(1, (1, 0)): ONE, jv(2, (0, 1)): ONE})
-        f = LinearJetEquation({jv(1, (1, 0)): ONE, jv(2, (0, 1)): parse_in("x1", CTX)})
+        e = LinearJetEquation({jv(1, 1, 0): ONE, jv(2, 0, 1): ONE})
+        f = LinearJetEquation({jv(1, 1, 0): ONE, jv(2, 0, 1): parse_in("x1", CTX)})
         assert not proportional(e, f)
         assert not proportional(f, e)
 
     def test_other_support(self):
-        e = LinearJetEquation({jv(1, (1, 0)): ONE})
-        f = LinearJetEquation({jv(1, (1, 0)): ONE, jv(2, (0, 1)): ONE})
+        e = LinearJetEquation({jv(1, 1, 0): ONE})
+        f = LinearJetEquation({jv(1, 1, 0): ONE, jv(2, 0, 1): ONE})
         assert not proportional(e, f)
         assert proportional(LinearJetEquation({}), LinearJetEquation({}))
 
@@ -234,8 +290,8 @@ class TestSymbolDimension:
     def test_each_distinct_coefficient_evaluated_once(self, monkeypatch):
         x1 = parse_in("x1", CTX)
         system = [
-            LinearJetEquation({jv(1, (1, 0)): x1, jv(2, (0, 1)): x1, jv(1, (0, 0)): TWO}),
-            LinearJetEquation({jv(1, (0, 1)): x1 + ONE, jv(2, (1, 0)): x1}),
+            LinearJetEquation({jv(1, 1, 0): x1, jv(2, 0, 1): x1, jv(1, 0, 0): TWO}),
+            LinearJetEquation({jv(1, 0, 1): x1 + ONE, jv(2, 1, 0): x1}),
         ]
         evaluated = []
         value = symexpr._Poly.value
@@ -258,7 +314,7 @@ class TestSymbolDimension:
     def test_singular_row_denominator(self):
         # the derived rows are over den = x1 - 2, whose top-order part
         # (x1 - 2) xi1_(2,0) vanishes at x1 = 2: refused there, not ranked lower
-        eq = LinearJetEquation({jv(1, (1, 0)): ONE, jv(1, (0, 0)): parse_in("1/(x1 - 2)", CTX)})
+        eq = LinearJetEquation({jv(1, 1, 0): ONE, jv(1, 0, 0): parse_in("1/(x1 - 2)", CTX)})
         second = [e for e in prolong([eq], 1) if e.order == 2]
         with pytest.raises(SingularPoint):
             symbol_dimension(second, 2)  # default point has x1 = 2
@@ -268,7 +324,7 @@ class TestSymbolDimension:
 
     def test_singular_sample_point(self):
         coeff = parse_in("1/(x1 - 2)", CTX)
-        eq = LinearJetEquation({jv(1, (1, 0)): coeff})
+        eq = LinearJetEquation({jv(1, 1, 0): coeff})
         with pytest.raises(SingularPoint):
             symbol_dimension([eq], 1)  # default point has x1 = 2
         assert symbol_dimension([eq], 1, sample_point=(Fraction(3), Fraction(5))) == 3
@@ -298,10 +354,10 @@ class TestSymbolDimension:
         # read rows [1, 1, 0], [0, 1, 1], [1, 5, 1] of rank 3.
         x1 = parse_in("x1", CTX)
         system = [
-            LinearJetEquation({jv(1, (1, 0)): ONE, jv(1, (0, 1)): x1}),
-            LinearJetEquation({jv(1, (0, 1)): ONE, jv(2, (1, 0)): ONE}),
-            LinearJetEquation({jv(1, (1, 0)): x1, jv(1, (0, 1)): x1 * x1 + ONE,
-                               jv(2, (1, 0)): ONE}),
+            LinearJetEquation({jv(1, 1, 0): ONE, jv(1, 0, 1): x1}),
+            LinearJetEquation({jv(1, 0, 1): ONE, jv(2, 1, 0): ONE}),
+            LinearJetEquation({jv(1, 1, 0): x1, jv(1, 0, 1): x1 * x1 + ONE,
+                               jv(2, 1, 0): ONE}),
         ]
         assert symbol_dimension(system, 1, generic=True) == 2
         for point in [(Fraction(1, 2),), (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-3, 7), 4)]:
@@ -309,7 +365,7 @@ class TestSymbolDimension:
 
     def test_pole_at_a_rational_point(self):
         # den = 2*x1 - 1 vanishes at x1 = 1/2, not at x1 = 1/3
-        eq = LinearJetEquation({jv(1, (1, 0)): ONE, jv(1, (0, 0)): parse_in("1/(2*x1 - 1)", CTX)})
+        eq = LinearJetEquation({jv(1, 1, 0): ONE, jv(1, 0, 0): parse_in("1/(2*x1 - 1)", CTX)})
         second = [e for e in prolong([eq], 1) if e.order == 2]
         with pytest.raises(SingularPoint, match=r"^a coefficient has a pole at "):
             symbol_dimension(second, 2, sample_point=(Fraction(1, 2), Fraction(5, 3)))

@@ -24,13 +24,12 @@ import random  # noqa: E402
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import random_expression  # noqa: E402
+from helpers import bumped, jet_order, random_expression  # noqa: E402
 from oracle_support import expr_sympy, oracle_settings, poly_sympy  # noqa: E402
 from vessiot.jetcalc import (  # noqa: E402
     JetVariable,
     LinearJetEquation,
     formal_derivative_multi,
-    mi_bump,
     multi_indices,
     prolong,
     symbol_dimension,
@@ -67,7 +66,7 @@ def random_system(seed: int) -> list:
         terms = {JetVariable(rng.randint(1, 2), (0, 0)): random_expression(CTX, rng, depth=1)}
         for factor, eq in ((f, system[0]), (g, system[1])):
             for jv, c in eq.terms.items():
-                if jv.order == 1:
+                if jet_order(jv, 2) == 1:
                     terms[jv] = terms.get(jv, CTX.zero()) + factor * c
         combined = LinearJetEquation(terms)
         if combined.order == 1:
@@ -82,14 +81,14 @@ def sympy_derivative(terms: dict, mu) -> dict:
             out: dict = {}
             for jv, c in terms.items():
                 out[jv] = out.get(jv, 0) + sympy.diff(c, SYMS[i - 1])
-                bumped = JetVariable(jv.component, mi_bump(jv.index, i))
-                out[bumped] = out.get(bumped, 0) + c
+                up = bumped(jv, 2, i)
+                out[up] = out.get(up, 0) + c
             terms = out
     return terms
 
 
 def top_part(eq: LinearJetEquation) -> dict:
-    return {jv: c for jv, c in eq.terms.items() if jv.order == eq.order}
+    return {jv: c for jv, c in eq.terms.items() if jet_order(jv, 2) == eq.order}
 
 
 class TestDerivedRows:

@@ -688,6 +688,50 @@ class TestGiveUp:
         assert parse("(x1 + x2)/(2*x1 + 2*x2)", 2) == parse("1/2", 2)
 
 
+class TestUnitShortcut:
+    """Against the unit polynomial, _cancel returns its operands and _fill
+    stores the pair as it is: no content step and no gcd, and the values the
+    long path gives."""
+
+    OPERANDS = [parse(t, 2).num for t in ("3*x1^2 - 6*x2 + 9", "-4", "0", "x1*x2", "1", "-x1")]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("_primitive", "_monomial_gcd", "_trial_quotient", "_heu_gcd"):
+            real = getattr(symexpr, name)
+            monkeypatch.setattr(
+                symexpr, name, lambda *args, real=real, name=name: seen.append(name) or real(*args)
+            )
+        return seen
+
+    def long_path(self, monkeypatch, function, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(symexpr, "_is_unit_poly", lambda p: False)
+            return function(*args)
+
+    def test_cancel_against_one(self, calls, monkeypatch):
+        one = _pconst(1)
+        for p in self.OPERANDS:
+            for a, b in ((p, one), (one, p)):
+                qa, qb, g = _cancel(a, b)
+                assert qa is a and qb is b and _is_unit_poly(g)
+                assert calls == []
+                assert self.long_path(monkeypatch, _cancel, a, b) == (qa, qb, g)
+                assert calls  # the long path ran
+                calls.clear()
+
+    def test_fill_over_one(self, calls, monkeypatch):
+        ctx = Context(2)
+        for p in self.OPERANDS:
+            e = symexpr._from_reduced(ctx, p, _pconst(1))
+            assert e.num is p and _is_unit_poly(e.den)
+            assert calls == []
+            assert self.long_path(monkeypatch, symexpr._from_reduced, ctx, p, _pconst(1)) == e
+            assert calls or not p.terms  # a zero numerator takes no content step
+            calls.clear()
+
+
 @st.composite
 def exponent_pairs(draw):
     """Two exponent vectors over 1-3 coordinates and 0-2 parameters, small or
