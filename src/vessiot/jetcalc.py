@@ -297,17 +297,19 @@ def symbol_dimension(
 ) -> int:
     """dim g_q: solution-space dimension of the order-q coefficient matrix.
 
+    Its n * sym_dim(n, q) columns are the jets of order q; only those that
+    some row meets are built, as a zero column adds nothing to the rank.
     Every equation is read through its row (``LinearJetEquation.row``): the
     rank is unchanged when an equation is scaled by its nonzero den.  At the
     sample point (default: variable j at j + 2), written a/L with integers a
     and L the lcm of its denominators, each distinct row polynomial p is
     evaluated once, as the integer L^D * p(a/L) with one D for the whole
     matrix (the largest total degree among the rows' polynomials and dens),
-    and the rank is taken in the integers (``linalg.rank_rational``).  SingularPoint is raised
-    where any equation's den vanishes, that is where any of its coefficients
-    has a pole, so a row scaled by den never loses rank there silently.
-    ``generic`` asks instead for the exact rank of the rows over the function
-    field.
+    and the rank is taken in the integers (``linalg.rank_rational``).
+    SingularPoint is raised where any equation's den vanishes, that is where
+    any of its coefficients has a pole, so a row scaled by den never loses
+    rank there silently.  ``generic`` asks instead for the exact rank of the
+    rows over the function field (``linalg._reduce``).
     """
     from . import linalg
 
@@ -316,19 +318,17 @@ def symbol_dimension(
     for eq in system:
         if eq.order > at_order:
             raise ValueError("system contains equations above the requested order")
-    variables = [
-        JetVariable(k, mu)
-        for k in range(1, n + 1)
-        for mu in multi_indices(n, at_order)
-    ]
+    dim = n * sym_dim(n, at_order)
     rows = [eq for eq in system if not eq.is_zero() and eq.order == at_order]
     if not rows:
-        return len(variables)
-    column = {jv: i for i, jv in enumerate(variables)}
+        return dim
+    low = at_order << _JW * (n + 1)  # the least key of order q
+    keys = sorted({jv for eq in rows for jv in eq.row if jv >= low})
+    column = {jv: j for j, jv in enumerate(keys)}
     if generic:
-        zero, is_zero, one = context.zero(), Expression.is_zero, _pconst(1)
+        zero, one = context.zero(), _pconst(1)
     else:
-        zero, is_zero, point = 0, None, context.complete_point(sample_point)
+        zero, point = 0, context.complete_point(sample_point)
         ints, scale = integer_point(point)
         degree = 0
         if scale != 1:  # L^D times every row: the rank is the one at a/L
@@ -338,7 +338,7 @@ def symbol_dimension(
     value: Dict[_Poly, object] = {}  # each distinct row polynomial is read once
     matrix = []
     for eq in rows:
-        line = [zero] * len(variables)
+        line = [zero] * len(column)
         for jv, p in eq.row.items():
             j = column.get(jv)
             if j is not None:
@@ -348,7 +348,8 @@ def symbol_dimension(
                     value[p] = v
                 line[j] = v
         matrix.append(line)
-    return len(variables) - linalg.rank_rational(matrix, is_zero)
+    rank = linalg._reduce(matrix, len(column)) if generic else linalg.rank_rational(matrix)
+    return dim - rank
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence
+from math import gcd
+from typing import Dict, List, Sequence
 
-from .symexpr import Expression
+from .symexpr import Expression, integer_point
 
 
-def _reduce(m: list, ncols: int, is_zero: Callable[[object], bool]) -> int:
-    """Gauss-Jordan elimination of the row lists of ``m`` in place; returns the rank.
+def _reduce(m: List[List[Expression]], ncols: int) -> int:
+    """Gauss-Jordan elimination over Q(x) of the row lists of ``m`` in place; returns the rank.
 
     Pivots are taken only in the first ``ncols`` columns (an augmented right-hand
     side never holds one), and pivot rows move to the top.  Each pivot row is
@@ -21,19 +21,19 @@ def _reduce(m: list, ncols: int, is_zero: Callable[[object], bool]) -> int:
     for col in range(ncols):
         if rank == len(m):
             break
-        pivot = next((r for r in range(rank, len(m)) if not is_zero(m[r][col])), None)
+        pivot = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         row = m[rank]
         inv = row[col]
         # zeros of the pivot row (all of it left of col) change nothing: 0/inv, a - f*0
-        support = [j for j in range(col + 1, len(row)) if not is_zero(row[j])]
+        support = [j for j in range(col + 1, len(row)) if not row[j].is_zero()]
         for j in support:
             row[j] = row[j] / inv
         for r, other in enumerate(m):
             factor = other[col]
-            if r != rank and not is_zero(factor):
+            if r != rank and not factor.is_zero():
                 for j in support:
                     other[j] = other[j] - factor * row[j]
         rank += 1
@@ -44,16 +44,9 @@ def solve_square(matrix: List[List[Expression]], rhs: List[Expression]) -> List[
     """Gaussian elimination over the expression field; unique solution required."""
     m = [row[:] + [b] for row, b in zip(matrix, rhs)]
     size = len(m)
-    if _reduce(m, size, Expression.is_zero) < size:
+    if _reduce(m, size) < size:
         raise ArithmeticError("singular linear system")
     return [m[r][size] for r in range(size)]
-
-
-def _integer_row(row: Sequence) -> Dict[int, int]:
-    """The nonzero entries of a rational row, column -> integer, scaled by the
-    lcm of their denominators (1 for an integer row)."""
-    scale = lcm(*[v.denominator for v in row if v])
-    return {j: v.numerator * (scale // v.denominator) for j, v in enumerate(row) if v}
 
 
 def _rank_integer(rows: List[Dict[int, int]]) -> int:
@@ -101,16 +94,9 @@ def _rank_integer(rows: List[Dict[int, int]]) -> int:
     return rank
 
 
-def rank_rational(
-    rows: Sequence[Sequence[object]], is_zero: Optional[Callable[[object], bool]] = None
-) -> int:
-    """Exact rank of rational rows, in the integers: each row is scaled to an
-    integer one and ranked by ``_rank_integer``, so no rational is formed.
-
-    Pass ``Expression.is_zero`` for the rank of ``Expression`` rows over the
-    rational-function field, which ``_reduce`` computes.
-    """
-    if is_zero is not None:
-        m = [list(row) for row in rows]
-        return _reduce(m, len(m[0]) if m else 0, is_zero)
-    return _rank_integer([f for f in map(_integer_row, rows) if f])
+def rank_rational(rows: Sequence[Sequence]) -> int:
+    """Exact rank of rational rows, in the integers: the nonzero entries of
+    each row are scaled to integers (``integer_point``) and ranked by
+    ``_rank_integer``, so no rational is formed."""
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return _rank_integer([dict(zip(f, integer_point(f.values())[0])) for f in sparse if f])

@@ -82,8 +82,9 @@ def _two(ctx: Context) -> Expression:
 
 
 def _product_system(sec: GeometricSection):
-    """(witness, d1 w1, d2 w2, matrix, rhs): the witness and the 2x2 system in
-    (w4, w7) of a product-triple section (see ``solve_intermediate_product``)."""
+    """(witness, w4, w5, w7, w8) of a product-triple section: its witness, the
+    solution (w4, w7) of the 2x2 system of ``solve_intermediate_product``, and
+    w5, w8 from it."""
     if sec.kind is not ObjectKind.PRODUCT_TRIPLE_2D:
         raise KindMismatch("solve_intermediate_product needs a PRODUCT_TRIPLE_2D section")
     witness = nondegeneracy(sec)
@@ -93,7 +94,8 @@ def _product_system(sec: GeometricSection):
     one = sec.context.one()
     d1w1, d2w2 = w1.diff(1), w2.diff(2)
     rhs = [w3.diff(1) / w3 - d2w2, w3.diff(2) / w3 - d1w1]
-    return witness, d1w1, d2w2, [[one, w2], [w1, one]], rhs
+    w4, w7 = solve_square([[one, w2], [w1, one]], rhs)
+    return witness, w4, d1w1 + w1 * w4, w7, d2w2 + w2 * w7
 
 
 def solve_intermediate_product(
@@ -113,11 +115,8 @@ def solve_intermediate_product(
     has determinant 1 - w1*w2, nonzero because the witness w3*(1 - w1*w2)
     does not vanish identically.
     """
-    _, d1w1, d2w2, matrix, rhs = _product_system(sec)
+    _, w4, w5, w7, w8 = _product_system(sec)
     w1, w2, _ = sec.components
-    w4, w7 = solve_square(matrix, rhs)
-    w5 = d1w1 + w1 * w4
-    w8 = d2w2 + w2 * w7
     return w4, w5, w1.diff(2) + w1 * w5, w7, w8, w2.diff(1) + w2 * w8
 
 
@@ -132,11 +131,9 @@ def product_constants(sec: GeometricSection) -> StructureReport:
     usually coincide, and then c'' is the reduced c': one reduction, not
     two.  The residual c' - c'' is formed either way, so a wrong solve shows.
     """
-    witness, d1w1, d2w2, matrix, rhs = _product_system(sec)
-    w1, w2, _ = sec.components
-    w4, w7 = solve_square(matrix, rhs)
-    first = _curl(w4, 2, d1w1 + w1 * w4, 1, witness)
-    second = _curl(w7, 1, d2w2 + w2 * w7, 2, witness)
+    witness, w4, w5, w7, w8 = _product_system(sec)
+    first = _curl(w4, 2, w5, 1, witness)
+    second = _curl(w7, 1, w8, 2, witness)
     c_prime = Expression(witness.context, *first)
     c_second = c_prime if second == first else Expression(witness.context, *second)
     return StructureReport.of(

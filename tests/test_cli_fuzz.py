@@ -13,7 +13,10 @@ Two smaller runs hold the same contract at the jet-order ceiling and for
 ``dims``: ``check-cc`` with ``--max-order`` from 0 to 17 (1 to 16 are
 accepted) and CC terms whose order lands just below, on, or past it, over
 sections of nesting depth 1; and ``dims`` with well-formed and malformed
-``--n`` and ``--f1``.
+``--n`` and ``--f1``.  A third sends ``equivalence`` over the bundled
+metric and product sections ``--sample-point`` text with too few or too many
+coordinates, empty parts, ``1/0``, exponents, digit runs at and just past
+``MAX_LITERAL_DIGITS`` above or below the line, NUL and non-ASCII digits.
 
 Each run is fixed: derandomized, no example database, no shrinking, and a
 fixed example count.
@@ -22,6 +25,7 @@ fixed example count.
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -29,7 +33,9 @@ from hypothesis import strategies as st
 
 from vessiot import cli
 from vessiot.lieops import ObjectKind
+from vessiot.symexpr import MAX_LITERAL_DIGITS
 
+SECTIONS = Path(__file__).resolve().parent.parent / "sections"
 REPORT_KEYS = {"command", "inputs", "result", "residuals", "verdict"}
 LITERALS = ("0", "1", "2", "1/2", "-1")
 PARAM = "a"
@@ -106,6 +112,31 @@ def dims_argv(draw):
     return argv if f1 is None else argv + ["--f1", f1]
 
 
+# pairs of one kind: the metrics of opposite determinant sign read both at the
+# point, where the half-plane's may have a pole; the Euclidean pair passes
+EQUIVALENCE_PAIRS = [
+    ("metric_half_plane", "metric_indefinite"),
+    ("metric_euclidean", "metric_euclidean"),
+    ("product_projective", "product_flat"),
+]
+_RUN = "9" * MAX_LITERAL_DIGITS
+POINT_PARTS = (
+    "", " ", "3", "-1", " 1/2 ", "-3/4", "0.5", ".5", "+7", "--1", "1/2/3", "1/0", "0/0",
+    "1e5", "1E-3", "2.5e1", "inf", "nan", "1\x00", "\x00", "\u0661\u0662", "\uff12", "\u00b3",
+    "\u00bd", _RUN, _RUN + "9", "-" + _RUN, f"1/{_RUN}", f"1/{_RUN}9", f"{_RUN}9/7",
+)
+
+
+@st.composite
+def equivalence_points(draw):
+    """Two bundled sections of one kind and --sample-point text of zero to
+    four comma-separated parts, most often two: the sections' dimension."""
+    pair = draw(st.sampled_from(EQUIVALENCE_PAIRS))
+    count = draw(st.sampled_from([0, 1, 2, 2, 2, 3, 4]))
+    part = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(POINT_PARTS))
+    return pair, ",".join(draw(st.lists(part, min_size=count, max_size=count)))
+
+
 @st.composite
 def cases(draw):
     kind = draw(st.sampled_from(list(ObjectKind)))
@@ -179,3 +210,13 @@ def test_check_cc_at_the_order_ceiling(workdir, case):
 @given(argv=dims_argv())
 def test_dims_argv(argv):
     check_contract(argv)
+
+
+@fixed_run(60)
+@given(case=equivalence_points())
+def test_sample_point_text(case):
+    (left, right), point = case
+    check_contract([
+        "equivalence", "--left", str(SECTIONS / f"{left}.section"),
+        "--right", str(SECTIONS / f"{right}.section"), f"--sample-point={point}",
+    ])

@@ -1,6 +1,8 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +27,12 @@ from vessiot.jetcalc import (
     sym_dim,
     symbol_dimension,
 )
-from vessiot.lieops import ObjectKind, labeled_medolaghi, medolaghi_equations, section
+from vessiot.lieops import (
+    ObjectKind, labeled_medolaghi, medolaghi_equations, parse_section_text, section,
+)
 from vessiot.symexpr import Context, Expression, add_term, parse_in
 
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "pool.json"
 CTX = Context(2)
 ONE = CTX.one()
 TWO = CTX.rational(2)
@@ -377,6 +382,29 @@ class TestSymbolDimension:
         assert symbol_dimension(system, 1, sample_point=(2, 7)) == 2
         with pytest.raises(ValueError, match="^need at most 2 values, got 3$"):
             symbol_dimension(system, 1, sample_point=(2, 7, 11))
+
+    def test_columns_no_row_meets_still_count(self):
+        # xi^1_1 = 0 meets one of the four order-1 jets in n = 2; the three it
+        # misses are free, at the point and generically
+        system = [LinearJetEquation({jv(1, 1, 0): ONE})]
+        assert symbol_dimension(system, 1) == 3
+        assert symbol_dimension(system, 1, generic=True) == 3
+        # n = 3: one equation on xi^2_13 among the 3 * 6 order-2 jets
+        ctx3 = Context(3)
+        system = [LinearJetEquation({jv(2, 1, 0, 1): parse_in("x3", ctx3)})]
+        assert symbol_dimension(system, 2) == symbol_dimension(system, 2, generic=True) == 17
+
+    def test_point_rank_is_the_generic_rank_on_the_benchmark_pool(self):
+        # every jet_systems section of the benchmark pool, prolonged twice
+        # as the benchmark does: the default point reads the generic rank
+        entries = json.loads(POOL.read_text(encoding="utf-8"))["sections"]
+        texts = [e["text"] for e in entries if e["workload"] == "jet_systems"]
+        assert texts
+        for text in texts:
+            sec, _ = parse_section_text(text)
+            prolonged = prolong(list(labeled_medolaghi(sec).values()), 2)
+            top = max(eq.order for eq in prolonged)
+            assert symbol_dimension(prolonged, top) == symbol_dimension(prolonged, top, generic=True)
 
 
 class TestDimensionTable:

@@ -10,8 +10,10 @@ ran for minutes on some 30x36 matrices of this kind.  Integer matrices up to
 over ZZ.  ``solve_square`` is
 compared with ``LUsolve`` on sparse rational systems, singular ones included,
 and checked by substitution on small systems over the rational-function
-field, whose singular cases sympy's determinant confirms.  Matrices are built
-from a seed and a shape that hypothesis draws with a fixed derivation
+field, whose singular cases sympy's determinant confirms.  The generic rank
+``_reduce`` is compared with sympy's rank over the fraction field Q(x1, x2)
+on polynomial matrices up to 5x6, some block-diagonal and some with a row
+that is a polynomial combination of others.  Matrices are built from a seed and a shape that hypothesis draws with a fixed derivation
 (``derandomize``); without sympy or hypothesis the module is skipped.
 """
 
@@ -28,6 +30,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from helpers import random_expression  # noqa: E402
 from oracle_support import expr_sympy, oracle_settings  # noqa: E402
+from vessiot import linalg  # noqa: E402
 from vessiot.linalg import rank_rational, solve_square  # noqa: E402
 from vessiot.symexpr import Context  # noqa: E402
 
@@ -142,3 +145,46 @@ class TestSolveSquare:
             for coeff, value in zip(row, x):
                 total = total + coeff * value
             assert total == rhs
+
+
+def random_polynomial(rng: random.Random, degree: int) -> object:
+    """A sum of one to three monomials in x1, x2 of total degree at most
+    ``degree``, with small integer coefficients (possibly zero)."""
+    x1, x2 = CTX.coordinate(1), CTX.coordinate(2)
+    total = CTX.zero()
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(0, degree)
+        total = total + CTX.rational(rng.randint(-5, 5)) * x1**a * x2 ** rng.randint(0, degree - a)
+    return total
+
+
+def polynomial_matrix(rng: random.Random, rows: int, cols: int, shape: str) -> list:
+    """A rows x cols matrix of polynomial Expressions: random entries, or two
+    diagonal blocks with zeros off them, or a last row that is a polynomial
+    combination of up to two earlier rows."""
+    density = rng.choice([0.3, 0.6, 1.0])
+    m = [[random_polynomial(rng, 2) if rng.random() < density else CTX.zero()
+          for _ in range(cols)] for _ in range(rows)]
+    if shape == "blocks" and rows > 1 and cols > 1:
+        r, c = rng.randint(1, rows - 1), rng.randint(1, cols - 1)
+        for i, row in enumerate(m):
+            for j in range(cols):
+                if (i < r) != (j < c):
+                    row[j] = CTX.zero()
+    elif shape == "combination" and rows > 1:
+        last = [CTX.zero()] * cols
+        for k in rng.sample(range(rows - 1), min(2, rows - 1)):
+            f = random_polynomial(rng, 1)
+            last = [x + f * y for x, y in zip(last, m[k])]
+        m[-1] = last
+    return m
+
+
+class TestGenericRank:
+    @settings(ORACLE, max_examples=20)
+    @given(seeds, st.integers(1, 5), st.integers(1, 6),
+           st.sampled_from(["random", "blocks", "combination"]))
+    def test_rank_matches_sympy(self, seed, rows, cols, shape):
+        m = polynomial_matrix(random.Random(seed), rows, cols, shape)
+        reference = sympy.Matrix([[expr_sympy(v) for v in row] for row in m]).to_DM()
+        assert linalg._reduce([row[:] for row in m], cols) == reference.to_field().rank()
