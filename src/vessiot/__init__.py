@@ -30,8 +30,7 @@ _EXPORTS = {
     "symexpr": ("Context", "Expression", "parse", "parse_in"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", "curvature", "errors", "forms", "jetcalc", "lieops", "linalg",
-               "reports", "structure", "symexpr")
+_SUBMODULES = (*_EXPORTS, "cli", "errors", "linalg")
 
 __all__ = sorted(_HOME)
 

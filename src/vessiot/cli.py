@@ -56,10 +56,17 @@ class _Parser(argparse.ArgumentParser):
     of this class too): an abbreviation is an unrecognized argument, quoted
     like any other, never argparse's "ambiguous option" message, which copies
     the whole argument.
+
+    A word that starts with ``-`` and then a digit, ``.`` or ``/`` is a value,
+    never an option name (no option name has that shape), so
+    ``--sample-point -1/2,3`` passes ``-1/2,3`` on as ``--sample-point=-1/2,3``
+    does: argparse's negative-number pattern, which alone takes only ``-1``
+    and ``-1.5`` for values, is widened to that shape.
     """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d./]")
 
     def parse_args(self, args=None, namespace=None):
         namespace, extras = self.parse_known_args(args, namespace)
@@ -91,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="structure report of one section file")
     p.add_argument("--section", required=True, help="section file path")
     add_format(p)
+    p.set_defaults(handler=_cmd_compute)
 
     p = sub.add_parser("equivalence", help="necessary-condition gate between two sections")
     p.add_argument("--left", required=True)
@@ -101,11 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rational coordinates for sign tests (default 2,3,...)",
     )
     add_format(p)
+    p.set_defaults(handler=_cmd_equivalence)
 
     p = sub.add_parser("dims", help="bundle dimension table")
     p.add_argument("--n", type=int, required=True, help="ambient dimension, 1 to 9")
     p.add_argument("--f1", type=int, default=None, help="dim F1 (default n(n+1)/2)")
     add_format(p)
+    p.set_defaults(handler=_cmd_dims)
 
     p = sub.add_parser("check-cc", help="verify a compatibility-condition combination")
     p.add_argument("--section", required=True)
@@ -114,10 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-order", type=int, default=4, help="jet order ceiling, 1 to 16 (default 4)"
     )
     add_format(p)
+    p.set_defaults(handler=_cmd_check_cc)
 
     p = sub.add_parser("curvature", help="curvature data plus constants of a metric section")
     p.add_argument("--section", required=True)
     add_format(p)
+    p.set_defaults(handler=_cmd_curvature)
 
     return parser
 
@@ -128,9 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code else PASS_EXIT
-    handler = _HANDLERS[args.command]
     try:
-        inputs, result, residuals, verdict, passed = handler(args)
+        inputs, result, residuals, verdict, passed = args.handler(args)
         payload = {"command": args.command, "inputs": inputs, "result": result,
                    "residuals": residuals, "verdict": verdict}
         _emit(payload, args.format)
@@ -244,15 +255,6 @@ def _cmd_curvature(args) -> tuple[dict, dict, list, str, bool]:
     raise KindMismatch(
         f"curvature needs a METRIC_2D or CHRISTOFFEL_2D section, got {sec.kind.value}"
     )
-
-
-_HANDLERS = {
-    "compute": _cmd_compute,
-    "equivalence": _cmd_equivalence,
-    "dims": _cmd_dims,
-    "check-cc": _cmd_check_cc,
-    "curvature": _cmd_curvature,
-}
 
 
 # ----------------------------------------------------------------------

@@ -151,13 +151,6 @@ class Connection2D:
             raise KindMismatch("expected a CHRISTOFFEL_2D section")
         return cls(dict(zip(ObjectKind.CHRISTOFFEL_2D.spec.indices, sec.components)))
 
-    @cached_property
-    def over(self) -> tuple:
-        """(E, G): the components G^k_ij / E over their common denominator E,
-        formed once per connection."""
-        e, scaled = common_denominator(self.components.values())
-        return e, dict(zip(self.components, scaled))
-
     def gamma(self, k: int, i: int, j: int) -> Expression:
         return self.components[(k, min(i, j), max(i, j))]
 
@@ -226,7 +219,8 @@ def riemann(source: Connection2D | Metric2D) -> CurvatureData:
 
     rho^k_{l,ij} = d_i g^k_lj - d_j g^k_li + g^r_lj g^k_ri - g^r_li g^k_rj,
     Ricci rho_ij = rho^r_{i,rj}, and the n = 2 split (phi, sym) of Ricci.
-    Over the pair (e, G) = ``Connection2D.over``, e^2 rho^k_{l,12} is the curl of
+    With every g^k_ij = G^k_ij / e over one common denominator e, formed
+    once per call, e^2 rho^k_{l,12} is the curl of
     G^k_l2 and G^k_l1 plus G^r_l2 G^k_r1 - G^r_l1 G^k_r2, all polynomial, so
     each stored rho^k_{l,12} is one kernel numerator over e^2, reduced once.
     A metric builds no connection: by Gauss, rho^k_{l,ij} = K (delta^k_i w_lj -
@@ -244,7 +238,8 @@ def riemann(source: Connection2D | Metric2D) -> CurvatureData:
         sym = {(1, 1): kw11, (2, 2): kw22, (1, 2): kw12}
         return CurvatureData(riemann=riem, ricci=ricci, phi_12=source.context.zero(), sym=sym)
 
-    e, numer = source.over
+    e, scaled = common_denominator(source.components.values())
+    numer = dict(zip(source.components, scaled))
     de = (e.diff(0), e.diff(1))
     G = {**numer, **{(k, j, i): g for (k, i, j), g in numer.items()}}
 

@@ -10,7 +10,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputFormatError, OrderOverflow, SingularPoint, quoted
 from .symexpr import (
-    MAX_LITERAL_DIGITS, Context, Expression, _from_reduced, _is_unit_poly, _pconst, _Poly,
+    MAX_LITERAL_DIGITS, Context, Expression, _pconst, _Poly,
     add_term, combination_str, common_denominator, derivatives, integer_point,
 )
 
@@ -159,7 +159,7 @@ def combination(*parts: Tuple[Expression, Mapping[int, Expression]]) -> LinearJe
     """The equation sum f * terms over the (f, terms) parts."""
     out: Dict[int, Expression] = {}
     for f, terms in parts:
-        unit = f.num.terms.get(0) if _is_unit_poly(f.den) and len(f.num.terms) == 1 else None
+        unit = f.constant_value()
         for jv, c in terms.items():
             add_term(out, jv, c if unit == 1 else -c if unit == -1 else f * c)
     return LinearJetEquation(out)
@@ -343,8 +343,8 @@ def symbol_dimension(
             j = column.get(jv)
             if j is not None:
                 v = value.get(p)
-                if v is None:  # (p, 1) is a coprime pair: no cancel
-                    v = _from_reduced(context, p, one) if generic else p.value(ints, scale, degree)
+                if v is None:
+                    v = Expression(context, p, one) if generic else p.value(ints, scale, degree)
                     value[p] = v
                 line[j] = v
         matrix.append(line)

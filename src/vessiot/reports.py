@@ -67,25 +67,26 @@ class StructureReport:
 
 
 class EquivalenceVerdict:
-    """Outcome of the necessary-condition gate for an equivalence problem."""
+    """Outcome of the necessary-condition gate for an equivalence problem:
+    Obstructed exactly when it gives a reason, NecessaryConditionsPass
+    otherwise."""
 
     def __init__(
         self,
-        status: str,
+        *,
         reasons: Optional[List[str]] = None,
         sample_point: Optional[Tuple[Fraction, ...]] = None,
     ):
-        if status not in (OBSTRUCTED, NECESSARY_PASS):
-            raise ValueError(f"unknown verdict status {status!r}")
-        if status == OBSTRUCTED and not reasons:
-            raise ValueError("an Obstructed verdict needs a reason")
-        self.status = status
         self.reasons = [] if reasons is None else reasons
         self.sample_point = sample_point
 
     @property
     def obstructed(self) -> bool:
-        return self.status == OBSTRUCTED
+        return bool(self.reasons)
+
+    @property
+    def status(self) -> str:
+        return OBSTRUCTED if self.reasons else NECESSARY_PASS
 
     def to_json_dict(self) -> Dict[str, object]:
         return {

@@ -26,7 +26,7 @@ from .errors import (
 from .forms import DifferentialForm, exterior_derivative, wedge
 from .lieops import GeometricSection, ObjectKind, nondegeneracy
 from .linalg import solve_square
-from .reports import NECESSARY_PASS, OBSTRUCTED, EquivalenceVerdict, StructureReport
+from .reports import EquivalenceVerdict, StructureReport
 from .symexpr import Context, Expression, common_denominator, curl_numerator
 
 ScaleLike = Union[Expression, Fraction, int, str]
@@ -62,7 +62,7 @@ def isometry_constant_1d(
             raise NotAPerfectSquare("omega is not the square of a rational expression")
     elif not (sigma * sigma - omega).is_zero():
         raise NotAPerfectSquare("supplied sigma does not satisfy sigma^2 = omega")
-    c = (omega.diff(1) - _two(omega.context) * omega * gamma) / (sigma**3)
+    c = (omega.diff(1) - omega.context.rational(2) * omega * gamma) / (sigma**3)
     return StructureReport.of("ISOMETRY_1D", {"c_prime": c})
 
 
@@ -70,10 +70,6 @@ def projective_residual_1d(gamma: Expression, nu: Expression) -> Expression:
     """Residual of d_x gamma - gamma^2/2 - nu; zero iff (gamma, nu) is projective."""
     half = gamma.context.rational("1/2")
     return gamma.diff(1) - half * gamma * gamma - nu
-
-
-def _two(ctx: Context) -> Expression:
-    return ctx.rational(2)
 
 
 # ----------------------------------------------------------------------
@@ -250,8 +246,7 @@ def equivalence_gate(
             f"constant {name} is 0 on the {zero_side} side only ({cl} vs {cr}):"
             f" {name} rescales as {name}/a, so 0 = a*{name} is impossible for a != 0"
         )
-    status = OBSTRUCTED if reasons else NECESSARY_PASS
-    return EquivalenceVerdict(status=status, reasons=reasons, sample_point=point)
+    return EquivalenceVerdict(reasons=reasons, sample_point=point)
 
 
 _SIGN_WORDS = {1: "positive", -1: "negative"}

@@ -224,6 +224,26 @@ class TestEquivalence:
         assert err == ""
         assert json.loads(out)["result"]["sample_point"] == shown
 
+    @pytest.mark.parametrize("point", ["-1/2,3", "-1,1", "-3/4,1", "-1.5,2"])
+    def test_sample_point_space_form(self, capsys, point):
+        # argparse alone takes -1 and -1.5 for values, and -1/2,3 for an option
+        pair = ("--left", str(SECTIONS / "metric_euclidean.section"),
+                "--right", str(SECTIONS / "metric_indefinite.section"))
+        spaced = run_cli(capsys, "equivalence", *pair, "--sample-point", point)
+        joined = run_cli(capsys, "equivalence", *pair, f"--sample-point={point}")
+        assert spaced == joined
+        assert spaced[0] == 1 and spaced[2] == ""
+
+    def test_sample_point_before_an_option_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "equivalence",
+            "--left", str(SECTIONS / "metric_euclidean.section"),
+            "--right", str(SECTIONS / "metric_indefinite.section"),
+            "--sample-point", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert "--sample-point: expected one argument" in err
+
     @pytest.mark.parametrize(
         "point, position",
         [

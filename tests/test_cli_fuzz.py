@@ -16,7 +16,13 @@ sections of nesting depth 1; and ``dims`` with well-formed and malformed
 ``--n`` and ``--f1``.  A third sends ``equivalence`` over the bundled
 metric and product sections ``--sample-point`` text with too few or too many
 coordinates, empty parts, ``1/0``, exponents, digit runs at and just past
-``MAX_LITERAL_DIGITS`` above or below the line, NUL and non-ASCII digits.
+``MAX_LITERAL_DIGITS`` above or below the line, NUL and non-ASCII digits,
+as ``--sample-point=TEXT`` and, when the text starts with ``-``, as
+``--sample-point TEXT`` too.  A fourth sends ``compute`` a 1D section with
+one component exactly at an input budget of the expression parser, or one
+past it: nesting depth ``MAX_NESTING``, a literal of ``MAX_LITERAL_DIGITS``
+digits, an exponent of ``MAX_EXPONENT`` and a power of total degree
+``MAX_POWER_DEGREE``.  At the bound the call exits 0 or 1, past it 2.
 
 Each run is fixed: derandomized, no example database, no shrinking, and a
 fixed example count.
@@ -24,6 +30,7 @@ fixed example count.
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -31,7 +38,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from vessiot import cli
+from vessiot import cli, symexpr
 from vessiot.lieops import ObjectKind
 from vessiot.symexpr import MAX_LITERAL_DIGITS
 
@@ -137,6 +144,31 @@ def equivalence_points(draw):
     return pair, ",".join(draw(st.lists(part, min_size=count, max_size=count)))
 
 
+BUDGETS = ("MAX_NESTING", "MAX_LITERAL_DIGITS", "MAX_EXPONENT", "MAX_POWER_DEGREE")
+# (base, its total degree): each degree divides MAX_POWER_DEGREE
+POWER_BASES = (("x1", 1), ("(x1 + 1)", 1), ("(x1^2 - 2)", 2), ("(2*x1^4)", 4), ("(x1^5 + x1)", 5))
+
+
+@st.composite
+def budget_text(draw, name: str, past: bool) -> str:
+    """Expression text over x1 exactly at the budget ``name``, or one past it."""
+    bound = getattr(symexpr, name)
+    sign = st.sampled_from(["", "-"])
+    if name == "MAX_NESTING":
+        text = "x1"
+        for paren in draw(st.lists(st.booleans(), min_size=bound + past, max_size=bound + past)):
+            text = f"({text})" if paren else f"-{text}"
+        return text
+    if name == "MAX_LITERAL_DIGITS":
+        literal = draw(st.sampled_from("123456789")) * (bound + past)
+        return draw(st.sampled_from([literal, f"{literal}*x1", f"x1/{literal}"]))
+    if name == "MAX_EXPONENT":  # a constant base: x1^1000 is past MAX_POWER_DEGREE
+        base = draw(st.sampled_from(["1", "(-1)", "2", "(1/2)", "(-3)"]))
+        return f"{base}^{draw(sign)}{bound + past}"
+    base, degree = draw(st.sampled_from(POWER_BASES))
+    return f"{base}^{draw(sign)}{bound // degree + past}"
+
+
 @st.composite
 def cases(draw):
     kind = draw(st.sampled_from(list(ObjectKind)))
@@ -156,7 +188,7 @@ def run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def check_contract(argv: list) -> None:
+def check_contract(argv: list) -> tuple:
     code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     if code in (0, 1):
@@ -164,6 +196,7 @@ def check_contract(argv: list) -> None:
         assert isinstance(report, dict) and set(report) == REPORT_KEYS, argv
     assert len(err.encode("utf-8")) < 300, (argv, err)
     assert "Traceback" not in err, (argv, err)
+    return code, out, err
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +249,23 @@ def test_dims_argv(argv):
 @given(case=equivalence_points())
 def test_sample_point_text(case):
     (left, right), point = case
-    check_contract([
-        "equivalence", "--left", str(SECTIONS / f"{left}.section"),
-        "--right", str(SECTIONS / f"{right}.section"), f"--sample-point={point}",
-    ])
+    argv = ["equivalence", "--left", str(SECTIONS / f"{left}.section"),
+            "--right", str(SECTIONS / f"{right}.section")]
+    joined = check_contract([*argv, f"--sample-point={point}"])
+    if point.startswith("-"):
+        spaced = check_contract([*argv, "--sample-point", point])
+        if re.match(r"-[0-9./]", point):
+            assert spaced == joined, point
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+@pytest.mark.parametrize("name", BUDGETS)
+@fixed_run(6)
+@given(data=st.data())
+def test_compute_at_each_budget(workdir, name, past, data):
+    text = data.draw(budget_text(name, past))
+    path = workdir / "budget.section"
+    path.write_text(f"kind = ONE_FORM_1D\nalpha = x1\ngamma = {text}\n", encoding="utf-8")
+    code, _, err = check_contract(["compute", "--section", str(path)])
+    assert code == 2 if past else code in (0, 1), (text[:80], err)
+    assert not past or str(getattr(symexpr, name)) in err, err  # refused by that budget

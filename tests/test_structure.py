@@ -649,10 +649,13 @@ class TestReportInvariants:
             StructureReport(kind="PRODUCT_TRIPLE_2D", **kwargs)
 
     def test_verdict_rejects(self):
-        with pytest.raises(ValueError, match="^unknown verdict status 'Maybe'$"):
-            EquivalenceVerdict(status="Maybe")
-        with pytest.raises(ValueError, match="^an Obstructed verdict needs a reason$"):
-            EquivalenceVerdict(status="Obstructed")
+        # the status is read from the reasons, and no argument is positional
+        with pytest.raises(TypeError):
+            EquivalenceVerdict(["r"])
+        passed = EquivalenceVerdict()
+        assert (passed.status, passed.obstructed) == ("NecessaryConditionsPass", False)
+        obstructed = EquivalenceVerdict(reasons=["r"])
+        assert (obstructed.status, obstructed.obstructed) == ("Obstructed", True)
 
     def test_keyword_construction(self):
         report = StructureReport(kind="PRODUCT_TRIPLE_2D", constants={}, residual=CTX2.one())
@@ -665,7 +668,7 @@ class TestReportInvariants:
         first, second = (StructureReport("PRODUCT_TRIPLE_2D", {}) for _ in range(2))
         first.jacobi_residuals.append(CTX2.zero())
         assert second.jacobi_residuals == []
-        first, second = (EquivalenceVerdict("NecessaryConditionsPass") for _ in range(2))
+        first, second = (EquivalenceVerdict(reasons=None) for _ in range(2))
         first.reasons.append("why")
         assert second.reasons == []
 
