@@ -27,7 +27,7 @@ from .forms import DifferentialForm, exterior_derivative, wedge
 from .lieops import GeometricSection, ObjectKind, nondegeneracy
 from .linalg import solve_square
 from .reports import EquivalenceVerdict, StructureReport
-from .symexpr import Context, Expression, common_denominator, curl_numerator
+from .symexpr import Context, Expression, cancel_bases, common_denominator, curl_numerator
 
 ScaleLike = Union[Expression, Fraction, int, str]
 
@@ -146,11 +146,15 @@ def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression) -> 
 
     Over the common denominator e of a and b (one gcd), a = F/e and b = G/e,
     so e^2 (d_i a - d_j b) is the polynomial ``curl_numerator`` of F and G:
-    no gcd, and only the quotient by e^2 * witness is left to reduce.
+    no gcd, and only the quotient by e^2 * witness is left to reduce.  The
+    factor e^2 shares with a factored denominator of the witness is divided
+    out first (``cancel_bases``), so that the reduction's gcd is usually 1,
+    which GCDHEU settles without verifying divisions.
     """
     e, (f, g) = common_denominator((a, b))
     numerator = curl_numerator(e, (e.diff(0), e.diff(1)), f, i - 1, g, j - 1)
-    return numerator * witness.den, e * e * witness.num
+    wd, e1, e2 = cancel_bases(witness, e, e)
+    return numerator * wd, e1 * e2 * witness.num
 
 
 # ----------------------------------------------------------------------

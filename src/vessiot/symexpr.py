@@ -108,7 +108,8 @@ class Context:
 
     def rational(self, value) -> "Expression":
         value = Fraction(value)
-        return _from_reduced(self, _pconst(value.numerator), _pconst(value.denominator))
+        den = value.denominator
+        return _from_reduced(self, _pconst(value.numerator), _pconst(den), (den, {}))
 
     def coordinate(self, i: int) -> "Expression":
         if not 1 <= i <= self.n:
@@ -529,6 +530,126 @@ def _monomial_gcd(a: _Poly, b: _Poly) -> int:
     return shared | degree << top
 
 
+# -- denominators as products of linear forms ---------------------------
+#
+# A factorization (c, bases) stands for c * prod(L^k for L, k in bases.items()):
+# c a nonzero integer, each base L a distinct primitive polynomial of total
+# degree 1 with a positive leading coefficient (a lone variable counts), k >= 1.
+# A base is irreducible, so distinct ones are coprime: the gcd of two such
+# polynomials is prod L^min, and a polynomial shares with one only the bases
+# that divide it.  Their product is primitive (Gauss), so c is the content.
+# The dicts are shared between expressions and never written once made.
+
+_ONE = (1, {})  # the factorization of the polynomial 1
+
+
+def _linear_factors(p: _Poly) -> Optional[tuple]:
+    """The factorization of a nonzero constant, single-term or total-degree-1
+    polynomial; None for any other."""
+    if len(p.terms) == 1:
+        ((mono, c),) = p.terms.items()
+        top = _W * _nvars(mono)
+        return c, {
+            _Poly({1 << top | 1 << shift: 1}): mono >> shift & _FIELD
+            for shift in range(0, top, _W) if mono >> shift & _FIELD
+        }
+    if _degree(max(p.terms)) != 1:
+        return None
+    c, base = _primitive(p)
+    return c, {base: 1}
+
+
+def _power_factors(f: Optional[tuple], k: int) -> Optional[tuple]:
+    """The factorization of the k-th power (k >= 0); None for None."""
+    if f is None:
+        return None
+    c, bases = f
+    return c**k, {base: e * k for base, e in bases.items()} if k else {}
+
+
+def _product_factors(f: Optional[tuple], g: Optional[tuple]) -> Optional[tuple]:
+    """The factorization of the product; None when either is None."""
+    if f is None or g is None:
+        return None
+    (c, a), (d, b) = f, g
+    if not b or not a:
+        return c * d, a or b
+    out = dict(a)
+    for base, k in b.items():
+        out[base] = out.get(base, 0) + k
+    return c * d, out
+
+
+def _minus(bases: dict, shared: dict) -> dict:
+    return {base: k - shared.get(base, 0) for base, k in bases.items() if k > shared.get(base, 0)}
+
+
+def _coprime_parts(a: _Poly, fa: Optional[tuple], b: _Poly, fb: Optional[tuple]) -> tuple:
+    """(a/g, b/g, g, and their factorizations) for g = gcd(a, b) and fa, fb the
+    factorizations of a and b: g is the product of their shared bases, with no
+    gcd run.  When either is None, ``_cancel``'s triple and three Nones."""
+    if fa is None or fb is None:
+        return (*_cancel(a, b), None, None, None)
+    (c, ba), (d, bb) = fa, fb
+    shared = {base: min(k, bb[base]) for base, k in ba.items() if base in bb}
+    if not shared:
+        return a, b, _UNIT, fa, fb, _ONE
+    fa, fb = (c, _minus(ba, shared)), (d, _minus(bb, shared))
+    return _expand(*fa), _expand(*fb), _expand(1, shared), fa, fb, (1, shared)
+
+
+def _expand(c: int, bases: dict) -> _Poly:
+    """The polynomial c * prod L^k, one product by a base at a time, each held
+    to MAX_MUL_PAIRS and MAX_TOTAL_DEGREE like every other product."""
+    p = _pconst(c)
+    for base, k in bases.items():
+        for _ in range(k):
+            p = p * base
+    return p
+
+
+def _divide_out(n: _Poly, d: _Poly, f: Optional[tuple],
+                only: Optional[Iterable[_Poly]] = None) -> tuple:
+    """(n/h, d/h, f/h) for h = gcd(n, d) and f the factorization of d, when no
+    base of f outside ``only`` (all when None) can divide n: trial divisions by
+    linear bases, no gcd.  d and f as they are when h is 1, as for a constant
+    n.  When f is None, ``_cancel`` of a nonzero n, and None for f/h."""
+    if f is None:
+        return (*_cancel(n, d)[:2], None) if n.terms else (n, d, None)
+    c, bases = f
+    if not bases or not any(n.terms):
+        return n, d, f
+    shared = {}
+    for base in bases if only is None else only:
+        j, k = 0, bases[base]
+        while j < k and (q := _trial_quotient(n, base)) is not None:
+            n, j = q, j + 1
+        if j:
+            shared[base] = j
+    if not shared:
+        return n, d, f
+    f = c, _minus(bases, shared)
+    return n, _expand(*f), f
+
+
+def _deflate(f: tuple, slot: int) -> tuple:
+    """(e, d'', the factorization of d*e, the bases free of x_i) for d the
+    product f, d' its nonzero x_i-derivative and g = gcd(d, d'): d = g*c*e and
+    d' = g*c*d'' for e the product of the bases L that involve x_i and d'' the
+    sum of k_L * dL/dx_i times the others.  Modulo each such L, n'*e - n*d'' is
+    -n*d'', not 0 for n coprime to d, so only the bases free of x_i can divide it."""
+    c, bases = f
+    e, de, grown, free = _UNIT, _PZERO, dict(bases), []
+    for base, k in bases.items():
+        slope = base.diff(slot)
+        if slope.terms:
+            de, e = de * base + e * _pconst(k * slope.terms[0]), e * base
+            grown[base] = k + 1
+        else:
+            free.append(base)
+    return e, de, (c, grown), free
+
+
 # -- heuristic gcd over integer coefficients ---------------------------
 
 _HEU_TRIES = 6
@@ -661,10 +782,13 @@ class Expression:
 
     All arithmetic is exact and renormalizes, so two expressions are equal
     as rational functions iff their stored numerator/denominator pairs are
-    identical.
+    identical.  ``factors`` is the denominator's factorization into linear
+    bases where construction gives it (the parser's divisors, and negation,
+    products, quotients, sums and derivatives of such expressions), else None;
+    arithmetic over it runs no gcd.
     """
 
-    __slots__ = ("context", "num", "den")
+    __slots__ = ("context", "num", "den", "factors")
 
     def __init__(self, context: Context, num: _Poly, den: _Poly):
         if num.terms and den.terms:  # _fill settles a zero num or den
@@ -722,39 +846,47 @@ class Expression:
         # (same scheme as stdlib fractions);  the result pair is again coprime
         self._check(other)
         na, da, nb, db = self.num, self.den, other.num, other.den
+        fa, fb = self.factors, other.factors
         if da == db:
-            t, d, _ = _cancel(na + nb, da)
-            return _from_reduced(self.context, t, d)
+            return _from_reduced(self.context, *_divide_out(na + nb, da, fa if fa else fb))
         # da = s*g and db = e*g; of g, only the part coprime to t stays
-        s, e, g = _cancel(da, db)
+        s, e, g, fs, fe, fg = _coprime_parts(da, fa, db, fb)
         t = na * e + nb * s
+        f = _product_factors(fs, fe)
         if _is_unit_poly(g):
-            return _from_reduced(self.context, t, s * e)
-        t, h, _ = _cancel(t, g)
-        return _from_reduced(self.context, t, s * (e * h))
+            return _from_reduced(self.context, t, s * e, f)
+        t, h, fh = _divide_out(t, g, fg)
+        return _from_reduced(self.context, t, s * (e * h), _product_factors(f, fh))
 
     def __sub__(self, other: "Expression") -> "Expression":
         return self + (-other)
 
     def __neg__(self) -> "Expression":
-        return _from_reduced(self.context, -self.num, self.den)
+        return _from_reduced(self.context, -self.num, self.den, self.factors)
 
     def __mul__(self, other: "Expression") -> "Expression":
         self._check(other)
-        return self._times(other.num, other.den)
+        return self._times(other.num, other.den, other.factors)
 
     def __truediv__(self, other: "Expression") -> "Expression":
         self._check(other)
         if other.num.is_zero():
             raise DivisionByZero("division by an expression that normalizes to 0")
         # the swapped pair is coprime too; its content and sign settle in _fill
-        return self._times(other.den, other.num)
+        return self._times(other.den, other.num, _linear_factors(other.num), other.factors)
 
-    def _times(self, nb: _Poly, db: _Poly) -> "Expression":
-        """self * nb/db for a coprime pair nb, db (db nonzero)."""
-        na, db, _ = _cancel(self.num, db)
-        nb, da, _ = _cancel(nb, self.den)
-        return _from_reduced(self.context, na * nb, da * db)
+    def _times(self, nb: _Poly, db: _Poly, fb: Optional[tuple],
+               fnb: Optional[tuple] = None) -> "Expression":
+        """self * nb/db for a coprime pair nb, db (db nonzero), with fb the
+        factorization of db and fnb the one of nb, each None when not known.
+        A numerator meets a factored denominator in trial divisions by its
+        bases, and two factorizations meet in their exponents: no gcd."""
+        na, db, fb = _divide_out(self.num, db, fb)
+        if fnb is None:
+            nb, da, fa = _divide_out(nb, self.den, self.factors)
+        else:
+            nb, da, _, _, fa, _ = _coprime_parts(nb, fnb, self.den, self.factors)
+        return _from_reduced(self.context, na * nb, da * db, _product_factors(fa, fb))
 
     def __pow__(self, k: int) -> "Expression":
         if not isinstance(k, int):
@@ -766,8 +898,13 @@ class Expression:
                 raise DivisionByZero("zero raised to a negative power")
             return self
         if k > 0:
-            return _from_reduced(self.context, self.num.pow(k), self.den.pow(k))
-        return _from_reduced(self.context, self.den.pow(-k), self.num.pow(-k))
+            return _from_reduced(
+                self.context, self.num.pow(k), self.den.pow(k), _power_factors(self.factors, k)
+            )
+        return _from_reduced(
+            self.context, self.den.pow(-k), self.num.pow(-k),
+            _power_factors(_linear_factors(self.num), -k),
+        )
 
     def diff(self, i: int) -> "Expression":
         """Exact partial derivative with respect to coordinate x^i (1-based):
@@ -853,15 +990,17 @@ def common_denominator(exprs: Iterable[Expression]) -> tuple:
     Kernel arithmetic needs no gcd and no content step, so a chain can stay
     polynomial and reduce once, as ``Expression(context, numerator, e^k)``.
     Each e*x is num * (e/den), with the cofactor e/den taken from the lcm's
-    own construction: no further gcd and no division.
+    own construction: no further gcd and no division.  Over factored
+    denominators, the shared part comes from their exponents: no gcd at all.
     """
     exprs = list(exprs)
-    lcm = exprs[0].den
+    lcm, f = exprs[0].den, exprs[0].factors
     one = _pconst(1)
     cofactors = [one]
     for x in exprs[1:]:
         # lcm = rest*g and x.den = grow*g, so the new lcm is lcm*grow = x.den*rest
-        rest, grow, _ = _cancel(lcm, x.den)
+        rest, grow, _, _, fg, _ = _coprime_parts(lcm, f, x.den, x.factors)
+        f = _product_factors(f, fg)
         cofactors = [c * grow for c in cofactors] + [rest]
         lcm = lcm * grow
     return lcm, [x.num * c for x, c in zip(exprs, cofactors)]
@@ -875,24 +1014,44 @@ def derivatives(exprs: Iterable[Expression], i: int) -> list:
     g of d and d', deflated first.  The deflation runs once per distinct
     denominator, so expressions sharing one (the coefficients of a jet
     equation) pay for one gcd; a d free of x^i needs none, and no lookup.
+    A factored d is deflated from its exponents (``_deflate``), and only its
+    bases free of x^i are tried against the new numerator: no gcd.
     """
     slot = i - 1
     out = []
-    deflated: dict = {}  # den -> (e, d'')
+    deflated: dict = {}  # den -> (e, d'', factorization of d e, bases free of x^i)
     for x in exprs:
         if not 0 <= slot < x.context.n:
             raise ValueError(f"coordinate index {i} outside 1..{x.context.n}")
-        num, den = x.num, x.den
+        num, den, f = x.num, x.den, x.factors
         dd = den.diff(slot)
         if not dd.terms:
-            out.append(Expression(x.context, num.diff(slot), den))
+            out.append(_from_reduced(x.context, *_divide_out(num.diff(slot), den, f)))
             continue
         pair = deflated.get(den)
         if pair is None:
-            pair = deflated[den] = _cancel(den, dd)[:2]
-        e, de = pair
-        out.append(Expression(x.context, num.diff(slot) * e - num * de, den * e))
+            pair = deflated[den] = (
+                (*_cancel(den, dd)[:2], None, None) if f is None else _deflate(f, slot)
+            )
+        e, de, f, free = pair
+        t = num.diff(slot) * e - num * de
+        out.append(_from_reduced(x.context, *_divide_out(t, den * e, f, free)))
     return out
+
+
+def cancel_bases(x: Expression, *polys: _Poly) -> tuple:
+    """(d/h, p_1/h_1, p_2/h_2, ...) for x's denominator d and h = h_1 h_2 ...
+    the gcd of d and p_1 p_2 ...: each p_k in turn gives up the bases left in
+    d that divide it, in trial divisions by linear bases with no gcd run.
+    (d, p_1, p_2, ...) when d is not factored."""
+    d, f = x.den, x.factors
+    if f is None:
+        return (d, *polys)
+    out = []
+    for p in polys:
+        p, d, f = _divide_out(p, d, f)
+        out.append(p)
+    return (d, *out)
 
 
 def curl_numerator(e: _Poly, de: Sequence[_Poly], f: _Poly, i: int, g: _Poly, j: int) -> _Poly:
@@ -902,24 +1061,46 @@ def curl_numerator(e: _Poly, de: Sequence[_Poly], f: _Poly, i: int, g: _Poly, j:
     return (f.diff(i) - g.diff(j)) * e - f * de[i] + g * de[j]
 
 
-def _from_reduced(context: Context, num: _Poly, den: _Poly) -> "Expression":
-    """Build an Expression from an already-coprime numerator/denominator pair."""
-    return _fill(object.__new__(Expression), context, num, den)
+def _from_reduced(context: Context, num: _Poly, den: _Poly,
+                  factors: Optional[tuple] = None) -> "Expression":
+    """Build an Expression from an already-coprime numerator/denominator pair,
+    with the denominator's factorization when it is known."""
+    return _fill(object.__new__(Expression), context, num, den, factors)
 
 
-def _fill(expr: "Expression", context: Context, num: _Poly, den: _Poly) -> "Expression":
+def _fill(expr: "Expression", context: Context, num: _Poly, den: _Poly,
+          factors: Optional[tuple] = None) -> "Expression":
     """Store a coprime pair in expr, scaled to unit content across the pair and
-    a positive leading denominator coefficient."""
+    a positive leading denominator coefficient.  A factored denominator's
+    content is the factorization's constant, signed as its leading
+    coefficient, so only the numerator's coefficients are read."""
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
-        den = _UNIT
-    elif not _is_unit_poly(den):  # over 1 the pair is scaled already
+        den, factors = _UNIT, _ONE
+    elif _is_unit_poly(den):  # over 1 the pair is scaled already
+        factors = _ONE
+    elif factors is None:
         _, den, num = _primitive(den, num)
-    object.__setattr__(expr, "context", context)
-    object.__setattr__(expr, "num", num)
-    object.__setattr__(expr, "den", den)
+    else:
+        c, bases = factors
+        content = _igcd(c, *num.terms.values())
+        if c < 0:
+            content = -content
+        if content != 1:
+            den, num = (_Poly({m: v // content for m, v in p.terms.items()}) for p in (den, num))
+            factors = c // content, bases
+    _set_context(expr, context)
+    _set_num(expr, num)
+    _set_den(expr, den)
+    _set_factors(expr, factors)
     return expr
+
+
+# the slots' own setters, which Expression.__setattr__ does not reach
+_set_context, _set_num, _set_den, _set_factors = (
+    Expression.__dict__[name].__set__ for name in Expression.__slots__
+)
 
 
 def _is_unit_poly(p: _Poly) -> bool:
@@ -1075,6 +1256,11 @@ class _Parser:
     becomes an ``Expression`` at ``/``, at a negative power, when it meets
     an ``Expression`` operand, or once at the end of ``parse``.  Both routes
     hold a value to the same budgets, with the same messages.
+
+    The operand of ``/`` is parsed with ``track``: each rule then returns the
+    pair (value, factorization), the latter for a polynomial value that is a
+    constant times powers of linear forms (None otherwise), and the division
+    multiplies by 1/value with that factorization.  Only divisors pay for it.
     """
 
     def __init__(self, text: str, context: Context):
@@ -1115,7 +1301,7 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing input {quoted(val)}", at)
         return self.lift(value)
 
-    def sum(self) -> _Poly | Expression:
+    def sum(self, track: bool = False):
         """Each polynomial operand merges into terms the loop owns, with no
         copy and no budget check per term; the budget reads the value the
         sum returns.  The operands are atoms, products and powers, each
@@ -1124,7 +1310,9 @@ class _Parser:
         partial sum checked: their denominators multiply, so a sum such as
         1/(10^999 + 1) + 1/(10^999 + 3) + ... must stop at its first step
         past the budget.  The two parts meet once, at the end."""
-        value = self.product()
+        value = self.product(track)
+        if track:
+            value, factors = value
         poly, rational = (value, None) if type(value) is _Poly else (_PZERO, value)
         owned = None
         while True:
@@ -1132,6 +1320,7 @@ class _Parser:
             if kind != "op" or val not in "+-":
                 break
             self.advance()
+            factors = None  # read off the value at the end
             right = self.product()
             if type(right) is not _Poly:
                 if rational is None:
@@ -1144,43 +1333,64 @@ class _Parser:
                 poly = _Poly(owned)
             _merge(owned, right, 1 if val == "+" else -1)
         if rational is None:
-            return _within_budget(poly)
-        if not poly.terms:
-            return rational
-        return _within_budget(rational + self.lift(poly))
+            value = _within_budget(poly)
+        elif poly.terms:
+            value = _within_budget(rational + self.lift(poly))
+        else:
+            value = rational
+        if not track:
+            return value
+        if factors is None and type(value) is _Poly and value.terms:
+            factors = _linear_factors(value)
+        return value, factors
 
-    def product(self) -> _Poly | Expression:
-        left = self.unary()
+    def product(self, track: bool = False):
+        left = self.unary(track)
+        if track:
+            left, factors = left
         while True:
             kind, val, at = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                right = self.unary()
                 if val == "*":
+                    right = self.unary(track)
+                    if track:
+                        right, more = right
+                        factors = _product_factors(factors, more)
                     if type(left) is not type(right):
                         left, right = self.lift(left), self.lift(right)
                     left = _within_budget(left * right)
                 else:
+                    right, divisor = self.unary(True)
                     if right.is_zero():
                         raise DivisionByZeroLiteral(
                             f"denominator is zero (at position {at})"
                         )
-                    left = _within_budget(self.lift(left) / self.lift(right))
+                    if divisor is None:
+                        left = _within_budget(self.lift(left) / self.lift(right))
+                    else:  # times 1/right, whose denominator is factored
+                        left = _within_budget(self.lift(left)._times(_UNIT, right, divisor))
+                    factors = None
             else:
-                return left
+                return (left, factors) if track else left
 
-    def unary(self) -> _Poly | Expression:
+    def unary(self, track: bool = False):
         kind, val, at = self.peek()
         if kind == "op" and val == "-":
             self.advance()
             self.nest(at)
-            value = -self.unary()
+            value = self.unary(track)
             self.depth -= 1
-            return value
-        return self.power()
+            if track:
+                value, f = value
+                return -value, f and (-f[0], f[1])
+            return -value
+        return self.power(track)
 
-    def power(self) -> _Poly | Expression:
-        base = self.atom()
+    def power(self, track: bool = False):
+        base = self.atom(track)
+        if track:
+            base, factors = base
         while True:
             kind, val, at = self.peek()
             if kind == "op" and val == "^":
@@ -1194,9 +1404,11 @@ class _Parser:
                             f"zero raised to a negative power (at position {at})"
                         )
                     base = self.lift(base)
+                if track:
+                    factors = _power_factors(factors, exp) if exp >= 0 else None
                 base = _within_budget(base.pow(exp) if type(base) is _Poly else base**exp)
             else:
-                return base
+                return (base, factors) if track else base
 
     def exponent(self) -> int:
         kind, val, at = self.peek()
@@ -1219,24 +1431,27 @@ class _Parser:
             return value
         raise ExprSyntaxError("expected integer exponent", at)
 
-    def atom(self) -> _Poly | Expression:
+    def atom(self, track: bool = False):
         kind, val, at = self.advance()
         if kind == "int":
-            return _pconst(val)
-        if kind == "ident":
-            poly = self.context._atoms.get(val)
-            if poly is None:
+            value = _pconst(val)
+        elif kind == "ident":
+            value = self.context._atoms.get(val)
+            if value is None:
                 raise UnknownIdentifier(f"unknown identifier {quoted(val)}", at)
-            return poly
-        if kind == "op" and val == "(":
+        elif kind == "op" and val == "(":
             self.nest(at)
-            value = self.sum()
+            value = self.sum(track)
             self.expect_op(")")
             self.depth -= 1
             return value
-        raise ExprSyntaxError(
-            "expected integer, identifier or parenthesized expression", at
-        )
+        else:
+            raise ExprSyntaxError(
+                "expected integer, identifier or parenthesized expression", at
+            )
+        if not track:
+            return value
+        return value, _linear_factors(value) if value.terms else None
 
 
 def parse(text: str, n: int, params: Iterable[str] = ()) -> Expression:

@@ -146,7 +146,11 @@ def equivalence_points(draw):
 
 BUDGETS = ("MAX_NESTING", "MAX_LITERAL_DIGITS", "MAX_EXPONENT", "MAX_POWER_DEGREE")
 # (base, its total degree): each degree divides MAX_POWER_DEGREE
-POWER_BASES = (("x1", 1), ("(x1 + 1)", 1), ("(x1^2 - 2)", 2), ("(2*x1^4)", 4), ("(x1^5 + x1)", 5))
+POWER_BASES = (
+    ("x1", 1), ("(x1 + 1)", 1), ("(x1 - 2)", 1), ("(x1^2 - 2)", 2), ("(2*x1^4)", 4), ("(x1^5 + x1)", 5),
+)
+# over a linear base, a negative power and a divisor keep its factorization
+POWER_FORMS = ("{b}^{s}{k}", "1/{b}^{k}", "x1/((x1 + 1)^{j}*{b}^{k})")
 
 
 @st.composite
@@ -166,7 +170,9 @@ def budget_text(draw, name: str, past: bool) -> str:
         base = draw(st.sampled_from(["1", "(-1)", "2", "(1/2)", "(-3)"]))
         return f"{base}^{draw(sign)}{bound + past}"
     base, degree = draw(st.sampled_from(POWER_BASES))
-    return f"{base}^{draw(sign)}{bound // degree + past}"
+    return draw(st.sampled_from(POWER_FORMS)).format(
+        b=base, s=draw(sign), k=bound // degree + past, j=draw(st.integers(1, bound))
+    )
 
 
 @st.composite

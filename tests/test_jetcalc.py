@@ -139,14 +139,19 @@ class TestFormalDerivative:
             d21 = formal_derivative(formal_derivative(eq, 2), 1)
             assert d12 == d21
 
-    def test_each_denominator_deflated_once(self, monkeypatch):
-        # four coefficients over two denominators, L and L^2, both in x1 and x2
+    @staticmethod
+    def deflations(monkeypatch, factored: bool) -> list:
+        """Four coefficients over two denominators, L and L^2, both in x1 and
+        x2, derived by x1 and by x2: the number of gcd(d, d') runs each time.
+        As parsed, the denominators carry L's exponent; rebuilt from their
+        pairs, they carry no factorization."""
         texts = ("-1/L", "1/L", "-1/L^2", "-2/L^2")
         variables = (jv(1, 0, 0), jv(2, 0, 0), jv(1, 1, 0), jv(2, 0, 1))
-        eq = LinearJetEquation({
-            v: parse_in(t.replace("L", "(2*x1 + 2*x2 - 7)"), CTX)
-            for v, t in zip(variables, texts)
-        })
+        coefficients = [parse_in(t.replace("L", "(2*x1 + 2*x2 - 7)"), CTX) for t in texts]
+        if not factored:
+            coefficients = [Expression(CTX, c.num, c.den) for c in coefficients]
+        eq = LinearJetEquation(dict(zip(variables, coefficients)))
+        counts = []
         for i in (1, 2):
             expected = {}
             for v, c in eq.terms.items():
@@ -162,8 +167,15 @@ class TestFormalDerivative:
             monkeypatch.setattr(symexpr, "_cancel", counting)
             out = formal_derivative(eq, i)
             monkeypatch.setattr(symexpr, "_cancel", cancel)
-            assert deflations.count(True) == 2
+            counts.append(deflations.count(True))
             assert out == LinearJetEquation(expected)
+        return counts
+
+    def test_each_denominator_deflated_once(self, monkeypatch):
+        assert self.deflations(monkeypatch, factored=False) == [2, 2]
+
+    def test_factored_denominators_deflate_with_no_gcd(self, monkeypatch):
+        assert self.deflations(monkeypatch, factored=True) == [0, 0]
 
     def test_order_increases_by_one(self):
         eq = LinearJetEquation({jv(1, 1, 1): parse_in("x1", CTX)})

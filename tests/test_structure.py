@@ -345,6 +345,31 @@ class TestProductChain:
             product_constants(sec)
             assert len(calls) - sum(in_solve) <= PRODUCT_CANCELS_OUTSIDE_SOLVE
 
+    @pytest.mark.parametrize("components", [
+        ("0", "0", "3/(x2 - x1 + 2)^2"),
+        ("x1 + 1", "2*x2 - x1", "-5/(x2 - x1 + 2)^2"),
+        ("2*x1 - 2*x2 + 1", "1/(-x1 + x2 - 9)", "x1 - 2*x2 + 1"),
+        ("x2", "1/(x1 + 2)", "1/(x1 - x2 + 3)^2"),
+    ])
+    def test_witness_bases_leave_the_reduction_no_common_factor(self, monkeypatch, components):
+        # parsed, the witness's denominator is factored, and the linear bases
+        # it shares with e^2 leave each curl pair before its one reduction
+        text = "kind = PRODUCT_TRIPLE_2D\nn = 2\n" + "".join(
+            f"w{k} = {w}\n" for k, w in enumerate(components, start=1))
+        sec = parse_section_text(text)[0]
+        witness, w4, w5, w7, w8 = structure._product_system(sec)
+        assert witness.factors is not None
+        gcds = []
+        cancel = symexpr._cancel
+        monkeypatch.setattr(symexpr, "_cancel", lambda a, b: gcds.append(cancel(a, b)[2]) or cancel(a, b))
+        for args in ((w4, 2, w5, 1), (w7, 1, w8, 2)):
+            pair = structure._curl(*args, witness)
+            gcds.clear()
+            reduced = Expression(witness.context, *pair)
+            assert gcds == ([symexpr._pconst(1)] if pair[0].terms else [])
+            i, j = args[1], args[3]
+            assert reduced == (args[0].diff(i) - args[2].diff(j)) / witness
+
     def test_coinciding_curls_reduce_once(self, monkeypatch):
         # c' = c'' identically, and the unreduced pairs coincide on every
         # section but one with w2 = 0; a zero curl reduces with no cancel

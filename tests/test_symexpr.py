@@ -14,7 +14,7 @@ from helpers import (
     random_point,
     shared_factor_pair,
 )
-from vessiot import symexpr
+from vessiot import cli, symexpr
 from vessiot.curvature import Metric2D, christoffel, riemann
 from vessiot.errors import (
     DivisionByZero,
@@ -325,9 +325,17 @@ class TestParseCost:
         assert steps == [("fill", False)]
 
     def test_cancels_only_from_the_division_on(self, steps):
-        assert str(parse("1/(x2 + 5)", 2)) == "1/(x2 + 5)"
+        # a divisor that is not a product of linear forms
+        assert str(parse("1/(x2^2 + 5)", 2)) == "1/(x2^2 + 5)"
         cancels = [inside for step, inside in steps if step == "cancel"]
         assert cancels and all(cancels)
+
+    @pytest.mark.parametrize("text", ["1/(x2 + 5)", "x1/((x1 + 1)^2*(2*x1 - x2)^3)", "(x2 + 1)^-2"])
+    def test_linear_divisor_cancels_nothing(self, steps, text):
+        # its factorization is read off the text, and the division meets it
+        # in trial divisions by its bases
+        parse(text, 2)
+        assert [step for step, _ in steps if step == "cancel"] == []
 
     def test_polynomial_sum_copies_no_partial_sum(self, monkeypatch):
         # each operand adds into terms the loop owns: a _Poly.__add__ or
@@ -603,6 +611,16 @@ class TestCancelCost:
         assert _cancel(a, b) == (a, b, _pconst(1))
         assert divisions == [(a, False)]
 
+    def test_integer_denominators_cancel_nothing(self, monkeypatch):
+        # a constant denominator has the empty factorization: the products
+        # and sums over it need no gcd
+        calls = []
+        cancel = symexpr._cancel
+        monkeypatch.setattr(symexpr, "_cancel", lambda a, b: calls.append((a, b)) or cancel(a, b))
+        assert str(parse("10/3*x3", 3)) == "10*x3/3"
+        assert str(parse("-2*x2 - 10/3*x3 - 1", 3)) == "(-6*x2 - 10*x3 - 3)/3"
+        assert calls == []
+
     def test_never_divides_by_one(self, divisions):
         rng = random.Random(17)
         ctx = Context(2, ["a"])
@@ -646,6 +664,47 @@ class TestTrialDivision:
         assert time.perf_counter() - start < 2.0
         base = parse("x1 + x2 + 1", 2).num
         assert (d.num, d.den) == (_pconst(-100), base.pow(100) * base)
+
+    def test_cancel_bases_divides_out_the_shared_bases(self):
+        x = parse("3/((x1 - x2 + 1)^3*(2*x1 + 1))", 2)
+        p, q = parse("(x1 - x2 + 1)*(x2^2 + 1)", 2).num, parse("(x1 - x2 + 1)^4", 2).num
+        d, p1, q1 = symexpr.cancel_bases(x, p, q)
+        # h_1 = L, h_2 = L^2 for L = x1 - x2 + 1: d/h = 2*x1 + 1
+        assert (d, p1, q1) == (parse("2*x1 + 1", 2).num, parse("x2^2 + 1", 2).num,
+                               parse("(x1 - x2 + 1)^2", 2).num)
+        assert _cancel(d, p1 * q1)[2] == _pconst(1)
+        # an unfactored denominator gives up nothing
+        y = Expression(x.context, x.num, x.den)
+        assert symexpr.cancel_bases(y, p, q) == (x.den, p, q)
+
+    def test_diff_of_a_two_base_reciprocal_is_fast(self):
+        # gcd(d, d') read off the exponents of d's two linear bases: no gcd
+        # runs, where GCDHEU on the expanded pair takes seconds
+        e = parse("1/((x1 + x2 + 1)^40*(x1 - x2 + 2)^40)", 2)
+        start = time.perf_counter()
+        d = e.diff(1)
+        assert time.perf_counter() - start < 0.5
+        u, v = parse("x1 + x2 + 1", 2), parse("x1 - x2 + 2", 2)
+        assert d == (Context(2).rational(-40) / u - Context(2).rational(40) / v) * e
+
+    def test_diff_divides_out_a_base_free_of_the_variable(self):
+        # d/dx1 of x1/(x1 + 1) + 1/(x2 + 1) is (x2 + 1)^2 / ((x1 + 1)^2 (x2 + 1)^2)
+        # before the base x2 + 1, free of x1, is divided out of both
+        e = parse("x1/(x1 + 1) + 1/(x2 + 1)", 2)
+        assert e.factors is not None
+        assert e.diff(1) == parse("1/(x1 + 1)^2", 2)
+        assert e.diff(2) == parse("-1/(x2 + 1)^2", 2)
+
+    def test_check_cc_on_a_two_base_metric_is_fast(self, tmp_path, capsys):
+        path = tmp_path / "two_base.section"
+        path.write_text(
+            "kind = METRIC_2D\nn = 2\nw11 = 1/((x1 + x2 + 1)^30*(x1 - x2 + 2)^30)\n"
+            "w22 = 1\nw12 = 0\n", encoding="utf-8",
+        )
+        start = time.perf_counter()
+        code = cli.main(["check-cc", "--section", str(path), "--cc", "d1O11"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and '"residuals"' in capsys.readouterr().out
 
     def test_linear_operands_of_equal_degree_are_coprime(self):
         a, b = parse("2*x1 + 4*x2 - 6", 2).num, parse("x1 - x2", 2).num
