@@ -10,7 +10,7 @@ The Christoffel -> Riemann chain serves connections and checks the record.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DegenerateMetric, KindMismatch
 from .lieops import GeometricSection, ObjectKind
@@ -176,14 +176,17 @@ class CurvatureData(NamedTuple):
 
     def to_json_dict(self) -> Dict[str, object]:
         """The record as strings, each distinct Expression object rendered
-        once: a metric's Ricci and sym entries are its K w_ij products, and
-        a connection's Ricci entries reuse its Riemann components."""
+        once and each distinct kernel polynomial printed once
+        (``Expression.render``): a metric's Ricci and sym entries are its
+        K w_ij products, which share K's denominator with their negations,
+        and a connection's Ricci entries reuse its Riemann components."""
         rendered: Dict[int, str] = {}
+        printed: Dict[int, str] = {}
 
         def text(c: Expression) -> str:
             s = rendered.get(id(c))
             if s is None:
-                s = rendered[id(c)] = str(c)
+                s = rendered[id(c)] = c.render(printed)
             return s
 
         return {
@@ -228,11 +231,14 @@ def riemann(source: Connection2D | Metric2D) -> CurvatureData:
     K w11, K w22 and K w12, each formed once, make the whole record:
     rho^1_{1,12} = K w12, rho^1_{2,12} = K w22, rho^2_{1,12} = -K w11,
     rho^2_{2,12} = -K w12, Ricci rho_ij = K w_ij (rho_12 and rho_21 one
-    object), phi_12 = 0 and sym = Ricci.
+    object), phi_12 = 0 and sym = Ricci.  The products run no cancel when
+    K's coprimality carries over to them (``_coprime_products``).
     """
     if isinstance(source, Metric2D):
         k = source.gauss_curvature
-        kw11, kw22, kw12 = k * source.w11, k * source.w22, k * source.w12
+        kw11, kw22, kw12 = _coprime_products(source) or [
+            k * w for w in (source.w11, source.w22, source.w12)
+        ]
         riem = {(1, 1, 1, 2): kw12, (1, 2, 1, 2): kw22, (2, 1, 1, 2): -kw11, (2, 2, 1, 2): -kw12}
         ricci = {(1, 1): kw11, (1, 2): kw12, (2, 1): kw12, (2, 2): kw22}
         sym = {(1, 1): kw11, (2, 2): kw22, (1, 2): kw12}
@@ -268,6 +274,27 @@ def riemann(source: Connection2D | Metric2D) -> CurvatureData:
         (1, 2): ricci[(2, 1)] + source.context.rational("1/2") * phi_12,
     }
     return CurvatureData(riemann=riem, ricci=ricci, phi_12=phi_12, sym=sym)
+
+
+def _coprime_products(metric: Metric2D) -> Optional[List[Expression]]:
+    """K w11, K w22 and K w12 formed with no cancel, when K's coprimality
+    carries over to them; None otherwise.
+
+    That is the case for a polynomial metric (d = 1) with gcd(W11, W12) =
+    gcd(W22, W12) = 1.  Then each W_ij is coprime to det(W) = W11 W22 - W12^2:
+    an irreducible factor of det(W) divides W11 or W22 only if it divides
+    W12, and divides W12 only if it divides W11 or W22.  K's reduced
+    denominator divides 4 det(W)^2 (``Metric2D.gauss_curvature``) and is
+    coprime to K's numerator, so the pair (num(K) W_ij, den(K)) is reduced
+    as it stands.  A rational metric, or a shared factor (w12 = 0 with a
+    nonconstant w11 or w22 among them), declines.
+    """
+    k = metric.gauss_curvature
+    w11, w22, w12 = metric.w11.num, metric.w22.num, metric.w12.num
+    if not (_is_unit_poly(metric.cleared.d) and _is_unit_poly(_cancel(w11, w12)[2])
+            and _is_unit_poly(_cancel(w22, w12)[2])):
+        return None
+    return [_from_reduced(metric.context, k.num * w, k.den) for w in (w11, w22, w12)]
 
 
 def metric_constants(metric: Metric2D) -> StructureReport:

@@ -52,7 +52,7 @@ class Context:
     reproducible.
     """
 
-    __slots__ = ("n", "params", "names", "_index", "_coordinates", "_atoms")
+    __slots__ = ("n", "params", "names", "_index", "_coordinates", "_keys", "_atoms")
 
     def __init__(self, n: int, params: Iterable[str] = ()):
         if not 1 <= n <= 9:
@@ -70,11 +70,12 @@ class Context:
         self._index = {name: i for i, name in enumerate(self.names)}
         # the coordinate fields of a key: n fields above the parameters' ones
         self._coordinates = _ones(n - 1) * _FIELD << _W * len(params)
-        # name -> the single-term kernel polynomial of that variable
-        self._atoms = {
-            name: _Poly({_pack(tuple(int(j == slot) for j in range(len(self.names)))): 1})
+        # name -> the key of that variable, and its single-term kernel polynomial
+        self._keys = {
+            name: _pack(tuple(int(j == slot) for j in range(len(self.names))))
             for slot, name in enumerate(self.names)
         }
+        self._atoms = {name: _Poly({key: 1}) for name, key in self._keys.items()}
 
     @property
     def nvars(self) -> int:
@@ -968,11 +969,23 @@ class Expression:
         return hash((self.context, self.num, self.den))
 
     def __str__(self) -> str:
+        return self.render({})
+
+    def render(self, memo: dict) -> str:
+        """The text of self, with memo the {id(poly): text} of the kernel
+        polynomials already printed in one rendering call: expressions that
+        share a numerator or denominator object print it once.  A memo lives
+        for one call only, while the objects its keys name are alive."""
         names = self.context.names
-        num_s = _poly_str(self.num, names)
-        if _is_unit_poly(self.den):
-            return num_s
-        den_s = _poly_str(self.den, names)
+        texts = []
+        for p in (self.num,) if _is_unit_poly(self.den) else (self.num, self.den):
+            s = memo.get(id(p))
+            if s is None:
+                s = memo[id(p)] = _poly_str(p, names)
+            texts.append(s)
+        if len(texts) == 1:
+            return texts[0]
+        num_s, den_s = texts
         if len(self.num.terms) > 1:
             num_s = f"({num_s})"
         if not _is_atom(self.den):
@@ -1244,7 +1257,9 @@ def _within_budget(value: _Poly | Expression) -> _Poly | Expression:
 
 
 class _Parser:
-    """Recursive-descent parser for the expression grammar.
+    """Recursive-descent parser for the expression grammar: ``parse_in``
+    runs it on every text that ``_scan`` declines, and it is the reference
+    that the scan is tested against.
 
     Precedence: ``^`` > unary ``-`` > ``*``/``/`` > ``+``/``-``, all binary
     operators left-associative; ``^`` only takes integer literal exponents.
@@ -1454,10 +1469,82 @@ class _Parser:
         return value, _linear_factors(value) if value.terms else None
 
 
+# one factor of an integer polynomial per match, after its operator: an
+# integer literal, or a name with an optional ^digits; the last group catches
+# any other character, and with it the text goes to the descent
+_SCAN_RE = re.compile(r"\s*([-+*]?)\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)(?:\s*\^\s*(\d+))?|(\S))")
+
+
+def _scan(text: str, context: Context) -> Optional[_Poly]:
+    """The integer polynomial that text spells in the scan grammar, else None.
+
+    The text is ``[-]term {(+|-) term}``, a term is ``factor {* factor}``,
+    and a factor is an integer literal or a name of the context with an
+    optional ``^digits``.  Each term is one coefficient times one packed key.
+    The scan never raises: where ``_Parser`` would raise, it returns None at
+    the step where the descent checks the same budget, read at call time:
+    a literal's length, a power's exponent and degree, the coefficient after
+    each product, the total degree after each factor, and the value of the
+    sum.  So every error, message and position comes from the descent.
+    """
+    keys = context._keys
+    top = _W * context.nvars  # a key's total degree is its field above top
+    terms: dict = {}
+    coeff = None
+    for op, digits, name, exp, _ in _SCAN_RE.findall(text):
+        if op == "*":
+            if coeff is None:
+                return None
+        elif op or coeff is None:  # a term starts
+            if coeff is not None:
+                add_term(terms, key, coeff)
+            elif op == "+":
+                return None
+            coeff, key = (-1 if op == "-" else 1), 0
+        else:
+            return None
+        if digits:
+            if len(digits) > MAX_LITERAL_DIGITS:
+                return None
+            coeff *= int(digits)
+            if abs(coeff) > _COEFF_LIMIT:
+                return None
+        elif name in keys:
+            factor = keys[name]
+            if exp:
+                if len(exp) > MAX_LITERAL_DIGITS:
+                    return None
+                k = int(exp)
+                if k > MAX_EXPONENT or k > MAX_POWER_DEGREE:
+                    return None
+                factor *= k
+            key += factor
+            if key >> top > MAX_TOTAL_DEGREE:
+                return None
+        else:  # an unknown name or a character outside the grammar
+            return None
+    if coeff is None:
+        return None
+    add_term(terms, key, coeff)
+    terms = {m: c for m, c in terms.items() if c}
+    if terms and max(map(abs, terms.values())) > _COEFF_LIMIT:
+        return None
+    return _Poly(terms)
+
+
 def parse(text: str, n: int, params: Iterable[str] = ()) -> Expression:
     """Parse expression text over coordinates x1..xn and the given parameters."""
     return parse_in(text, Context(n, params))
 
 
 def parse_in(text: str, context: Context) -> Expression:
-    return _Parser(text, context).parse()
+    """The canonical Expression of text over context.
+
+    An integer polynomial in the scan grammar (``_scan``) is read straight
+    into packed monomials; any other text, and every error, goes through the
+    recursive descent ``_Parser``, which gives the same pair on both.
+    """
+    poly = _scan(text, context)
+    if poly is None:
+        return _Parser(text, context).parse()
+    return _from_reduced(context, poly, _UNIT)

@@ -13,6 +13,7 @@ from vessiot.curvature import (
     IJ,
     Connection2D,
     Metric2D,
+    _coprime_products,
     christoffel,
     metric_constants,
     riemann,
@@ -426,6 +427,37 @@ class TestGaussCurvatureReduction:
         assert any(k.is_zero() for k in ks)
 
 
+class TestCoprimeProducts:
+    """K w_ij formed with no cancel when K's coprimality carries over: the
+    same pairs as K * w_ij, and a decline wherever the argument fails."""
+
+    @staticmethod
+    def products(metric):
+        k = metric.gauss_curvature
+        return [k * w for w in (metric.w11, metric.w22, metric.w12)]
+
+    def test_pool_metrics_match_the_products(self):
+        # the polynomial pool metrics, K = 0 and K cancelled against det(W) included
+        metrics = [m for m in ladder_metrics() if _coprime_products(m) is not None]
+        assert any(m.gauss_curvature.is_zero() for m in metrics)
+        for metric in metrics:
+            shortcut = _coprime_products(metric)
+            assert shortcut == self.products(metric)
+            assert [str(x) for x in shortcut] == [str(x) for x in self.products(metric)]
+
+    @pytest.mark.parametrize("texts", [
+        # w11 = (x1 + 1)(x2 + 1) and w12 = x1 (x2 + 1) share x2 + 1
+        ("x1*x2 + x1 + x2 + 1", "x1^2 + 2", "x1*x2 + x1"),
+        # w12 = 0: gcd(w22, w12) is w22
+        ("1", "x1^2 + 1", "0"),
+    ])
+    def test_shared_factor_and_diagonal_decline(self, texts):
+        metric = Metric2D(*(parse_in(t, CTX) for t in texts))
+        assert not metric.gauss_curvature.is_zero()
+        assert _coprime_products(metric) is None
+        assert riemann(metric) == riemann(christoffel(metric))
+
+
 class TestCurvatureFromRiemannChain:
     """c1 from the cleared metric against the Riemann chain, which does not
     read it: rho^2_{1,12} = -c1 w11, rho^1_{2,12} = c1 w22, rho^1_{1,12} = c1 w12;
@@ -546,13 +578,13 @@ class TestEachValueOnce:
         path = tmp_path / "dense.section"
         path.write_text(self.DENSE)
         rendered = []
-        original = symexpr.Expression.__str__
+        original = symexpr.Expression.render
 
-        def counting(self):
+        def counting(self, memo):
             rendered.append(self)
-            return original(self)
+            return original(self, memo)
 
-        monkeypatch.setattr(symexpr.Expression, "__str__", counting)
+        monkeypatch.setattr(symexpr.Expression, "render", counting)
         assert cli.main(["curvature", "--section", str(path)]) == 1
         result = json.loads(capsys.readouterr().out)["result"]
         record = result["curvature"]
@@ -567,16 +599,35 @@ class TestEachValueOnce:
     def test_connection_record_renders_each_object_once(self, monkeypatch):
         data = riemann(christoffel(random_metric(random.Random(5))))
         rendered = []
-        original = symexpr.Expression.__str__
+        original = symexpr.Expression.render
 
-        def counting(self):
+        def counting(self, memo):
             rendered.append(self)
-            return original(self)
+            return original(self, memo)
 
-        monkeypatch.setattr(symexpr.Expression, "__str__", counting)
+        monkeypatch.setattr(symexpr.Expression, "render", counting)
         data.to_json_dict()
         # four Riemann components, two negated for Ricci, phi_12 and sym12
         assert len(rendered) == len({id(c) for c in rendered}) == 8
+
+    def test_shared_denominator_prints_once_per_record(self, monkeypatch):
+        data = riemann(Metric2D.from_section(parse_section_text(self.DENSE)[0]))
+        den = data.ricci[1, 1].den
+        # K's denominator, shared by every nonzero entry and its negation
+        shared = [c for c in (*data.riemann.values(), *data.ricci.values()) if c.den is den]
+        assert len(shared) == 8
+        printed = []
+        original = symexpr._poly_str
+
+        def counting(poly, names):
+            printed.append(poly)
+            return original(poly, names)
+
+        monkeypatch.setattr(symexpr, "_poly_str", counting)
+        for _ in range(2):  # once per record, not once per process
+            data.to_json_dict()
+        assert sum(p is den for p in printed) == 2
+        assert len(printed) == len({id(p) for p in printed}) * 2
 
     def test_cleared_differentiates_each_component_once(self, monkeypatch):
         metric = Metric2D.from_section(parse_section_text(self.DENSE)[0])
