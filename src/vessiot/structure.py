@@ -123,13 +123,16 @@ def product_constants(sec: GeometricSection) -> StructureReport:
     witness w3*(1 - w1*w2); the Jacobi condition forces c' = c'' whenever
     both are constant (``StructureReport.of`` raises otherwise), and the
     single constant c is reported.  Only w4, w5, w7 and w8 are formed.
-    c' = c'' holds identically, so the two unreduced quotients (``_curl``)
-    usually coincide, and then c'' is the reduced c': one reduction, not
-    two.  The residual c' - c'' is formed either way, so a wrong solve shows.
+    c' = c'' holds identically, and the lcm of (w7, w8) is usually the lcm
+    of (w4, w5): then c'' is formed from the cleared data of c' (``_curl``),
+    and when its own curl numerator equals that of c', c'' is the reduced c':
+    one reduction, not two.  When the lcms differ, c'' is formed in full.
+    The residual c' - c'' is formed either way, so a wrong solve shows.
     """
     witness, w4, w5, w7, w8 = _product_system(sec)
-    first = _curl(w4, 2, w5, 1, witness)
-    second = _curl(w7, 1, w8, 2, witness)
+    cleared: dict = {}
+    first = _curl(w4, 2, w5, 1, witness, cleared)
+    second = _curl(w7, 1, w8, 2, witness, cleared)
     c_prime = Expression(witness.context, *first)
     c_second = c_prime if second == first else Expression(witness.context, *second)
     return StructureReport.of(
@@ -140,21 +143,39 @@ def product_constants(sec: GeometricSection) -> StructureReport:
     )
 
 
-def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression) -> tuple:
+def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression,
+          cleared: Optional[dict] = None) -> tuple:
     """(d_i a - d_j b) / witness as an unreduced (numerator, denominator) pair
     of kernel polynomials.
 
     Over the common denominator e of a and b (one gcd), a = F/e and b = G/e,
-    so e^2 (d_i a - d_j b) is the polynomial ``curl_numerator`` of F and G:
+    so e^2 (d_i a - d_j b) is the polynomial ``curl_numerator`` n of F and G:
     no gcd, and only the quotient by e^2 * witness is left to reduce.  The
     factor e^2 shares with a factored denominator of the witness is divided
-    out first (``cancel_bases``), so that the reduction's gcd is usually 1,
+    out first (``cancel_bases``): wd is what stays of the witness's
+    denominator and e1, e2 of the two factors e, and the pair is
+    (n * wd, e1 * e2 * witness.num).  The reduction's gcd is then usually 1,
     which GCDHEU settles without verifying divisions.
+
+    ``cleared`` maps each lcm e already met over this witness to (d e, n, the
+    pair, wd).  A curl over such an e forms only its own n'' from them: the
+    pair itself when n'' = n (wd is nonzero, so the quotients are then
+    equal), else (n'' * wd, the same denominator).  Any other e runs in full
+    and joins the map.
     """
     e, (f, g) = common_denominator((a, b))
-    numerator = curl_numerator(e, (e.diff(0), e.diff(1)), f, i - 1, g, j - 1)
+    known = cleared.get(e) if cleared else None
+    if known is not None:
+        de, n, pair, wd = known
+        numerator = curl_numerator(e, de, f, i - 1, g, j - 1)
+        return pair if numerator == n else (numerator * wd, pair[1])
+    de = (e.diff(0), e.diff(1))
+    numerator = curl_numerator(e, de, f, i - 1, g, j - 1)
     wd, e1, e2 = cancel_bases(witness, e, e)
-    return numerator * wd, e1 * e2 * witness.num
+    pair = numerator * wd, e1 * e2 * witness.num
+    if cleared is not None:
+        cleared[e] = de, numerator, pair, wd
+    return pair
 
 
 # ----------------------------------------------------------------------

@@ -863,7 +863,8 @@ class Expression:
         return self + (-other)
 
     def __neg__(self) -> "Expression":
-        return _from_reduced(self.context, -self.num, self.den, self.factors)
+        # negation keeps the pair coprime, its content and the sign of den
+        return _store(object.__new__(Expression), self.context, -self.num, self.den, self.factors)
 
     def __mul__(self, other: "Expression") -> "Expression":
         self._check(other)
@@ -881,7 +882,10 @@ class Expression:
         """self * nb/db for a coprime pair nb, db (db nonzero), with fb the
         factorization of db and fnb the one of nb, each None when not known.
         A numerator meets a factored denominator in trial divisions by its
-        bases, and two factorizations meet in their exponents: no gcd."""
+        bases, and two factorizations meet in their exponents: no gcd.
+        The operand 1/1 gives self."""
+        if _is_unit_poly(nb) and _is_unit_poly(db):
+            return self
         na, db, fb = _divide_out(self.num, db, fb)
         if fnb is None:
             nb, da, fa = _divide_out(nb, self.den, self.factors)
@@ -1103,6 +1107,12 @@ def _fill(expr: "Expression", context: Context, num: _Poly, den: _Poly,
         if content != 1:
             den, num = (_Poly({m: v // content for m, v in p.terms.items()}) for p in (den, num))
             factors = c // content, bases
+    return _store(expr, context, num, den, factors)
+
+
+def _store(expr: "Expression", context: Context, num: _Poly, den: _Poly,
+           factors: Optional[tuple]) -> "Expression":
+    """Store a pair already in the canonical form of ``_fill`` in expr."""
     _set_context(expr, context)
     _set_num(expr, num)
     _set_den(expr, den)

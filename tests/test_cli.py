@@ -910,7 +910,8 @@ class TestReportHygiene:
         if name == "product_flat":
             values = iter([1, 2])
             monkeypatch.setattr(
-                structure, "_curl", lambda a, i, b, j, w: (_pconst(next(values)), _pconst(1))
+                structure, "_curl",
+                lambda a, i, b, j, w, cleared: (_pconst(next(values)), _pconst(1)),
             )
         else:
             monkeypatch.setattr(

@@ -366,7 +366,7 @@ def test_violated_jacobi_exit_three_under_optimize():
         "from vessiot import cli, structure\n"
         "from vessiot.symexpr import _pconst\n"
         "values = iter([1, 2])\n"
-        "structure._curl = lambda a, i, b, j, w: (_pconst(next(values)), _pconst(1))\n"
+        "structure._curl = lambda a, i, b, j, w, cleared: (_pconst(next(values)), _pconst(1))\n"
         "sys.exit(cli.main(['compute', '--section', 'sections/product_flat.section']))\n"
     )
     plain, optimized = (run_python("-c", code, optimize=flag) for flag in (False, True))

@@ -296,12 +296,19 @@ def chain_products():
     return secs
 
 
+def lcms_coincide(sec) -> bool:
+    """True when the lcm of (w7, w8) is that of (w4, w5): the second curl of
+    ``product_constants`` then takes the cleared data of the first."""
+    _, w4, w5, w7, w8 = structure._product_system(sec)
+    return symexpr.common_denominator((w4, w5))[0] == symexpr.common_denominator((w7, w8))[0]
+
+
 # Cancels of product_constants outside the 2x2 solve: the witness, d1 w1,
 # d2 w2, the right-hand side, w5, w8, two curls (an lcm each, and one
 # quotient for both when their unreduced pairs coincide) and the Jacobi
-# residual.  Measured at most 29 on ``chain_products``; the route through
+# residual.  Measured at most 11 on ``chain_products``; the route through
 # w6, w9 and a second witness took 38 to 59 on the same kinds.
-PRODUCT_CANCELS_OUTSIDE_SOLVE = 29
+PRODUCT_CANCELS_OUTSIDE_SOLVE = 11
 
 
 class TestProductChain:
@@ -372,35 +379,51 @@ class TestProductChain:
 
     def test_coinciding_curls_reduce_once(self, monkeypatch):
         # c' = c'' identically, and the unreduced pairs coincide on every
-        # section but one with w2 = 0; a zero curl reduces with no cancel
-        pairs, quotients = [], []
-        curl, cancel = structure._curl, symexpr._cancel
+        # section but one with w2 = 0; a zero curl reduces with no cancel.
+        # Where the two lcms coincide, c'' takes the cleared data of c', so
+        # the witness's bases leave e^2 once per section, not once per curl
+        pairs, quotients, cleared = [], [], []
+        curl, cancel, bases = structure._curl, symexpr._cancel, structure.cancel_bases
 
         def recording_curl(*args):
             pairs.append(curl(*args))
             return pairs[-1]
 
         def recording_cancel(a, b):
-            quotients.extend(1 for num, den in pairs if a is num and b is den)
+            # a pair met twice is one quotient
+            if any(a is num and b is den for num, den in pairs):
+                quotients.append(1)
             return cancel(a, b)
+
+        def recording_bases(*args):
+            cleared.append(1)
+            return bases(*args)
 
         monkeypatch.setattr(structure, "_curl", recording_curl)
         monkeypatch.setattr(symexpr, "_cancel", recording_cancel)
-        coinciding = 0
+        monkeypatch.setattr(structure, "cancel_bases", recording_bases)
+        coinciding = shared = 0
         for sec in chain_products():
+            same_lcm = lcms_coincide(sec)
+            shared += same_lcm
             pairs.clear()
             quotients.clear()
+            cleared.clear()
             report = product_constants(sec)
             first, second = pairs
             coinciding += first == second
             assert first == second or sec.components[1].is_zero()
             reduced = [first] if first == second else pairs
             assert len(quotients) == sum(1 for num, _ in reduced if num.terms)
+            assert len(cleared) == (1 if same_lcm else 2)
             assert all(r.is_zero() for r in report.jacobi_residuals)
         assert coinciding == len(chain_products()) - 1
+        assert shared == len(chain_products()) - 1
 
     def test_wrong_solve_shows_in_the_jacobi_residual(self, monkeypatch):
-        # w4 + x1 for w4 shifts c' by -d1(x1*w1)/witness and leaves c''
+        # w4 + x1 for w4 shifts c' by -d1(x1*w1)/witness and leaves c''; on
+        # 7 of the 8 sections the lcm of (w4, w5) is that of (w7, w8), so c''
+        # takes the cleared data of c'
         ctx = Context(2)
         x1 = ctx.coordinate(1)
 
@@ -410,12 +433,37 @@ class TestProductChain:
 
         monkeypatch.setattr(structure, "solve_square", wrong)
         rng = random.Random(7)
+        shared = 0
         for _ in range(8):
             sec = random_product_section(rng, ctx)
+            shared += lcms_coincide(sec)
             shift = -(x1 * sec.components[0]).diff(1) / nondegeneracy(sec)
             residual = product_constants(sec).jacobi_residuals[0]
             assert not residual.is_zero()
             assert residual == shift
+        assert shared == 7
+
+    def test_wrong_solve_shows_on_the_full_route(self, monkeypatch):
+        # w7 + s for w7, s = 1/(x1 + 7), flows into w8 = d2 w2 + w2*w7: the
+        # lcm of (w7, w8) is no longer that of (w4, w5), so c'' is formed in
+        # full, shifted by (d1 s - d2(w2*s))/witness, and c' stays
+        ctx = Context(2)
+        s = ctx.one() / (ctx.coordinate(1) + ctx.rational(7))
+
+        def wrong(matrix, rhs):
+            w4, w7 = solve_square(matrix, rhs)
+            return w4, w7 + s
+
+        monkeypatch.setattr(structure, "solve_square", wrong)
+        rng = random.Random(7)
+        for _ in range(8):
+            sec = random_product_section(rng, ctx)
+            assert not lcms_coincide(sec)
+            w2 = sec.components[1]
+            shift = (s.diff(1) - (w2 * s).diff(2)) / nondegeneracy(sec)
+            residual = product_constants(sec).jacobi_residuals[0]
+            assert not residual.is_zero()
+            assert residual == -shift
 
     def test_solves_through_the_module_name_once(self, monkeypatch):
         # perfbench/tracer.py times the solve by wrapping structure.solve_square
