@@ -144,7 +144,7 @@ def product_constants(sec: GeometricSection) -> StructureReport:
 
 
 def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression,
-          cleared: Optional[dict] = None) -> tuple:
+          cleared: dict) -> tuple:
     """(d_i a - d_j b) / witness as an unreduced (numerator, denominator) pair
     of kernel polynomials.
 
@@ -164,7 +164,7 @@ def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression,
     and joins the map.
     """
     e, (f, g) = common_denominator((a, b))
-    known = cleared.get(e) if cleared else None
+    known = cleared.get(e)
     if known is not None:
         de, n, pair, wd = known
         numerator = curl_numerator(e, de, f, i - 1, g, j - 1)
@@ -173,8 +173,7 @@ def _curl(a: Expression, i: int, b: Expression, j: int, witness: Expression,
     numerator = curl_numerator(e, de, f, i - 1, g, j - 1)
     wd, e1, e2 = cancel_bases(witness, e, e)
     pair = numerator * wd, e1 * e2 * witness.num
-    if cleared is not None:
-        cleared[e] = de, numerator, pair, wd
+    cleared[e] = de, numerator, pair, wd
     return pair
 
 

@@ -5,7 +5,9 @@ arithmetic, diff and cancel, also in x1, x2 and two parameters, so that two
 layouts of packed monomial keys are checked), drawn by
 hypothesis with a fixed derivation (``derandomize``), so every run checks the
 same cases; the gcd margin tests add shared-factor pairs from seeded
-``random.Random`` generators.  sympy and hypothesis are test-only dependencies: without them the
+``random.Random`` generators.  Negation and the operand 1/1 skip the
+normalizer; their results are checked against what it gives, over seeded
+``helpers.random_expression`` operands.  sympy and hypothesis are test-only dependencies: without them the
 module is skipped and the runtime stays standard-library only.
 """
 
@@ -19,7 +21,7 @@ import random  # noqa: E402
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import packed, random_poly, shared_factor_pair  # noqa: E402
+from helpers import packed, random_expression, random_poly, shared_factor_pair  # noqa: E402
 from oracle_support import expr_sympy, oracle_settings, poly_sympy  # noqa: E402
 from vessiot import symexpr  # noqa: E402
 from vessiot.errors import InputTooLarge  # noqa: E402
@@ -378,3 +380,29 @@ class TestTwoParameters:
     @given(_cancel_pairs(_monomials2))
     def test_cancel(self, pair):
         TestCancel.check(*pair, syms=SYMS2)
+
+
+class TestExpressionFastPaths:
+    """-x stores (-num, den, factors) as they are, and the operand 1/1 of a
+    product or quotient gives the other operand."""
+
+    FIXED = oracle_settings(300)
+    seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+    @FIXED
+    @given(seed=seeds)
+    def test_negation_keeps_the_pair(self, seed):
+        x = random_expression(CTX, random.Random(seed))
+        negated = -x
+        assert negated.den == x.den and negated.factors == x.factors
+        assert negated == Expression(CTX, -x.num, x.den)
+        assert -negated == x
+        assert (x - x).is_zero()
+
+    @FIXED
+    @given(seed=seeds)
+    def test_unit_operand_gives_the_other(self, seed):
+        x = random_expression(CTX, random.Random(seed))
+        one = CTX.one()
+        assert x * one is x and x / one is x
+        assert one * x == x

@@ -320,8 +320,8 @@ class TestProductChain:
         c_prime = (w4.diff(2) - w5.diff(1)) / witness
         c_second = (w7.diff(1) - w8.diff(2)) / witness
         context = witness.context
-        assert Expression(context, *structure._curl(w4, 2, w5, 1, witness)) == c_prime
-        assert Expression(context, *structure._curl(w7, 1, w8, 2, witness)) == c_second
+        assert Expression(context, *structure._curl(w4, 2, w5, 1, witness, {})) == c_prime
+        assert Expression(context, *structure._curl(w7, 1, w8, 2, witness, {})) == c_second
         report = product_constants(sec)
         assert report.jacobi_residuals == [c_prime - c_second]
         if c_prime.is_constant() and c_second.is_constant():
@@ -370,7 +370,7 @@ class TestProductChain:
         cancel = symexpr._cancel
         monkeypatch.setattr(symexpr, "_cancel", lambda a, b: gcds.append(cancel(a, b)[2]) or cancel(a, b))
         for args in ((w4, 2, w5, 1), (w7, 1, w8, 2)):
-            pair = structure._curl(*args, witness)
+            pair = structure._curl(*args, witness, {})
             gcds.clear()
             reduced = Expression(witness.context, *pair)
             assert gcds == ([symexpr._pconst(1)] if pair[0].terms else [])
